@@ -55,7 +55,6 @@ from .fairness import (
     is_balanced,
     is_exact1,
     is_fair,
-    is_fair_for_agent,
     parse_notion,
     up_to,
 )

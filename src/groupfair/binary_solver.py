@@ -38,7 +38,7 @@ from itertools import combinations
 
 from .errors import FairAllocationNotFound, GroupShapeError, UnsupportedValuationError
 from .fairness import EF1, is_fair
-from .model import BINARY, Allocation, FixedGroups, Instance, Valuation, iter_bits
+from .model import BINARY, Allocation, FixedGroups, Instance, Valuation
 
 log = logging.getLogger(__name__)
 
@@ -83,19 +83,11 @@ def _check_two_group_binary(inst: Instance) -> tuple[tuple[int, ...], tuple[int,
     return inst.groups.members
 
 
-# 4-bit lanes per agent; counts never exceed 3, so lane-wise >= can be done
-# with one borrow trick on packed integers.
-_SPREAD: dict[int, int] = {}
-
-
-def _spread(mask: int) -> int:
-    got = _SPREAD.get(mask)
-    if got is None:
-        got = 0
-        for i in iter_bits(mask):
-            got += 1 << (4 * i)
-        _SPREAD[mask] = got
-    return got
+# Desirer sets hold one 4-bit lane per local agent (agent i is bit 4*i).
+# Summed over at most three goods a lane never exceeds 3, so lane-wise >=
+# can be done with one borrow trick on packed integers.
+def _lane(i: int) -> int:
+    return 1 << (4 * i)
 
 
 def _lane_guard(n: int) -> int:
@@ -110,7 +102,8 @@ class _State:
 
     Side A is the group with at least as many agents (instance group order
     breaks ties); side B is the other. Goods keep their original ids and
-    stay sorted by id. S/T are desirer bitmasks over local agent indices.
+    stay sorted by id. S/T are desirer sets over local agent indices, one
+    4-bit lane per agent.
     """
 
     def __init__(self, inst: Instance):
@@ -120,18 +113,12 @@ class _State:
         self.a_ids = members[self.a_side]
         self.b_ids = members[1 - self.a_side]
         self.singleton_chain = len(self.b_ids) <= 1
-        a_pos = {aid: i for i, aid in enumerate(self.a_ids)}
-        b_pos = {aid: i for i, aid in enumerate(self.b_ids)}
-        self.goods: list[list[int]] = []  # [gid, S, T]
-        for g in range(inst.m):
-            s = t = 0
-            for aid, i in a_pos.items():
-                if inst.agents[aid].values[g]:
-                    s |= 1 << i
-            for aid, i in b_pos.items():
-                if inst.agents[aid].values[g]:
-                    t |= 1 << i
-            self.goods.append([g, s, t])
+
+        def desirers(ids: tuple[int, ...], g: int) -> int:
+            return sum(_lane(i) for i, aid in enumerate(ids) if inst.agents[aid].values[g])
+
+        # each good is [gid, S, T]; rules index S and T as columns 1 and 2
+        self.goods = [[g, desirers(self.a_ids, g), desirers(self.b_ids, g)] for g in range(inst.m)]
         self.guard_a = _lane_guard(len(self.a_ids))
         self.guard_b = _lane_guard(len(self.b_ids))
         self.to_side = [0, 0]  # masks over original goods, instance group order
@@ -172,7 +159,7 @@ class _State:
             return False
         packs: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {1: [], 2: [], 3: []}
         for i, (_, s, t) in enumerate(self.goods):
-            packs[1].append(((i,), 1 << i, _spread(s), _spread(t)))
+            packs[1].append(((i,), 1 << i, s, t))
         for size in (2, 3):
             if g < size:
                 continue
@@ -181,8 +168,8 @@ class _State:
                 pa = pb = 0
                 for i in combo:
                     mask |= 1 << i
-                    pa += _spread(self.goods[i][1])
-                    pb += _spread(self.goods[i][2])
+                    pa += self.goods[i][1]
+                    pb += self.goods[i][2]
                 packs[size].append((combo, mask, pa, pb))
         if self.singleton_chain:
             size_pairs = ((1, 1), (2, 2), (3, 3))
@@ -209,24 +196,16 @@ class _State:
         return False
 
     def rule_p4(self) -> bool:
-        for local, aid in enumerate(self.a_ids):
-            bit = 1 << local
-            desired = [i for i, (_, s, _t) in enumerate(self.goods) if s & bit]
-            if len(desired) % 2 == 1:
-                i = desired[0]
-                self.goods[i][1] &= ~bit
-                self.steps.append(TraceStep("P4", undesired=((aid, self.goods[i][0]),)))
-                return True
-        if self.singleton_chain:
-            return False
-        for local, aid in enumerate(self.b_ids):
-            bit = 1 << local
-            desired = [i for i, (_, _s, t) in enumerate(self.goods) if t & bit]
-            if len(desired) % 2 == 1:
-                i = desired[0]
-                self.goods[i][2] &= ~bit
-                self.steps.append(TraceStep("P4", undesired=((aid, self.goods[i][0]),)))
-                return True
+        sides = ((1, self.a_ids),) if self.singleton_chain else ((1, self.a_ids), (2, self.b_ids))
+        for col, ids in sides:
+            for local, aid in enumerate(ids):
+                bit = _lane(local)
+                desired = [i for i, good in enumerate(self.goods) if good[col] & bit]
+                if len(desired) % 2 == 1:
+                    i = desired[0]
+                    self.goods[i][col] &= ~bit
+                    self.steps.append(TraceStep("P4", undesired=((aid, self.goods[i][0]),)))
+                    return True
         return False
 
     def rule_p2(self) -> bool:
@@ -250,26 +229,14 @@ class _State:
 
 def _reduced_instance(state: _State) -> Instance:
     inst = state.inst
-    remaining = [g[0] for g in state.goods]
-    pos = {gid: j for j, gid in enumerate(remaining)}
-    mprime = len(remaining)
+    lanes = {aid: (1, _lane(i)) for i, aid in enumerate(state.a_ids)}
+    lanes.update({aid: (2, _lane(i)) for i, aid in enumerate(state.b_ids)})
     agents = []
-    a_pos = {aid: i for i, aid in enumerate(state.a_ids)}
-    b_pos = {aid: i for i, aid in enumerate(state.b_ids)}
     for aid in range(inst.n):
-        vals = [0] * mprime
-        if aid in a_pos:
-            bit = 1 << a_pos[aid]
-            for gid, s, _t in state.goods:
-                if s & bit:
-                    vals[pos[gid]] = 1
-        else:
-            bit = 1 << b_pos[aid]
-            for gid, _s, t in state.goods:
-                if t & bit:
-                    vals[pos[gid]] = 1
-        agents.append(Valuation(BINARY, mprime, values=tuple(vals)))
-    return Instance(mprime, tuple(agents), inst.groups)
+        col, bit = lanes[aid]
+        vals = tuple(1 if good[col] & bit else 0 for good in state.goods)
+        agents.append(Valuation(BINARY, len(state.goods), values=vals))
+    return Instance(len(state.goods), tuple(agents), inst.groups)
 
 
 def preprocess(inst: Instance) -> tuple[tuple[int, int], Instance, ReductionTrace]:

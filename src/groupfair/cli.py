@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 from . import algorithms, fuzz, kneser, oracle, reduction
 from .binary_solver import solve_ef1_binary
 from .errors import FairAllocationNotFound, GroupFairError
-from .fairness import EF1, is_exact1, is_fair, parse_notion
+from .fairness import EF1, Notion, is_fair, meets_prop_up_to_goods, parse_notion
 from .model import (
     AgentPartition,
     Allocation,
     FixedGroups,
     Instance,
     allocation_violations,
-    full_mask,
     instance_from_json,
     instance_to_dict,
     validate,
@@ -122,16 +121,6 @@ def _parse_allocation(text: str, inst: Instance) -> Allocation:
     return alloc
 
 
-def _parse_partition(text: str, inst: Instance) -> AgentPartition:
-    groups = _parse_id_groups(text)
-    if len(groups) != inst.k:
-        raise ValueError(f"partition has {len(groups)} groups, instance has {inst.k}")
-    part = AgentPartition.from_groups(groups)
-    if len(part.assignment) != inst.n:
-        raise ValueError("partition does not cover all agents")
-    return part
-
-
 def _parse_split(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -151,7 +140,9 @@ def _cmd_check(args) -> int:
     inst = _load_instance(args.instance)
     notion = parse_notion(args.notion)
     alloc = _parse_allocation(args.allocation, inst)
-    partition = _parse_partition(args.partition, inst) if args.partition else None
+    partition = None
+    if args.partition:  # is_fair checks it against the instance and allocation
+        partition = AgentPartition.from_groups(_parse_id_groups(args.partition))
     t0 = time.perf_counter()
     report = is_fair(inst, alloc, notion, partition=partition)
     run = RunReport(
@@ -165,8 +156,22 @@ def _cmd_check(args) -> int:
     return OK if report.overall else CERTIFIED_NO
 
 
+def _reverify(
+    inst: Instance, alloc: Allocation, part: AgentPartition | None, notion: Notion
+) -> dict:
+    """Check a result on the fixed-groups instance its partition gives (the
+    instance itself when ``part`` is None); returns the fairness report."""
+    if part is not None:
+        inst = Instance.fixed(inst.m, inst.agents, part.groups_lists())
+    report = is_fair(inst, alloc, notion)
+    if not report.overall:
+        raise AssertionError(f"result failed {notion} re-verification")
+    return report.to_dict()
+
+
 def _solve_dispatch(args, inst: Instance):
-    """Returns (result dict, allocation | None, partition | None, notion)."""
+    """Returns (result dict, allocation | None, partition | None, notion);
+    methods that report no notion verify their own guarantee here."""
     method = args.method
     if method == "binary":
         return {}, solve_ef1_binary(inst, jobs=args.jobs), None, EF1
@@ -175,20 +180,16 @@ def _solve_dispatch(args, inst: Instance):
     if method == "exact1":
         if inst.n != 2:
             raise ValueError("exact1 needs exactly two agents")
-        x, y = algorithms.exact1_partition(inst.agents[0], inst.agents[1])
-        alloc = Allocation((x, y))
-        for a in range(2):
-            if not is_exact1(inst.agents[a], (x, y)):
-                raise AssertionError("exact1_partition output failed re-verification")
+        alloc = Allocation(algorithms.exact1_partition(inst.agents[0], inst.agents[1]))
+        # Exact1: both agents accept the split from either side
+        for side in range(2):
+            _reverify(inst, alloc, AgentPartition((side, side), 2), EF1)
         return {"exact1": True}, alloc, None, None
     if method == "roundrobin":
         alloc = algorithms.round_robin(inst.agents)
-        singles = Instance.fixed(inst.m, inst.agents, [[a] for a in range(inst.n)])
-        report = is_fair(singles, alloc, EF1)
-        if not report.overall:
-            raise AssertionError("round_robin output failed re-verification")
+        singles = AgentPartition(tuple(range(inst.n)), inst.n)
+        _reverify(inst, alloc, singles, EF1)
         return {"groups": "one per agent"}, alloc, None, None
-    sizes = None
     if isinstance(inst.groups, FixedGroups):
         raise ValueError(f"method {method} chooses the partition; use variable groups")
     sizes = inst.groups.sizes
@@ -204,14 +205,9 @@ def _solve_dispatch(args, inst: Instance):
         return {}, alloc, part, EF1
     if method == "prop":
         part, alloc = algorithms.proportional_k_groups(inst.agents, sizes)
-        # The guarantee is proportionality up to k-1 goods, not exact Prop:
-        # k*u(B) >= u(G) - (k-1)*umax. Verify that threshold directly.
-        k = inst.k
-        whole = full_mask(inst.m)
+        # The guarantee is proportionality up to k-1 goods, not exact Prop.
         for a, gi in enumerate(part.assignment):
-            v = inst.agents[a]
-            umax = max((v.value(1 << g) for g in range(inst.m)), default=0)
-            if k * v.value(alloc.bundles[gi]) < v.value(whole) - (k - 1) * umax:
+            if not meets_prop_up_to_goods(inst.agents[a], alloc.bundles[gi], inst.k):
                 raise AssertionError("proportional_k_groups output missed its threshold")
         return {"guarantee": "prop up to k-1 goods"}, alloc, part, None
     raise ValueError(f"unknown method {method!r}")
@@ -236,14 +232,8 @@ def _cmd_solve(args) -> int:
         result["partition"] = [list(g) for g in part.groups_lists()]
     fairness = None
     if notion is not None:
-        check_inst = inst
-        if part is not None:
-            check_inst = Instance.fixed(inst.m, inst.agents, part.groups_lists())
-        report = is_fair(check_inst, alloc, notion)
-        if not report.overall:
-            raise AssertionError(f"{args.method} output failed {notion} re-verification")
+        fairness = _reverify(inst, alloc, part, notion)
         result["notion"] = str(notion)
-        fairness = report.to_dict()
     run = RunReport("solve", _digest(inst), result, fairness, time.perf_counter() - t0)
     _emit(run, args.format)
     return OK
@@ -262,13 +252,7 @@ def _cmd_search(args) -> int:
     elapsed = time.perf_counter() - t0
     fairness = None
     if cert.found:
-        check_inst = inst
-        if cert.partition is not None:
-            check_inst = Instance.fixed(inst.m, inst.agents, cert.partition.groups_lists())
-        report = is_fair(check_inst, cert.allocation, notion)
-        if not report.overall:
-            raise AssertionError("oracle witness failed re-verification")
-        fairness = report.to_dict()
+        fairness = _reverify(inst, cert.allocation, cert.partition, notion)
     result = {"notion": str(notion), **cert.to_dict()}
     run = RunReport("search", _digest(inst), result, fairness, elapsed)
     _emit(run, args.format)
@@ -432,7 +416,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("corpus", parents=[common], help="run the built-in impossibility corpus")
-    p.add_argument("--run-all", action="store_true", help="run every entry (the default)")
     p.add_argument("--run", metavar="NAME", help="run a single entry")
     p.add_argument("--list", action="store_true", help="list entries")
     p.add_argument("--export", metavar="DIR", help="write the instances as JSON files")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .errors import UnsupportedNotionError
 from .model import (
@@ -21,6 +22,7 @@ from .model import (
     Valuation,
     allocation_violations,
     bits_of,
+    fixed_partition,
     full_mask,
     iter_bits,
 )
@@ -85,7 +87,7 @@ def parse_notion(text: str) -> Notion:
 
 
 # ---------------------------------------------------------------------------
-# pairwise envy checks
+# pairwise and per-agent checks
 
 
 def _min_after_removals(v: Valuation, other: int, c: int) -> int:
@@ -105,6 +107,20 @@ def _min_after_removals(v: Valuation, other: int, c: int) -> int:
     # additive: dropping the c most valuable goods is optimal
     vals = sorted((v.values[g] for g in iter_bits(other)), reverse=True)
     return v.value(other) - sum(vals[:c])
+
+
+def _removal_violation(v: Valuation, mine: int, other: int, zero_ok: bool) -> int | None:
+    """Smallest good in ``other`` whose removal still leaves an agent worth
+    ``mine`` envious, or None; worthless goods count only when ``zero_ok``."""
+    total = v.value(other)
+    vals = v.values
+    for g in iter_bits(other):
+        val = vals[g]
+        if not zero_ok and val == 0:
+            continue
+        if mine < total - val:
+            return g
+    return None
 
 
 def fair_toward(v: Valuation, own: int, other: int, notion: Notion) -> bool:
@@ -141,27 +157,25 @@ def fair_toward(v: Valuation, own: int, other: int, notion: Notion) -> bool:
     # efx / efx0
     if v.kind == TABLE:
         raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
-    mine = v.value(own)
-    total = v.value(other)
-    for g in iter_bits(other):
-        val = v.values[g]
-        if notion.kind == "efx" and val == 0:
-            continue
-        if mine < total - val:
-            return False
-    return True
+    return _removal_violation(v, v.value(own), other, notion.kind == "efx0") is None
 
 
-def _first_removal_violation(v: Valuation, own: int, other: int, zero_ok: bool) -> int | None:
-    """Smallest good in ``other`` whose removal still leaves envy, or None."""
-    mine = v.value(own)
-    total = v.value(other)
-    for g in iter_bits(other):
-        val = v.values[g]
-        if not zero_ok and val == 0:
-            continue
-        if mine < total - val:
-            return g
+def rejected_bundle(
+    v: Valuation, bundles: Sequence[int], own_group: int, notion: Notion
+) -> int | None:
+    """Index of the first bundle the agent in ``own_group`` rejects, or None.
+
+    For ``prop`` the rejected bundle is the agent's own one: it falls short
+    of a 1/k share of the whole, k being the number of bundles.
+    """
+    own = bundles[own_group]
+    if notion.kind == "prop":
+        if len(bundles) * v.value(own) < v.value(full_mask(v.m)):
+            return own_group
+        return None
+    for j, other in enumerate(bundles):
+        if j != own_group and not fair_toward(v, own, other, notion):
+            return j
     return None
 
 
@@ -172,24 +186,24 @@ def agent_verdict(
 
     The witness is the lexicographically smallest offending ``(group, good)``
     pair; the good component is only meaningful for efx/efx0, otherwise None.
+    Proportionality failures carry no witness.
     """
+    j = rejected_bundle(v, alloc.bundles, own_group, notion)
+    if j is None:
+        return True, None
     if notion.kind == "prop":
-        total = v.value(full_mask(v.m))
-        ok = alloc.k * v.value(alloc.bundles[own_group]) >= total
-        return ok, None
-    own = alloc.bundles[own_group]
-    for i, other in enumerate(alloc.bundles):
-        if i == own_group:
-            continue
-        if notion.kind in ("efx", "efx0"):
-            if v.kind == TABLE:
-                raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
-            g = _first_removal_violation(v, own, other, zero_ok=notion.kind == "efx0")
-            if g is not None:
-                return False, (i, g)
-        elif not fair_toward(v, own, other, notion):
-            return False, (i, None)
-    return True, None
+        return False, None
+    good = None
+    if notion.kind in ("efx", "efx0"):
+        mine = v.value(alloc.bundles[own_group])
+        good = _removal_violation(v, mine, alloc.bundles[j], notion.kind == "efx0")
+    return False, (j, good)
+
+
+def meets_prop_up_to_goods(v: Valuation, bundle: int, k: int) -> bool:
+    """Proportionality up to k-1 goods: k*u(B) >= u(G) - (k-1)*max_g u(g)."""
+    umax = max((v.value(1 << g) for g in range(v.m)), default=0)
+    return k * v.value(bundle) >= v.value(full_mask(v.m)) - (k - 1) * umax
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +238,7 @@ def _group_lookup(inst: Instance, alloc: Allocation, partition: AgentPartition |
             raise ValueError("fixed-group instance does not take an agent partition")
         if alloc.k != inst.k:
             raise ValueError(f"allocation has {alloc.k} bundles, instance has {inst.k} groups")
-        lookup = [-1] * inst.n
-        for gi, members in enumerate(inst.groups.members):
-            for a in members:
-                lookup[a] = gi
-        return lookup
+        return list(fixed_partition(inst).assignment)
     if partition is None:
         raise ValueError("variable-group instance needs an agent partition")
     if len(partition.assignment) != inst.n:
@@ -254,22 +264,6 @@ def is_fair(
         if not ok:
             witnesses[a] = w
     return FairnessReport(all(verdicts), tuple(verdicts), witnesses)
-
-
-def is_fair_for_agent(
-    inst: Instance,
-    alloc: Allocation,
-    agent: int,
-    group_of_agent: int,
-    notion: Notion,
-) -> tuple[bool, tuple[int, int | None] | None]:
-    """Single-agent verdict; the caller states which group the agent sits in."""
-    problems = allocation_violations(inst.m, alloc)
-    if problems:
-        raise ValueError("; ".join(problems))
-    if isinstance(inst.groups, FixedGroups) and inst.group_of(agent) != group_of_agent:
-        raise ValueError(f"agent {agent} is not in group {group_of_agent}")
-    return agent_verdict(inst.agents[agent], alloc, group_of_agent, notion)
 
 
 def is_exact1(v: Valuation, partition: tuple[int, int]) -> bool:

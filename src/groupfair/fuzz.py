@@ -20,7 +20,7 @@ from .algorithms import (
     rotating_knife,
 )
 from .binary_solver import solve_ef1_binary
-from .fairness import EF1, EF2, EFX, EFX0, is_balanced, is_exact1, is_fair
+from .fairness import EF1, EF2, EFX, EFX0, is_balanced, is_exact1, is_fair, meets_prop_up_to_goods
 from .model import (
     AgentPartition,
     Allocation,
@@ -261,12 +261,10 @@ def _prop_suite(seed: int, runs: int) -> SuiteResult:
             continue
         for a, v in enumerate(agents):
             own = alloc.bundles[part.assignment[a]]
-            total = v.value(full_mask(m))
-            umax = max(v.values) if m else 0
-            if k * v.value(own) < total - (k - 1) * umax:
+            if not meets_prop_up_to_goods(v, own, k):
                 result.record(
-                    f"run {i}: agent {a} got {v.value(own)} of {total}"
-                    f" (umax {umax}, k {k})"
+                    f"run {i}: agent {a} got {v.value(own)} of {v.value(full_mask(m))}"
+                    f" (values {v.values}, k {k})"
                 )
     return result
 

@@ -138,6 +138,8 @@ class Valuation:
                 raise MalformedValuationError(
                     f"table valuation has no entry for subset mask {bundle}"
                 ) from None
+        if self.kind == BINARY:
+            return (self._dmask & bundle).bit_count()
         total = 0
         vals = self.values
         while bundle:
@@ -289,6 +291,15 @@ class AgentPartition:
                 raise ValueError("groups must partition agents 0..n-1")
             assignment[a] = g
         return AgentPartition(tuple(assignment), len(groups))
+
+
+def fixed_partition(inst: Instance) -> AgentPartition:
+    """The agent partition of a fixed-group instance; raises ValueError
+    unless its groups partition agents 0..n-1."""
+    part = AgentPartition.from_groups(inst.groups.members)
+    if len(part.assignment) != inst.n:
+        raise ValueError("groups must partition agents 0..n-1")
+    return part
 
 
 # ---------------------------------------------------------------------------

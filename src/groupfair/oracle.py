@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 from typing import Callable, Iterator, Sequence
 
 from .errors import SearchSpaceTooLargeError
-from .fairness import EF1, EF2, EFX, EFX0, Notion, fair_toward, is_fair
+from .fairness import EF1, EF2, EFX, EFX0, Notion, is_fair, rejected_bundle
 from .model import (
     MAX_TABLE_GOODS,
     AgentPartition,
@@ -31,7 +31,7 @@ from .model import (
     Instance,
     Valuation,
     VariableGroups,
-    full_mask,
+    fixed_partition,
 )
 
 # Upper bound on partitions x allocation counters walked in one call.
@@ -128,14 +128,14 @@ def _assignments(ids: tuple[int, ...], sizes: Sequence[int], n: int) -> Iterator
 
 
 def _partition_plan(inst: Instance, cons: SearchConstraints) -> tuple[int, Iterator, bool]:
-    """Number of partitions, an iterator of assignment tuples (or [None] for
-    fixed groups), and whether partitions are part of the answer."""
+    """Number of partitions, an iterator of assignment tuples (the declared
+    one for fixed groups), and whether partitions are part of the answer."""
     if isinstance(inst.groups, FixedGroups):
         if cons.balanced_partition:
             raise ValueError("balanced_partition applies to variable groups only")
         if cons.fixed_partition is not None:
             raise ValueError("fixed_partition applies to variable groups only")
-        return 1, iter([None]), False
+        return 1, iter([fixed_partition(inst).assignment]), False
     groups: VariableGroups = inst.groups
     n = inst.n
     if cons.fixed_partition is not None:
@@ -170,22 +170,27 @@ def _balanced_bundles(bundles: Sequence[int]) -> bool:
     return max(sizes) - min(sizes) <= 1
 
 
-def _fair_for_all(
-    agents: Sequence[Valuation], gof: Sequence[int], bundles: Sequence[int], notion: Notion, full: int
-) -> bool:
-    if notion.kind == "prop":
-        k = len(bundles)
+def _hits(
+    inst: Instance,
+    gof: Sequence[int],
+    notion: Notion,
+    balanced: bool,
+    start: int,
+    end: int,
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Satisfying ``(index, bundles)`` with index in [start, end), in order."""
+    agents = inst.agents
+    m, k = inst.m, inst.k
+    for idx in range(start, end):
+        bundles = _alloc_from_index(idx, m, k)
+        if balanced and not _balanced_bundles(bundles):
+            continue
+        # the hot loop: a bool per agent, no witness and no Allocation
         for a, v in enumerate(agents):
-            if k * v.value(bundles[gof[a]]) < v.value(full):
-                return False
-        return True
-    for a, v in enumerate(agents):
-        own = bundles[gof[a]]
-        mine = gof[a]
-        for j, other in enumerate(bundles):
-            if j != mine and not fair_toward(v, own, other, notion):
-                return False
-    return True
+            if rejected_bundle(v, bundles, gof[a], notion) is not None:
+                break
+        else:
+            yield idx, bundles
 
 
 def _scan_range(
@@ -197,15 +202,8 @@ def _scan_range(
     end: int,
 ) -> int | None:
     """First satisfying allocation index in [start, end), or None."""
-    agents = inst.agents
-    m, k = inst.m, inst.k
-    full = full_mask(m)
-    for idx in range(start, end):
-        bundles = _alloc_from_index(idx, m, k)
-        if balanced and not _balanced_bundles(bundles):
-            continue
-        if _fair_for_all(agents, gof, bundles, notion, full):
-            return idx
+    for idx, _bundles in _hits(inst, gof, notion, balanced, start, end):
+        return idx
     return None
 
 
@@ -229,14 +227,6 @@ def _scan_parallel(
             if hit is not None:
                 return hit
     return None
-
-
-def _fixed_gof(inst: Instance) -> list[int]:
-    gof = [-1] * inst.n
-    for gi, members in enumerate(inst.groups.members):
-        for a in members:
-            gof[a] = gi
-    return gof
 
 
 def _guard(inst: Instance, partitions: int) -> int:
@@ -266,8 +256,7 @@ def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certifi
         balanced_allocation_count(inst.m, inst.k) if cons.balanced_allocation else span
     )
     notion = cons.notion
-    for assignment in assignments:
-        gof = _fixed_gof(inst) if assignment is None else assignment
+    for gof in assignments:
         if jobs > 1 and span > _SERIAL_CUTOFF:
             hit = _scan_parallel(inst, gof, notion, cons.balanced_allocation, span, jobs)
         else:
@@ -285,17 +274,10 @@ def enumerate_fair(
     """Yield every admissible satisfying (partition, allocation) in order."""
     num_parts, assignments, with_partition = _partition_plan(inst, cons)
     span = _guard(inst, num_parts)
-    notion = cons.notion
-    full = full_mask(inst.m)
-    for assignment in assignments:
-        gof = _fixed_gof(inst) if assignment is None else assignment
+    for gof in assignments:
         part = AgentPartition(tuple(gof), inst.k) if with_partition else None
-        for idx in range(span):
-            bundles = _alloc_from_index(idx, inst.m, inst.k)
-            if cons.balanced_allocation and not _balanced_bundles(bundles):
-                continue
-            if _fair_for_all(inst.agents, gof, bundles, notion, full):
-                yield part, Allocation(bundles)
+        for _idx, bundles in _hits(inst, gof, cons.notion, cons.balanced_allocation, 0, span):
+            yield part, Allocation(bundles)
 
 
 # ---------------------------------------------------------------------------

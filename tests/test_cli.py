@@ -171,6 +171,17 @@ def test_solve_two_one_and_exact1(two_one, tmp_path, capsys):
     assert code == 1  # three agents
 
 
+def test_solve_roundrobin(two_one, capsys):
+    code, out, _ = run_cli(["solve", two_one, "--method", "roundrobin"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["groups"] == "one per agent"
+    bundles = doc["result"]["allocation"]
+    assert len(bundles) == 3  # one bundle per agent, groups ignored
+    assert sorted(g for b in bundles for g in b) == [0, 1, 2, 3]
+    assert "fairness" not in doc and "notion" not in doc["result"]
+
+
 def test_solve_requires_known_method(two_one, capsys):
     code, _, _ = run_cli(["solve", two_one, "--method", "magic"], capsys)
     assert code == 1

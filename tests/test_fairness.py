@@ -23,7 +23,7 @@ from groupfair import (
     parse_notion,
     up_to,
 )
-from groupfair.fairness import agent_verdict, is_fair_for_agent
+from groupfair.fairness import agent_verdict
 from groupfair.model import AgentPartition, full_mask
 
 
@@ -131,6 +131,25 @@ def test_agent_verdict_witnesses():
     assert ok and witness is None
 
 
+def test_binary_efx_witnesses_match_additive_rule():
+    # binary agents decide EFX/EFX0 by counting; the witness good must still
+    # be the one the additive removal rule names on the same 0/1 values
+    rng = random.Random(13)
+    for _ in range(200):
+        m = rng.randrange(0, 7)
+        n = rng.randrange(1, 4)
+        rows = [[rng.randrange(0, 2) for _ in range(m)] for _ in range(n)]
+        members = [[a for a in range(n) if a % 2 == 0], [a for a in range(n) if a % 2 == 1]]
+        binary = Instance.fixed(m, [Valuation.binary(r) for r in rows], members)
+        additive = Instance.fixed(m, [Valuation.additive(r) for r in rows], members)
+        bundles = [0, 0]
+        for g in range(m):
+            bundles[rng.randrange(2)] |= 1 << g
+        alloc = Allocation(tuple(bundles))
+        for notion in (EFX, EFX0):
+            assert is_fair(binary, alloc, notion) == is_fair(additive, alloc, notion)
+
+
 def test_agent_verdict_prop():
     v = Valuation.additive([3, 1])
     alloc = Allocation.of([[0], [1]])
@@ -169,18 +188,6 @@ def test_is_fair_rejects_mismatches():
         is_fair(inst, Allocation.of([[0]]), EF1)  # goods not covered
     with pytest.raises(ValueError):
         is_fair(inst, Allocation.of([[0, 1]]), EF1, AgentPartition((0,), 1))
-
-
-def test_is_fair_for_agent():
-    inst = Instance.fixed(
-        2,
-        [Valuation.additive([1, 0]), Valuation.additive([0, 1])],
-        [[0], [1]],
-    )
-    alloc = Allocation.of([[1], [0]])
-    assert is_fair_for_agent(inst, alloc, 0, 0, EF) == (False, (1, None))
-    with pytest.raises(ValueError):
-        is_fair_for_agent(inst, alloc, 0, 1, EF)
 
 
 def test_is_exact1():

@@ -11,7 +11,9 @@ from groupfair import (
     EF1,
     EF2,
     EFX,
+    EFX0,
     PROP,
+    Allocation,
     Certificate,
     Instance,
     SearchConstraints,
@@ -161,29 +163,47 @@ def test_prop_constraint_path():
         assert 2 * v.value(cert.allocation.bundles[a]) >= v.value(full_mask(2))
 
 
-def test_enumerate_matches_brute_force():
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ["additive", "binary"])
+@pytest.mark.parametrize("notion", [EF, EF1, EF2, EFX, EFX0, PROP], ids=str)
+def test_enumerate_matches_brute_force(notion, kind, k):
     rng = random.Random(23)
+    top = 4 if kind == "additive" else 1
     for _ in range(60):
         m = rng.randrange(0, 5)
         n = rng.randrange(1, 4)
         agents = [
-            Valuation.additive([rng.randrange(0, 5) for _ in range(m)]) for _ in range(n)
+            Valuation(kind, m, values=tuple(rng.randrange(0, top + 1) for _ in range(m)))
+            for _ in range(n)
         ]
-        members = [[] for _ in range(2)]
+        members = [[] for _ in range(k)]
         for a in range(n):
-            members[rng.randrange(2)].append(a)
+            members[rng.randrange(k)].append(a)
         inst = Instance.fixed(m, agents, members)
-        got = {a.bundles for _p, a in enumerate_fair(inst, SearchConstraints(EF1))}
-        brute = set()
-        for word in product(range(2), repeat=m):
-            bundles = [0, 0]
-            for g, side in enumerate(word):
+        got = [a.bundles for _p, a in enumerate_fair(inst, SearchConstraints(notion))]
+        brute = []
+        for word in product(range(k), repeat=m):
+            bundles = [0] * k
+            for g, side in enumerate(reversed(word)):
                 bundles[side] |= 1 << g
-            from groupfair.model import Allocation
+            if is_fair(inst, Allocation(tuple(bundles)), notion).overall:
+                brute.append(tuple(bundles))
+        assert got == brute  # same hits in the same canonical order
 
-            if is_fair(inst, Allocation(tuple(bundles)), EF1).overall:
-                brute.add(tuple(bundles))
-        assert got == brute
+
+@pytest.mark.parametrize(
+    "n,members",
+    [(2, [[0, 1], [1]]), (3, [[0], [1]])],
+    ids=["agent-in-two-groups", "agent-in-no-group"],
+)
+def test_invalid_fixed_groups_are_rejected(n, members):
+    inst = Instance.fixed(2, [Valuation.binary([1, 1])] * n, members)
+    with pytest.raises(ValueError):
+        is_fair(inst, Allocation.of([[0], [1]]), EF1)
+    with pytest.raises(ValueError):
+        find_fair(inst, SearchConstraints(EF1))
+    with pytest.raises(ValueError):
+        list(enumerate_fair(inst, SearchConstraints(EF1)))
 
 
 def test_parallel_scan_matches_serial():
@@ -242,7 +262,5 @@ def test_certificate_to_dict():
         "outcome": "exhausted-none",
         "examined": 6,
     }
-    from groupfair.model import Allocation
-
     d = Certificate(True, allocation=Allocation.of([[0], [1]])).to_dict()
     assert d["outcome"] == "found" and d["allocation"] == [[0], [1]]
