@@ -25,6 +25,7 @@ from .model import (
     fixed_partition,
     full_mask,
     iter_bits,
+    require_matching_goods,
 )
 
 
@@ -90,23 +91,40 @@ def parse_notion(text: str) -> Notion:
 # pairwise and per-agent checks
 
 
-def _min_after_removals(v: Valuation, other: int, c: int) -> int:
-    """Least value of ``other`` after deleting at most c goods from it."""
-    if v.kind == TABLE:
-        goods = bits_of(other)
-        best = v.value(other)
-        for size in range(1, min(c, len(goods)) + 1):
-            for drop in combinations(goods, size):
-                mm = other
-                for g in drop:
-                    mm &= ~(1 << g)
-                val = v.value(mm)
-                if val < best:
-                    best = val
-        return best
-    # additive: dropping the c most valuable goods is optimal
-    vals = sorted((v.values[g] for g in iter_bits(other)), reverse=True)
-    return v.value(other) - sum(vals[:c])
+def _table_min_after_removals(v: Valuation, other: int, c: int) -> int:
+    """Least value of ``other`` to a table agent after deleting at most c goods."""
+    goods = bits_of(other)
+    best = v.value(other)
+    for size in range(1, min(c, len(goods)) + 1):
+        for drop in combinations(goods, size):
+            mm = other
+            for g in drop:
+                mm &= ~(1 << g)
+            val = v.value(mm)
+            if val < best:
+                best = val
+    return best
+
+
+def removable_values(notion: Notion, values: Sequence[int]) -> tuple[int, ...]:
+    """Values of the goods an additive agent may delete from a bundle whose
+    goods have these values, before comparing it with its own.
+
+    Their sum is the notion's removal allowance: nothing for ef (and prop),
+    the c largest values for efc, the least positive value for efx and the
+    least value for efx0. The result for a bundle plus one good is the
+    result for this result plus that good, so the oracle keeps it up to date
+    as goods come and go. Adding a good never lowers a bundle's value less
+    its allowance, which is what makes the oracle's pruning sound.
+    """
+    kind = notion.kind
+    if kind == "efc":
+        return tuple(sorted(values, reverse=True)[: notion.c])
+    if kind == "efx":
+        values = [x for x in values if x > 0]
+    elif kind != "efx0":
+        return ()
+    return (min(values),) if values else ()
 
 
 def _removal_violation(v: Valuation, mine: int, other: int, zero_ok: bool) -> int | None:
@@ -152,12 +170,13 @@ def fair_toward(v: Valuation, own: int, other: int, notion: Notion) -> bool:
         return a >= b - 1
     if notion.kind == "ef":
         return v.value(own) >= v.value(other)
-    if notion.kind == "efc":
-        return v.value(own) >= _min_after_removals(v, other, notion.c)
-    # efx / efx0
     if v.kind == TABLE:
+        if notion.kind == "efc":
+            return v.value(own) >= _table_min_after_removals(v, other, notion.c)
         raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
-    return _removal_violation(v, v.value(own), other, notion.kind == "efx0") is None
+    vals = v.values
+    other_vals = [vals[g] for g in iter_bits(other)]
+    return v.value(own) >= sum(other_vals) - sum(removable_values(notion, other_vals))
 
 
 def rejected_bundle(
@@ -230,6 +249,7 @@ class FairnessReport:
 
 
 def _group_lookup(inst: Instance, alloc: Allocation, partition: AgentPartition | None) -> list[int]:
+    require_matching_goods(inst)
     problems = allocation_violations(inst.m, alloc)
     if problems:
         raise ValueError("; ".join(problems))

@@ -302,6 +302,13 @@ def fixed_partition(inst: Instance) -> AgentPartition:
     return part
 
 
+def require_matching_goods(inst: Instance) -> None:
+    """Raise ValueError unless every valuation covers exactly the instance's goods."""
+    for agent, v in enumerate(inst.agents):
+        if v.m != inst.m or (v.values is not None and len(v.values) != inst.m):
+            raise ValueError(f"agent {agent}: valuation does not cover exactly the {inst.m} goods")
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -3,13 +3,35 @@
 The oracle decides, for any supported fairness notion, whether a small
 instance admits a fair allocation, optionally restricted to balanced
 bundles, and for variable groups optionally ranging over agent partitions.
-A negative answer is a certificate: the full candidate space was walked.
+A negative answer is a certificate: every admissible candidate was either
+checked or lies in a subtree that was soundly cut.
 
 Candidates are ordered deterministically. Allocations are base-k counters
 over the goods with good 0 as the least significant digit, so candidate
 index i puts good g into bundle (i // k**g) % k. Partitions are ordered by
 their sorted member lists, group 0 first. The first satisfying candidate
 in this order is returned, regardless of how many workers scanned.
+
+The scan walks the allocation tree depth first: level g places good g,
+good m-1 first and good 0 last, trying bundle 0 first, so leaves come in
+index order and a node spans the leaves [base, base + k**(g+1)). A scan of
+[start, end) descends only into nodes that meet that range. In balanced
+mode a good only goes where every bundle can still end with floor(m/k) or
+ceil(m/k) goods, so only balanced candidates are generated.
+
+Additive and binary agents with the same values and group are one
+checker. Each keeps running numbers as goods are placed and taken back:
+``avail``, its own bundle plus every unplaced good, and for each other
+bundle its value less the notion's removal allowance
+(:func:`fairness.removable_values`). A checker rejects a node when ``avail``
+falls below one of those: even with every unplaced good in its own bundle
+it would reject the other bundle, and acceptance never drops as the own
+bundle grows nor rises as the other grows, so the whole subtree is cut.
+PROP cuts when k * avail is below the agent's total. Placing a good moves
+only the numbers of checkers outside its bundle that value it (all of
+them for EFX0), so only those are checked again. Table agents are not
+assumed monotone and are checked at the leaves only, via
+:func:`fairness.rejected_bundle`.
 """
 
 from __future__ import annotations
@@ -17,14 +39,17 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations
 from typing import Callable, Iterator, Sequence
 
-from .errors import SearchSpaceTooLargeError
-from .fairness import EF1, EF2, EFX, EFX0, Notion, is_fair, rejected_bundle
+from .errors import SearchSpaceTooLargeError, UnsupportedNotionError
+from .fairness import EF1, EF2, EFX, EFX0, Notion, is_fair, rejected_bundle, removable_values
 from .model import (
+    BINARY,
     MAX_TABLE_GOODS,
+    TABLE,
     AgentPartition,
     Allocation,
     FixedGroups,
@@ -32,12 +57,14 @@ from .model import (
     Valuation,
     VariableGroups,
     fixed_partition,
+    require_matching_goods,
 )
 
 # Upper bound on partitions x allocation counters walked in one call.
 SCAN_GUARD = 10**8
-# Below this many candidates a parallel scan costs more than it saves.
-_SERIAL_CUTOFF = 1 << 15
+# Up to this many candidates per partition a pool costs more than it saves:
+# on 2 cores, EF scans of 2^16 candidates tie, 3^10 run 0.8x, 2^17 run 1.6x.
+_SERIAL_CUTOFF = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,19 +84,53 @@ class SearchConstraints:
     fixed_partition: AgentPartition | None = None
 
 
+@dataclass
+class SearchStats:
+    """What a search did.
+
+    ``nodes`` counts the tree nodes visited (a good placed in a bundle),
+    ``pruned`` the subtrees cut and ``candidates_pruned`` the admissible
+    candidates inside them, ``leaves_rejected`` the candidates checked in
+    full and rejected. On an exhausted search the last two add up to
+    ``examined``. ``partitions`` counts the agent partitions walked and
+    ``workers`` the processes that walked them.
+    """
+
+    nodes: int = 0
+    pruned: int = 0
+    candidates_pruned: int = 0
+    leaves_rejected: int = 0
+    partitions: int = 0
+    workers: int = 1
+
+    def count(self, nodes: int, pruned: int, candidates_pruned: int, leaves_rejected: int) -> None:
+        self.nodes += nodes
+        self.pruned += pruned
+        self.candidates_pruned += candidates_pruned
+        self.leaves_rejected += leaves_rejected
+
+    def add(self, other: "SearchStats") -> None:
+        self.count(other.nodes, other.pruned, other.candidates_pruned, other.leaves_rejected)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Outcome of an exhaustive search.
 
     ``found`` carries the first satisfying allocation (and partition for
     variable groups). Otherwise ``examined`` is the number of admissible
-    candidates that were all checked and rejected.
+    candidates that were all checked and rejected. ``stats`` reports how
+    the search went; it takes no part in equality.
     """
 
     found: bool
     allocation: Allocation | None = None
     partition: AgentPartition | None = None
     examined: int | None = None
+    stats: SearchStats | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         out: dict = {"outcome": "found" if self.found else "exhausted-none"}
@@ -79,6 +140,8 @@ class Certificate:
             out["partition"] = [list(g) for g in self.partition.groups_lists()]
         if self.examined is not None:
             out["examined"] = self.examined
+        if self.stats is not None:
+            out["stats"] = self.stats.to_dict()
         return out
 
 
@@ -95,9 +158,20 @@ def balanced_size_vectors(total: int, k: int) -> list[tuple[int, ...]]:
 
 def balanced_allocation_count(m: int, k: int) -> int:
     """Number of allocations of m goods to k groups with balanced bundles."""
-    q, r = divmod(m, k)
-    per_vector = math.factorial(m) // (math.factorial(q + 1) ** r * math.factorial(q) ** (k - r))
-    return math.comb(k, r) * per_vector
+    return _balanced_completions((0,) * k, m)
+
+
+def _balanced_completions(sizes: Sequence[int], free: int) -> int:
+    """Ways to hand ``free`` more goods to bundles of these sizes so that
+    the bundles end balanced."""
+    k = len(sizes)
+    q, r = divmod(sum(sizes) + free, k)
+    total = 0
+    for tall in combinations(range(k), r):
+        owed = [q + (j in tall) - s for j, s in enumerate(sizes)]
+        if min(owed) >= 0:
+            total += _multinomial(free, owed)
+    return total
 
 
 def _multinomial(n: int, sizes: Sequence[int]) -> int:
@@ -130,6 +204,7 @@ def _assignments(ids: tuple[int, ...], sizes: Sequence[int], n: int) -> Iterator
 def _partition_plan(inst: Instance, cons: SearchConstraints) -> tuple[int, Iterator, bool]:
     """Number of partitions, an iterator of assignment tuples (the declared
     one for fixed groups), and whether partitions are part of the answer."""
+    require_matching_goods(inst)
     if isinstance(inst.groups, FixedGroups):
         if cons.balanced_partition:
             raise ValueError("balanced_partition applies to variable groups only")
@@ -157,17 +232,47 @@ def _partition_plan(inst: Instance, cons: SearchConstraints) -> tuple[int, Itera
     return total, gen(), True
 
 
-def _alloc_from_index(idx: int, m: int, k: int) -> tuple[int, ...]:
-    bundles = [0] * k
-    for g in range(m):
-        bundles[idx % k] |= 1 << g
-        idx //= k
-    return tuple(bundles)
+def _checkers(inst: Instance, gof: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]], list]:
+    """Additive and binary agents collapsed by (per-good values, group), as
+    parallel lists of groups and values; table agents as (valuation, group)."""
+    seen: dict[tuple[tuple[int, ...], int], None] = {}
+    tables = []
+    for a, v in enumerate(inst.agents):
+        if v.kind == TABLE:
+            tables.append((v, gof[a]))
+        else:
+            worth = tuple(1 if x else 0 for x in v.values) if v.kind == BINARY else v.values
+            seen.setdefault((worth, gof[a]), None)
+    return [own for _w, own in seen], [w for w, _own in seen], tables
 
 
-def _balanced_bundles(bundles: Sequence[int]) -> bool:
-    sizes = [b.bit_count() for b in bundles]
-    return max(sizes) - min(sizes) <= 1
+def _leaves_in(
+    sizes: list[int], free: int, lo: int, start: int, end: int, balanced: bool, memo: dict
+) -> int:
+    """Admissible leaves with index in [start, end) under the node whose
+    bundles have ``sizes``, whose goods 0..free-1 are unplaced and whose
+    first leaf is ``lo``."""
+    k = len(sizes)
+    width = k**free
+    if lo >= end or lo + width <= start:
+        return 0
+    if start <= lo and lo + width <= end:
+        if not balanced:
+            return width
+        key = tuple(sizes)
+        if key not in memo:
+            memo[key] = _balanced_completions(key, free)
+        return memo[key]
+    total = 0
+    for b in range(k):
+        sizes[b] += 1
+        total += _leaves_in(sizes, free - 1, lo + b * width // k, start, end, balanced, memo)
+        sizes[b] -= 1
+    return total
+
+
+def _tables_reject(tables: list, leaf: tuple[int, ...], notion: Notion) -> bool:
+    return any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables)
 
 
 def _hits(
@@ -177,20 +282,131 @@ def _hits(
     balanced: bool,
     start: int,
     end: int,
+    stats: SearchStats,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Satisfying ``(index, bundles)`` with index in [start, end), in order."""
-    agents = inst.agents
+    """Satisfying ``(index, bundles)`` with index in [start, end), in order.
+
+    Walks the allocation tree depth first (see the module docstring); the
+    node, pruning and leaf counts are added to ``stats``.
+    """
     m, k = inst.m, inst.k
-    for idx in range(start, end):
-        bundles = _alloc_from_index(idx, m, k)
-        if balanced and not _balanced_bundles(bundles):
-            continue
-        # the hot loop: a bool per agent, no witness and no Allocation
-        for a, v in enumerate(agents):
-            if rejected_bundle(v, bundles, gof[a], notion) is not None:
-                break
+    kind = notion.kind
+    ef = kind == "ef"
+    removal = kind in ("efc", "efx", "efx0")
+    owns, worths, tables = _checkers(inst, gof)
+    if tables and k > 1 and kind in ("efx", "efx0"):
+        raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
+    if m == 0:
+        if start <= 0 < end:
+            leaf = (0,) * k
+            if _tables_reject(tables, leaf, notion):
+                stats.leaves_rejected += 1
+            else:
+                yield 0, leaf
+        return
+    # Running numbers of checker c: avail[c] is its own bundle plus every
+    # unplaced good, needs[c][j] what bundle j is worth to it after the
+    # notion's removals (for prop, the 1/k share; -1 marks its own bundle).
+    # It rejects the node when avail[c] < max(needs[c]).
+    avail = [sum(w) for w in worths]
+    if kind == "prop":
+        needs = [[-(-t // k)] * k for t in avail]
+    else:
+        needs = [[-1 if j == own else 0 for j in range(k)] for own in owns]
+    held = [[0] * k for _ in owns]
+    kept: list[list[tuple[int, ...]]] = [[()] * k for _ in owns]
+    # Placing good g in bundle b moves only the numbers of checkers outside
+    # b that value g (or all of them for efx0, where worthless goods count).
+    touch = [
+        [
+            [
+                (c, w[g], needs[c], held[c], kept[c])
+                for c, w in enumerate(worths)
+                if owns[c] != b and (w[g] or kind == "efx0")
+            ]
+            for b in range(k)
+        ]
+        for g in range(m)
+    ]
+    width = [k**g for g in range(m + 1)]
+    q, r = divmod(m, k)
+    tallest = q + (r > 0)
+    owed = q * k  # goods still needed to bring every bundle up to q
+    bundles = [0] * k
+    sizes = [0] * k
+    path = [0] * m
+    replaced: list = [None] * m
+    memo: dict = {}
+    nodes = pruned = cut = rejected = 0
+    g, b, base = m - 1, 0, 0
+    while True:
+        if b < k and base + b * width[g] < end:
+            lo = base + b * width[g]
+            s = sizes[b]
+            if lo + width[g] <= start or (balanced and (s >= tallest or (s >= q and owed > g))):
+                b += 1
+                continue
+            nodes += 1
+            bundles[b] |= 1 << g
+            sizes[b] = s + 1
+            if s < q:
+                owed -= 1
+            moved = touch[g][b]
+            if removal:
+                replaced[g] = [t[4][b] for t in moved]
+            ok = True
+            for c, x, need, held_c, kept_c in moved:
+                a = avail[c] = avail[c] - x
+                if ef:
+                    need[b] += x
+                elif removal:
+                    held_c[b] += x
+                    kept_c[b] = removable_values(notion, (*kept_c[b], x))
+                    need[b] = held_c[b] - sum(kept_c[b])
+                if a < max(need):
+                    ok = False
+            if ok and g:
+                path[g] = b
+                base = lo
+                g -= 1
+                b = 0
+                continue
+            if ok:
+                leaf = tuple(bundles)
+                if tables and _tables_reject(tables, leaf, notion):
+                    rejected += 1
+                else:
+                    stats.count(nodes, pruned, cut, rejected)
+                    nodes = pruned = cut = rejected = 0
+                    yield lo, leaf
+            elif g:
+                pruned += 1
+                cut += _leaves_in(sizes, g, lo, start, end, balanced, memo)
+            else:
+                rejected += 1
         else:
-            yield idx, bundles
+            g += 1
+            if g == m:
+                break
+            b = path[g]
+            base -= b * width[g]
+        # take good g back out of bundle b
+        bundles[b] ^= 1 << g
+        s = sizes[b] = sizes[b] - 1
+        if s < q:
+            owed += 1
+        moved = touch[g][b]
+        for c, x, need, held_c, kept_c in moved:
+            avail[c] += x
+            if ef:
+                need[b] -= x
+        if removal:
+            for (c, x, need, held_c, kept_c), old in zip(moved, replaced[g]):
+                held_c[b] -= x
+                kept_c[b] = old
+                need[b] = held_c[b] - sum(old)
+        b += 1
+    stats.count(nodes, pruned, cut, rejected)
 
 
 def _scan_range(
@@ -200,32 +416,43 @@ def _scan_range(
     balanced: bool,
     start: int,
     end: int,
-) -> int | None:
-    """First satisfying allocation index in [start, end), or None."""
-    for idx, _bundles in _hits(inst, gof, notion, balanced, start, end):
-        return idx
-    return None
+) -> tuple[tuple[int, tuple[int, ...]] | None, SearchStats]:
+    """First satisfying ``(index, bundles)`` in [start, end), or None, with
+    the scan's counts."""
+    stats = SearchStats()
+    hit = next(_hits(inst, gof, notion, balanced, start, end, stats), None)
+    return hit, stats
 
 
 def _scan_parallel(
-    inst: Instance, gof: Sequence[int], notion: Notion, balanced: bool, span: int, jobs: int
-) -> int | None:
-    chunk = max(_SERIAL_CUTOFF, -(-span // (jobs * 8)))
-    ranges = [(s, min(s + chunk, span)) for s in range(0, span, chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = pool.map(
-            _scan_range,
-            [inst] * len(ranges),
-            [tuple(gof)] * len(ranges),
-            [notion] * len(ranges),
-            [balanced] * len(ranges),
-            [r[0] for r in ranges],
-            [r[1] for r in ranges],
-        )
+    pool: ProcessPoolExecutor,
+    jobs: int,
+    inst: Instance,
+    gof: Sequence[int],
+    notion: Notion,
+    balanced: bool,
+    span: int,
+    stats: SearchStats,
+) -> tuple[int, tuple[int, ...]] | None:
+    """One partition's first hit, scanned in chunks of whole subtrees; the
+    chunks still pending are cancelled once the lowest hit is known."""
+    chunk = 1
+    while chunk * jobs * 8 < span:
+        chunk *= inst.k
+    futures = [
+        pool.submit(_scan_range, inst, tuple(gof), notion, balanced, lo, lo + chunk)
+        for lo in range(0, span, chunk)
+    ]
+    try:
         # chunks are disjoint and ordered, so the first hit is the minimum
-        for hit in results:
+        for fut in futures:
+            hit, chunk_stats = fut.result()
+            stats.add(chunk_stats)
             if hit is not None:
                 return hit
+    finally:
+        for fut in futures:
+            fut.cancel()
     return None
 
 
@@ -255,17 +482,21 @@ def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certifi
     per_partition = (
         balanced_allocation_count(inst.m, inst.k) if cons.balanced_allocation else span
     )
-    notion = cons.notion
-    for gof in assignments:
-        if jobs > 1 and span > _SERIAL_CUTOFF:
-            hit = _scan_parallel(inst, gof, notion, cons.balanced_allocation, span, jobs)
-        else:
-            hit = _scan_range(inst, gof, notion, cons.balanced_allocation, 0, span)
-        if hit is not None:
-            alloc = Allocation(_alloc_from_index(hit, inst.m, inst.k))
-            part = AgentPartition(tuple(gof), inst.k) if with_partition else None
-            return Certificate(True, allocation=alloc, partition=part)
-    return Certificate(False, examined=num_parts * per_partition)
+    notion, balanced = cons.notion, cons.balanced_allocation
+    parallel = jobs > 1 and span > _SERIAL_CUTOFF
+    stats = SearchStats(workers=jobs if parallel else 1)
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        for gof in assignments:
+            stats.partitions += 1
+            if parallel:
+                hit = _scan_parallel(pool, jobs, inst, gof, notion, balanced, span, stats)
+            else:
+                hit, part_stats = _scan_range(inst, gof, notion, balanced, 0, span)
+                stats.add(part_stats)
+            if hit is not None:
+                part = AgentPartition(tuple(gof), inst.k) if with_partition else None
+                return Certificate(True, allocation=Allocation(hit[1]), partition=part, stats=stats)
+    return Certificate(False, examined=num_parts * per_partition, stats=stats)
 
 
 def enumerate_fair(
@@ -276,7 +507,8 @@ def enumerate_fair(
     span = _guard(inst, num_parts)
     for gof in assignments:
         part = AgentPartition(tuple(gof), inst.k) if with_partition else None
-        for _idx, bundles in _hits(inst, gof, cons.notion, cons.balanced_allocation, 0, span):
+        hits = _hits(inst, gof, cons.notion, cons.balanced_allocation, 0, span, SearchStats())
+        for _idx, bundles in hits:
             yield part, Allocation(bundles)
 
 

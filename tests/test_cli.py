@@ -208,7 +208,11 @@ def test_search_found_and_exhausted(two_one, tmp_path, capsys):
     path.write_text(json.dumps(blocked))
     code, out, _ = run_cli(["search", str(path), "--notion", "ef"], capsys)
     assert code == 2
-    assert json.loads(out)["result"]["examined"] == 2
+    result = json.loads(out)["result"]
+    assert result["examined"] == 2
+    stats = result["stats"]
+    assert stats["leaves_rejected"] + stats["candidates_pruned"] == 2
+    assert (stats["partitions"], stats["workers"]) == (1, 1)
 
 
 def test_search_balance_flags(variable_inst, capsys):

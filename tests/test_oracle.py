@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from groupfair import oracle
 from groupfair import (
     EF,
     EF1,
@@ -18,6 +19,7 @@ from groupfair import (
     Instance,
     SearchConstraints,
     SearchSpaceTooLargeError,
+    UnsupportedNotionError,
     Valuation,
     corpus,
     find_fair,
@@ -25,13 +27,50 @@ from groupfair import (
     run_corpus_entry,
     solve_ef1_binary,
 )
-from groupfair.model import AgentPartition, full_mask
+from groupfair.fairness import rejected_bundle
+from groupfair.model import AgentPartition, full_mask, validate
 from groupfair.oracle import (
+    SearchStats,
     _assignments,
+    _hits,
+    _partition_plan,
     balanced_allocation_count,
     balanced_size_vectors,
     enumerate_fair,
 )
+
+
+def _reference_hits(inst, gof, notion, balanced, start, end):
+    """The per-index scanner the depth-first kernel replaced: rebuild each
+    candidate's bundles from its index, then ask every agent. Yields the
+    satisfying ``(index, bundles)`` and returns nothing else."""
+    m, k = inst.m, inst.k
+    for idx in range(start, end):
+        bundles = [0] * k
+        rest = idx
+        for g in range(m):
+            bundles[rest % k] |= 1 << g
+            rest //= k
+        sizes = [b.bit_count() for b in bundles]
+        if balanced and max(sizes) - min(sizes) > 1:
+            continue
+        agents = enumerate(inst.agents)
+        if all(rejected_bundle(v, bundles, gof[a], notion) is None for a, v in agents):
+            yield idx, tuple(bundles)
+
+
+def _admissible(m, k, balanced, start, end):
+    """Candidates in [start, end), balanced ones only when asked."""
+    if not balanced:
+        return end - start
+    count = 0
+    for idx in range(start, end):
+        sizes = [0] * k
+        for _ in range(m):
+            sizes[idx % k] += 1
+            idx //= k
+        count += max(sizes) - min(sizes) <= 1
+    return count
 
 
 def test_balanced_size_vectors():
@@ -207,12 +246,130 @@ def test_invalid_fixed_groups_are_rejected(n, members):
 
 
 def test_parallel_scan_matches_serial():
-    # span 2^16 crosses the serial cutoff, so jobs=2 takes the pool path
-    agents = [Valuation.additive([1] * 16), Valuation.additive([1] * 16)]
-    inst = Instance.fixed(16, agents, [[0], [1]])
+    # span 2^18 crosses the serial cutoff, so jobs=2 takes the pool path
+    assert 2**18 > oracle._SERIAL_CUTOFF
+    agents = [Valuation.additive([1] * 18), Valuation.additive([1] * 18)]
+    inst = Instance.fixed(18, agents, [[0], [1]])
     a = find_fair(inst, SearchConstraints(EF), jobs=1)
     b = find_fair(inst, SearchConstraints(EF), jobs=2)
     assert a == b and a.found
+    assert (a.stats.workers, b.stats.workers) == (1, 2)
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
+@pytest.mark.parametrize("m,found", [(8, True), (9, False)], ids=["found", "exhausted"])
+def test_pool_path_matches_serial(monkeypatch, m, found, balanced):
+    # a low cutoff sends a small scan through the pool, in chunks of 2^2 leaves
+    monkeypatch.setattr(oracle, "_SERIAL_CUTOFF", 2**4)
+    inst = Instance.fixed(m, [Valuation.additive([1] * m)] * 4, [[0, 1], [2, 3]])
+    cons = SearchConstraints(EF, balanced_allocation=balanced)
+    serial = find_fair(inst, cons, jobs=1)
+    pooled = find_fair(inst, cons, jobs=2)
+    assert serial == pooled and serial.found == found
+    assert pooled.stats.workers == 2
+    if not found:
+        s = pooled.stats
+        assert s.leaves_rejected + s.candidates_pruned == pooled.examined
+
+
+_KERNEL_CASES = [
+    (notion, kind)
+    for notion in (EF, EF1, EF2, EFX, EFX0, PROP)
+    for kind in ("binary", "additive", "table")
+    if not (kind == "table" and notion in (EFX, EFX0))
+]
+
+
+def _random_agent(rng, kind, m):
+    if kind == "table" and rng.random() < 0.6:
+        # arbitrary entries, so most tables are not monotone
+        return Valuation.table_of(m, {mask: rng.randrange(0, 7) for mask in range(1 << m)})
+    if kind == "binary":
+        return Valuation.binary([rng.randrange(0, 2) for _ in range(m)])
+    return Valuation.additive([rng.randrange(0, 5) for _ in range(m)])
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("notion,kind", _KERNEL_CASES, ids=lambda x: str(x))
+def test_kernel_matches_reference_scanner(notion, kind, k, balanced):
+    rng = random.Random(f"{notion}-{kind}-{k}-{balanced}")
+    non_monotone = 0
+    for _ in range(25):
+        m = rng.randrange(0, 6 if k == 2 else 5)
+        n = rng.randrange(1, 5)
+        agents = [_random_agent(rng, kind, m) for _ in range(n)]
+        if rng.random() < 0.5:
+            members = [[] for _ in range(k)]
+            for a in range(n):
+                members[rng.randrange(k)].append(a)
+            inst = Instance.fixed(m, agents, members)
+        else:
+            cuts = sorted(rng.randrange(0, n + 1) for _ in range(k - 1))
+            inst = Instance.variable(m, agents, [b - a for a, b in zip([0, *cuts], [*cuts, n])])
+        non_monotone += any("monotonicity" in p for p in validate(inst))
+        cons = SearchConstraints(notion, balanced_allocation=balanced)
+        span = k**m
+        expected = []
+        for gof in _partition_plan(inst, cons)[1]:
+            full = list(_reference_hits(inst, gof, notion, balanced, 0, span))
+            expected += [a for _i, a in full]
+            start = rng.randrange(0, span + 1)
+            end = rng.randrange(start, span + 1)
+            for lo, hi in ((0, span), (start, end)):
+                stats = SearchStats()
+                got = list(_hits(inst, gof, notion, balanced, lo, hi, stats))
+                assert got == [h for h in full if lo <= h[0] < hi]
+                # every admissible candidate in range is a hit, pruned or rejected
+                checked = stats.leaves_rejected + stats.candidates_pruned + len(got)
+                assert checked == _admissible(m, k, balanced, lo, hi)
+        got = [a.bundles for _p, a in enumerate_fair(inst, cons)]
+        assert got == expected  # same hits in the same canonical order
+        cert = find_fair(inst, cons)
+        assert cert.found == bool(expected)
+        if expected:
+            assert cert.allocation.bundles == expected[0]
+    if kind == "table":
+        assert non_monotone > 0
+
+
+def test_table_agents_have_no_efx():
+    table = Valuation.table_of(2, {0: 0, 1: 1, 2: 1, 3: 2})
+    inst = Instance.fixed(2, [Valuation.additive([0, 0]), table], [[0], [1]])
+    for notion in (EFX, EFX0):
+        with pytest.raises(UnsupportedNotionError):
+            find_fair(inst, SearchConstraints(notion))
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
+def test_exhausted_stats_add_up(balanced):
+    # four identical agents in 2+2 with an odd total: never EF
+    rng = random.Random(31)
+    for m in (7, 10, 12):
+        values = [rng.randrange(1, 9) for _ in range(m)]
+        values[0] += 1 - sum(values) % 2
+        inst = Instance.fixed(m, [Valuation.additive(values)] * 4, [[0, 1], [2, 3]])
+        cert = find_fair(inst, SearchConstraints(EF, balanced_allocation=balanced))
+        s = cert.stats
+        assert not cert.found
+        assert s.leaves_rejected + s.candidates_pruned == cert.examined
+        assert s.pruned > 0 and s.nodes < 2 * 2**m
+        assert (s.partitions, s.workers) == (1, 1)
+        assert cert.to_dict()["stats"] == s.to_dict()
+
+
+@pytest.mark.parametrize("m,goods", [(3, 4), (4, 3)], ids=["4-goods-in-3", "3-goods-in-4"])
+def test_valuation_goods_must_match_instance(m, goods):
+    # at one time the first found an allocation and the second leaked an
+    # error about a bundle mask
+    inst = Instance.fixed(m, [Valuation.additive([1] * goods), Valuation.additive([1] * m)], [[0], [1]])
+    with pytest.raises(ValueError, match="cover exactly"):
+        find_fair(inst, SearchConstraints(EF1))
+    with pytest.raises(ValueError, match="cover exactly"):
+        list(enumerate_fair(inst, SearchConstraints(EF1)))
+    alloc = Allocation.of([list(range(m)), []])
+    with pytest.raises(ValueError, match="cover exactly"):
+        is_fair(inst, alloc, EF1)
 
 
 def test_notion_monotonicity_on_corpus():
