@@ -296,9 +296,9 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_kneser(args) -> int:
-    g = kneser.build_kneser(args.b, args.r, args.s)
-    result: dict = {"b": args.b, "r": args.r, "s": args.s, "vertices": g.n, "edges": len(g.edges())}
     t0 = time.perf_counter()
+    g = kneser.build_kneser(args.b, args.r, args.s)
+    result: dict = {"b": args.b, "r": args.r, "s": args.s, "vertices": g.n, "edges": g.edge_count}
     coloring = None
     if args.chi:
         lower, upper, coloring = kneser.chromatic_number(g, mode=args.chi)

@@ -50,10 +50,20 @@ class KneserGraph:
     def degree(self, i: int) -> int:
         return self.adj[i].bit_count()
 
+    @property
+    def edge_count(self) -> int:
+        return sum(a.bit_count() for a in self.adj) // 2
+
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.adj[i] >> j & 1
-        ]
+        """Edges (i, j) with i < j, in lexicographic order."""
+        out = []
+        for i, a in enumerate(self.adj):
+            rest = a >> (i + 1)
+            while rest:
+                low = rest & -rest
+                out.append((i, i + low.bit_length()))
+                rest ^= low
+        return out
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,14 @@ class Coloring:
 
 
 def build_kneser(b: int, r: int, s: int) -> KneserGraph:
-    """Construct K(b, r, s); subsets adjacent iff they share < s elements."""
+    """Construct K(b, r, s); subsets adjacent iff they share < s elements.
+
+    ``holders[e]`` is the mask of vertex indices whose subset contains e.
+    For each vertex, ``at_least[j]`` collects the vertices sharing at least
+    j of its elements seen so far; the vertex is adjacent to everything
+    outside ``at_least[s]`` (itself included there, since r >= s). That is
+    O(r * s) big-int operations per vertex instead of one popcount per pair.
+    """
     if not (b >= r >= s >= 1):
         raise ValueError(f"need b >= r >= s >= 1, got ({b}, {r}, {s})")
     count = math.comb(b, r)
@@ -73,19 +90,24 @@ def build_kneser(b: int, r: int, s: int) -> KneserGraph:
         raise SearchSpaceTooLargeError(
             f"K({b},{r},{s}) has {count} vertices, above the cap of {BUILD_GUARD}", bound=count
         )
+    combos = list(combinations(range(b), r))
     vertices = [0] * count
-    for i, combo in enumerate(combinations(range(b), r)):
+    holders = [0] * b
+    for i, combo in enumerate(combos):
         mask = 0
         for e in combo:
             mask |= 1 << e
+            holders[e] |= 1 << i
         vertices[i] = mask
+    everyone = (1 << count) - 1
     adj = [0] * count
-    for i in range(count):
-        vi = vertices[i]
-        for j in range(i + 1, count):
-            if (vi & vertices[j]).bit_count() <= s - 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    for i, combo in enumerate(combos):
+        at_least = [everyone] + [0] * s
+        for pos, e in enumerate(combo):
+            # skip counts that cannot reach s with the elements still to come
+            for j in range(min(s, pos + 1), max(0, s - (r - pos)), -1):
+                at_least[j] |= at_least[j - 1] & holders[e]
+        adj[i] = everyone ^ at_least[s]
     return KneserGraph(b, r, s, tuple(vertices), tuple(adj))
 
 
@@ -99,15 +121,10 @@ def is_proper(g: KneserGraph, col: Coloring) -> bool:
         used.add(c)
     if len(used) != col.num_colors:
         return False
-    for i in range(g.n):
-        rest = g.adj[i] >> (i + 1)
-        j = i + 1
-        while rest:
-            if rest & 1 and col.colors[i] == col.colors[j]:
-                return False
-            rest >>= 1
-            j += 1
-    return True
+    classes = [0] * col.num_colors
+    for v, c in enumerate(col.colors):
+        classes[c] |= 1 << v
+    return all(not a & classes[c] for a, c in zip(g.adj, col.colors))
 
 
 def to_dimacs(g: KneserGraph) -> str:
@@ -134,23 +151,18 @@ def _greedy_clique(g: KneserGraph) -> list[int]:
 
 
 def _greedy_coloring(g: KneserGraph) -> Coloring:
-    # largest degree first, smallest feasible color
+    # largest degree first, smallest color whose class misses every neighbor
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     colors = [-1] * g.n
+    classes: list[int] = []  # vertex mask of each color
     for v in order:
-        taken = 0
-        rest = g.adj[v]
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            if colors[u] >= 0:
-                taken |= 1 << colors[u]
-        c = 0
-        while taken >> c & 1:
-            c += 1
+        nbrs = g.adj[v]
+        c = next((c for c, cls in enumerate(classes) if not nbrs & cls), len(classes))
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
         colors[v] = c
-    return Coloring(tuple(colors), max(colors) + 1)
+    return Coloring(tuple(colors), len(classes))
 
 
 def _dsatur_exact(g: KneserGraph, clique: list[int], ub: Coloring) -> Coloring:
@@ -272,10 +284,16 @@ def tightness_instance(g: KneserGraph, col: Coloring, split: tuple[int, int]) ->
     agents = []
     for c in range(col.num_colors):
         in_first = c < n1
-        bundles = [bm if in_first else full ^ bm for bm in class_bundles[c]]
-        table = {}
-        for sub in range(full + 1):
-            table[sub] = 0 if any(sub & ~bm == 0 for bm in bundles) else 1
-        agents.append(Valuation.table_of(m, table))
+        table = [1] * (full + 1)
+        for vm in class_bundles[c]:
+            bm = vm if in_first else full ^ vm
+            # zero every submask of bm, bm itself and 0 included
+            sub = bm
+            while True:
+                table[sub] = 0
+                if not sub:
+                    break
+                sub = (sub - 1) & bm
+        agents.append(Valuation.table_of(m, dict(enumerate(table))))
     members = [list(range(n1)), list(range(n1, n1 + n2))]
     return Instance.fixed(m, agents, members)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -313,6 +314,41 @@ def require_matching_goods(inst: Instance) -> None:
 # validation
 
 
+def _is_clean_table(table: Mapping, m: int) -> bool:
+    """Whether ``table`` passes every table check: exactly the 2^m masks as
+    keys, non-negative ints as values, the empty bundle at 0, monotone.
+
+    A quick pass for the common valid case; any table it refuses goes
+    through the per-mask checks, which word the report. Each good g splits
+    the masks into blocks of 2^(g+1) whose low half lacks g and whose high
+    half adds it; the halves are compared slice against slice, walking
+    whichever of blocks or in-block offsets is fewer.
+    """
+    size = 1 << m
+    if len(table) != size:
+        return False
+    try:
+        vals = list(map(table.__getitem__, range(size)))
+    except KeyError:
+        return False
+    # monotone from vals[0] == 0 up, so no value can be negative
+    if set(map(type, vals)) != {int} or vals[0] != 0:
+        return False
+    for g in range(m):
+        step = 1 << g
+        span = step << 1
+        if step <= size // span:
+            pairs = ((vals[o::span], vals[o + step :: span]) for o in range(step))
+        else:
+            pairs = (
+                (vals[base : base + step], vals[base + step : base + span])
+                for base in range(0, size, span)
+            )
+        if not all(all(map(operator.le, low, high)) for low, high in pairs):
+            return False
+    return True
+
+
 def _valuation_violations(agent: int, v: Valuation, m: int) -> list[str]:
     out = []
     if v.m != m:
@@ -336,6 +372,8 @@ def _valuation_violations(agent: int, v: Valuation, m: int) -> list[str]:
         return out
     if v.table is None:
         out.append(f"agent {agent}: table valuation without a table")
+        return out
+    if _is_clean_table(v.table, m):
         return out
     size = 1 << m
     missing = [mask for mask in range(size) if mask not in v.table]
@@ -430,7 +468,10 @@ def _as_fraction(x) -> Fraction:
         # use the decimal reading of the literal, not the binary float
         return Fraction(str(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"utility value {x!r} divides by zero") from None
     raise ValueError(f"cannot read utility value {x!r}")
 
 
@@ -441,6 +482,29 @@ def _scale_to_ints(fracs: Sequence[Fraction]) -> list[int]:
     return [int(f * denom) for f in fracs]
 
 
+def _table_keys(raw: Mapping, aid) -> list[int]:
+    """Masks of a table's keys, which must be canonical decimal strings.
+
+    Canonical keys map to distinct masks, so "1" and "01" cannot both land
+    on mask 1 and silently overwrite each other.
+    """
+    try:
+        keys = list(map(int, raw))
+        if list(map(str, keys)) == list(raw):
+            return keys
+    except (TypeError, ValueError):
+        pass
+    bad = next(k for k in raw if not _is_canonical_key(k))
+    raise ValueError(f"agent {aid}: table key {bad!r} is not a canonical decimal mask")
+
+
+def _is_canonical_key(key) -> bool:
+    try:
+        return str(int(key)) == key
+    except (TypeError, ValueError):
+        return False
+
+
 def _agent_from_dict(d: Mapping, m: int) -> Valuation:
     kind = d.get("kind")
     if kind not in KINDS:
@@ -449,12 +513,12 @@ def _agent_from_dict(d: Mapping, m: int) -> Valuation:
         raw = d.get("table")
         if not isinstance(raw, Mapping):
             raise ValueError(f"agent {d.get('id')}: table kind needs a 'table' object")
-        keys = []
-        fracs = []
-        for key, val in raw.items():
-            keys.append(int(key))
-            fracs.append(_as_fraction(val))
-        ints = _scale_to_ints(fracs)
+        keys = _table_keys(raw, d.get("id"))
+        vals = list(raw.values())
+        if set(map(type, vals)) == {int}:
+            ints = vals  # already on the integer grid; bool is not int here
+        else:
+            ints = _scale_to_ints([_as_fraction(x) for x in vals])
         return Valuation.table_of(m, dict(zip(keys, ints)))
     raw = d.get("values")
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):

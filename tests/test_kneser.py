@@ -1,6 +1,7 @@
 """Generalized Kneser graphs, exact coloring, and the tightness construction."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,7 @@ from groupfair import (
     tightness_instance,
     validate,
 )
-from groupfair.kneser import Coloring, is_proper, to_dimacs
+from groupfair.kneser import Coloring, _greedy_coloring, is_proper, to_dimacs
 
 # chi(K(6,3,2)) measured once by the exact solver and pinned here; the
 # acceptance run recomputes it and must land on the same value
@@ -38,6 +39,64 @@ def test_edge_rule_brute_force():
             assert g.is_edge(j, i) == expect
         assert all(not g.is_edge(i, i) for i in range(g.n))
         assert sum(g.degree(i) for i in range(g.n)) == 2 * len(g.edges())
+
+
+def _pairwise_adj(g):
+    # the definition, one popcount per pair
+    adj = [0] * g.n
+    for i, j in combinations(range(g.n), 2):
+        if (g.vertices[i] & g.vertices[j]).bit_count() < g.s:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def _reference_greedy(g):
+    # largest degree first, smallest color no colored neighbor holds
+    colors = [-1] * g.n
+    for v in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
+        taken = {colors[u] for u in range(g.n) if g.is_edge(v, u)}
+        colors[v] = next(c for c in range(g.n) if c not in taken)
+    return tuple(colors)
+
+
+def test_bitset_build_matches_pairwise_definition():
+    for b in range(1, 10):
+        for r in range(1, b + 1):
+            for s in range(1, r + 1):
+                g = build_kneser(b, r, s)
+                assert g.adj == _pairwise_adj(g), (b, r, s)
+                edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if g.is_edge(i, j)]
+                assert g.edges() == edges
+                assert g.edge_count == len(edges)
+                if g.n <= 40:
+                    assert _greedy_coloring(g).colors == _reference_greedy(g), (b, r, s)
+
+
+def _pairwise_proper(g, col):
+    if len(col.colors) != g.n or set(col.colors) != set(range(col.num_colors)):
+        return False
+    return all(col.colors[i] != col.colors[j] for i, j in g.edges())
+
+
+def test_is_proper_matches_pairwise_check():
+    rng = random.Random(5)
+    outcomes = set()
+    for b, r, s in [(5, 2, 1), (6, 3, 2), (7, 3, 2), (8, 4, 3), (9, 2, 1)]:
+        g = build_kneser(b, r, s)
+        _, hi, base = chromatic_number(g, mode="bounds")
+        for _ in range(40):
+            relabel = list(range(hi))
+            rng.shuffle(relabel)
+            colors = [relabel[c] for c in base.colors]
+            for _ in range(rng.choice([0, 0, 1, 2])):  # recolor a few vertices
+                colors[rng.randrange(g.n)] = rng.randrange(hi)
+            num = rng.choice([hi, hi, hi, hi + 1, hi - 1])
+            col = Coloring(tuple(colors), num)
+            expect = _pairwise_proper(g, col)
+            assert is_proper(g, col) == expect
+            outcomes.add(expect)
+    assert outcomes == {True, False}
 
 
 def test_petersen():
@@ -172,6 +231,26 @@ def test_tightness_validates_inputs():
     _, _, pcol = chromatic_number(petersen)
     with pytest.raises(ValueError):
         tightness_instance(petersen, pcol, (2, 1))  # not K(2t,t,2)
+
+
+def test_tightness_tables_match_definition():
+    for t in (3, 4):
+        g = build_kneser(2 * t, t, 2)
+        _, y, col = chromatic_number(g, mode="exact" if t == 3 else "bounds")
+        full = (1 << 2 * t) - 1
+        for n1 in (y, 0, 1, y - 1, y // 2):
+            inst = tightness_instance(g, col, (n1, y - n1))
+            for c, v in enumerate(inst.agents):
+                bundles = [
+                    vm if c < n1 else full ^ vm
+                    for vm, vc in zip(g.vertices, col.colors)
+                    if vc == c
+                ]
+                expect = {
+                    sub: 0 if any(sub & ~bm == 0 for bm in bundles) else 1
+                    for sub in range(full + 1)
+                }
+                assert v.table == expect, (t, n1, c)
 
 
 def test_fewer_agents_than_colors_frees_balanced_ef1():

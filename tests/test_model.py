@@ -16,7 +16,15 @@ from groupfair import (
     instance_to_json,
     validate,
 )
-from groupfair.model import bits_of, full_mask, instance_from_dict, instance_to_dict, mask_of
+from groupfair.model import (
+    _valuation_violations,
+    bits_of,
+    full_mask,
+    instance_from_dict,
+    instance_to_dict,
+    iter_bits,
+    mask_of,
+)
 
 
 def test_mask_helpers():
@@ -136,6 +144,91 @@ def test_validate_table_monotonicity():
     assert any("misses" in s for s in validate(holes))
 
 
+def _reference_table_violations(agent, v, m):
+    # the per-mask table checks, kept as the reference for validate's
+    # quick pass: same messages, same order
+    size = 1 << m
+    missing = [mask for mask in range(size) if mask not in v.table]
+    if missing:
+        return [f"agent {agent}: table misses {len(missing)} subsets, first mask {missing[0]}"]
+    out = []
+    extra = [mask for mask in v.table if mask < 0 or mask >= size]
+    if extra:
+        out.append(f"agent {agent}: table has out-of-range subset mask {extra[0]}")
+    if v.table[0] != 0:
+        out.append(f"agent {agent}: normalization violated, empty bundle worth {v.table[0]}")
+    for mask in range(size):
+        val = v.table[mask]
+        if not isinstance(val, int) or isinstance(val, bool):
+            out.append(f"agent {agent}: table value at mask {mask} is not an integer")
+            continue
+        if val < 0:
+            out.append(f"agent {agent}: negative table value {val} at mask {mask}")
+        for g in iter_bits(mask):
+            below = v.table[mask & ~(1 << g)]
+            if below > val:
+                out.append(
+                    f"agent {agent}: monotonicity violated at subset {set(bits_of(mask))}"
+                    f" after dropping good {g} ({below} > {val})"
+                )
+    return out
+
+
+def _random_table(rng, m, flaw):
+    size = 1 << m
+    table = {0: 0}
+    for mask in range(1, size):  # monotone: at least every one-good-smaller subset
+        table[mask] = max(table[mask & ~(1 << g)] for g in iter_bits(mask)) + rng.randrange(3)
+    spot = rng.randrange(size)
+    if flaw == "non-monotone":
+        table = {mask: rng.randrange(5) if mask else 0 for mask in range(size)}
+    elif flaw == "negative":
+        table[spot] = -rng.randrange(1, 4)
+    elif flaw == "bool":
+        table[spot] = rng.random() < 0.5
+    elif flaw == "float":
+        table[spot] = table[spot] + 0.5
+    elif flaw == "missing":
+        del table[spot]
+    elif flaw == "out-of-range":
+        table[rng.choice([size, size + 3, -1])] = 1
+    elif flaw == "non-normalised":
+        table = {mask: val + 1 for mask, val in table.items()}
+    elif flaw == "dip":  # one subset worth less than a one-good-smaller one
+        if spot:
+            table[spot] = max(0, table[spot] - rng.randrange(1, 4))
+    return table
+
+
+@pytest.mark.parametrize(
+    "flaw",
+    [
+        "monotone",
+        "non-monotone",
+        "negative",
+        "bool",
+        "float",
+        "missing",
+        "out-of-range",
+        "non-normalised",
+        "dip",
+    ],
+)
+def test_table_violations_match_reference(flaw):
+    rng = random.Random(f"validate-{flaw}")
+    reports = 0
+    for _ in range(60):
+        m = rng.randrange(0, 7)
+        v = Valuation.table_of(m, _random_table(rng, m, flaw))
+        expect = _reference_table_violations(3, v, m)
+        assert _valuation_violations(3, v, m) == expect
+        reports += bool(expect)
+    if flaw == "monotone":
+        assert reports == 0
+    elif flaw != "dip":
+        assert reports >= 30
+
+
 def test_validate_groups():
     agents = [Valuation.binary([1]), Valuation.binary([1])]
     dup = Instance.fixed(1, agents, [[0, 1], [1]])
@@ -185,6 +278,10 @@ def test_json_fractions_scale_per_agent():
     assert inst.agents[1].values == (1, 2)
 
 
+def _table_doc(table):
+    return {"m": 1, "agents": [{"id": 0, "kind": "table", "table": table}], "groups": {"fixed": [[0]]}}
+
+
 @pytest.mark.parametrize(
     "doc,hint",
     [
@@ -204,6 +301,13 @@ def test_json_fractions_scale_per_agent():
         ),
         ({"m": 1, "agents": [{"id": 0, "kind": "additive", "values": [1]}], "groups": {}}, "fixed"),
         ({"m": 1, "agents": [{"id": 0, "kind": "wat", "values": [1]}], "groups": {"fixed": [[0]]}}, "kind"),
+        # "01" would land on mask 1 and overwrite "1" without a word
+        (_table_doc({"0": 0, "1": 5, "01": 1}), "agent 0: table key '01'"),
+        (_table_doc({"0": 0, "1_1": 1}), "'1_1'"),
+        (_table_doc({"0": 0, " 3": 1}), "' 3'"),
+        (_table_doc({"0": 0, "+1": 1}), "'+1'"),
+        (_table_doc({"0": 0, "x": 1}), "'x'"),
+        (_table_doc({"0": 0, "1": "1/0"}), "divides by zero"),
     ],
 )
 def test_bad_documents_raise(doc, hint):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from groupfair import (
     EF1,
+    GroupFairError,
     EF2,
     EFX,
     EFX0,
@@ -12,12 +13,14 @@ from groupfair import (
     Valuation,
     exact1_partition,
     fair_toward,
+    instance_from_dict,
     instance_from_json,
     instance_to_json,
     is_exact1,
     up_to,
+    validate,
 )
-from groupfair.model import full_mask
+from groupfair.model import _as_fraction, _scale_to_ints, full_mask
 from groupfair.oracle import balanced_allocation_count, balanced_size_vectors, _multinomial
 
 values = st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=7)
@@ -82,3 +85,46 @@ def test_json_round_trip_identity(rows, k):
 def test_balanced_count_is_sum_of_multinomials(m, k):
     total = sum(_multinomial(m, vec) for vec in balanced_size_vectors(m, k))
     assert balanced_allocation_count(m, k) == total
+
+
+table_keys = st.one_of(
+    st.integers(min_value=-2, max_value=20).map(str),
+    st.sampled_from(["01", " 1", "1 ", "1_0", "+1", "-0", "0x1", "", "abc", "\u0663"]),
+)
+table_values = st.one_of(
+    st.integers(min_value=-3, max_value=12),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1/2", "1/0", "0.25", "-1", "1e3", "", "abc", None, [1], {}]),
+)
+
+
+@st.composite
+def table_documents(draw):
+    m = draw(st.integers(min_value=0, max_value=4))
+    if draw(st.booleans()):  # every mask present, some dropped
+        table = {str(mask): draw(table_values) for mask in range(1 << m)}
+        for key in draw(st.lists(st.sampled_from(sorted(table)), max_size=2)):
+            table.pop(key, None)
+    else:
+        table = draw(st.dictionaries(table_keys, table_values, max_size=1 << m))
+    agent = {"id": 0, "kind": "table", "table": table}
+    return {"m": m, "agents": [agent], "groups": {"fixed": [[0]]}}
+
+
+@settings(max_examples=300)
+@given(table_documents())
+def test_table_loader_fuzz(doc):
+    """The loader raises only its own errors, and plain-int tables load
+    exactly as through the Fraction reading."""
+    raw = doc["agents"][0]["table"]
+    try:
+        inst = instance_from_dict(doc)
+    except (ValueError, GroupFairError):
+        return
+    assert isinstance(validate(inst), list)
+    table = inst.agents[0].table
+    assert list(table) == [int(key) for key in raw]
+    assert all(type(x) is int for x in table.values())
+    if all(type(x) is int for x in raw.values()):
+        assert table == dict(zip(table, _scale_to_ints([_as_fraction(x) for x in raw.values()])))
