@@ -14,7 +14,6 @@ from .errors import (
     FairAllocationNotFound,
     GroupFairError,
     GroupShapeError,
-    MalformedValuationError,
     SearchSpaceTooLargeError,
     UnsupportedNotionError,
     UnsupportedValuationError,

@@ -5,10 +5,6 @@ class GroupFairError(Exception):
     """Base class for package-specific errors."""
 
 
-class MalformedValuationError(GroupFairError):
-    """A valuation is structurally broken, e.g. a table misses a queried subset."""
-
-
 class UnsupportedValuationError(GroupFairError):
     """An operation got a valuation class outside its contract."""
 

@@ -13,7 +13,6 @@ from typing import Sequence
 
 from .errors import UnsupportedNotionError
 from .model import (
-    BINARY,
     TABLE,
     AgentPartition,
     Allocation,
@@ -152,22 +151,6 @@ def fair_toward(v: Valuation, own: int, other: int, notion: Notion) -> bool:
     """
     if notion.kind == "prop":
         raise ValueError("prop is checked against the whole allocation, not a pair")
-    if v.kind == BINARY:
-        d = v.desired_mask
-        a = (d & own).bit_count()
-        b = (d & other).bit_count()
-        if notion.kind == "ef":
-            return a >= b
-        if notion.kind == "efc":
-            return a >= b - min(b, notion.c)
-        if notion.kind == "efx":
-            return a >= b - min(b, 1)
-        # efx0: a worthless good in the envied bundle must also be removable
-        if other == 0:
-            return True
-        if other & ~d:
-            return a >= b
-        return a >= b - 1
     if notion.kind == "ef":
         return v.value(own) >= v.value(other)
     if v.kind == TABLE:

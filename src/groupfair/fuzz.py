@@ -22,6 +22,7 @@ from .algorithms import (
 from .binary_solver import solve_ef1_binary
 from .fairness import EF1, EF2, EFX, EFX0, is_balanced, is_exact1, is_fair, meets_prop_up_to_goods
 from .model import (
+    TABLE,
     AgentPartition,
     Allocation,
     Instance,
@@ -87,11 +88,11 @@ def random_binary(rng: random.Random, m: int) -> Valuation:
 def random_monotone_table(rng: random.Random, m: int, top: int = 9) -> Valuation:
     """Random monotone normalized table: draw base values, then push each
     subset up to the maximum of its one-smaller subsets."""
-    table = {0: 0}
+    table = [0]
     for mask in range(1, 1 << m):
         floor = max(table[mask & ~(1 << g)] for g in iter_bits(mask))
-        table[mask] = max(rng.randint(0, top), floor)
-    return Valuation.table_of(m, table)
+        table.append(max(rng.randint(0, top), floor))
+    return Valuation(TABLE, m, table=tuple(table))
 
 
 def random_monotone(rng: random.Random, m: int) -> Valuation:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import SearchSpaceTooLargeError
-from .model import Instance, Valuation, full_mask
+from .model import TABLE, Instance, Valuation, full_mask
 
 # Largest vertex count we will materialize, and the branch-and-bound cap.
 BUILD_GUARD = 10**4
@@ -294,6 +294,6 @@ def tightness_instance(g: KneserGraph, col: Coloring, split: tuple[int, int]) ->
                 if not sub:
                     break
                 sub = (sub - 1) & bm
-        agents.append(Valuation.table_of(m, dict(enumerate(table))))
+        agents.append(Valuation(TABLE, m, table=tuple(table)))
     members = [list(range(n1)), list(range(n1, n1 + n2))]
     return Instance.fixed(m, agents, members)

@@ -12,8 +12,16 @@ Serialization speaks a small JSON dialect::
                 {"id": 1, "kind": "table", "table": {"0": 0, "1": 2, ...}}],
      "groups": {"fixed": [[0], [1]]}}
 
-Table keys are bundle bitmasks rendered as decimal strings. Variable-group
+Table keys are bundle bitmasks rendered as decimal strings, one per mask,
+in any order; repeated JSON object keys are rejected. Variable-group
 instances carry ``{"variable": [n1, n2, ...]}`` instead of fixed members.
+
+The shape of a valuation is fixed at construction: a value vector holds m
+entries, a table holds all 2^m, stored as a tuple indexed by bundle mask.
+Constructors and the loader raise ValueError on any other shape, so
+``validate`` only judges content (integers, binary range, normalisation,
+monotonicity, the table cap, the groups). Valuations and instances are
+hashable.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import MalformedValuationError, UnsupportedValuationError
+from .errors import UnsupportedValuationError
 
 BINARY = "binary"
 ADDITIVE = "additive"
@@ -68,17 +76,18 @@ class Valuation:
     """A single agent's utility function over bundles of ``m`` goods.
 
     ``kind`` selects the representation: ``binary`` and ``additive`` carry a
-    per-good value vector, ``table`` carries an explicit subset-to-utility
-    map keyed by bundle bitmask. Binary is a restriction of additive (values
-    in {0, 1}); both are additive over disjoint bundles. Tables can encode
-    any monotonic function with u(empty) = 0; the validator checks those
-    invariants, construction does not.
+    per-good value vector of length m, ``table`` carries the utility of
+    every bundle as a tuple of 2^m values indexed by bundle bitmask.
+    Binary is a restriction of additive (values in {0, 1}); both are
+    additive over disjoint bundles. Tables can encode any monotonic
+    function with u(empty) = 0. Construction enforces the shape; the
+    validator checks the values.
     """
 
     kind: str
     m: int
     values: tuple[int, ...] | None = None
-    table: dict[int, int] | None = None
+    table: tuple[int, ...] | None = None
     # Cache of the desired-good mask for binary valuations; derived, not
     # part of identity.
     _dmask: int = field(default=-1, compare=False, repr=False)
@@ -86,7 +95,19 @@ class Valuation:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown valuation kind {self.kind!r}")
-        if self.kind == BINARY and self.values is not None:
+        if self.m < 0:
+            raise ValueError(f"negative good count {self.m}")
+        name, shape, need = (
+            ("table entries", self.table, 1 << self.m)
+            if self.kind == TABLE
+            else ("values", self.values, self.m)
+        )
+        if type(shape) is not tuple or len(shape) != need:
+            got = len(shape) if type(shape) is tuple else f"a {type(shape).__name__}"
+            raise ValueError(
+                f"{self.kind} valuation over {self.m} goods needs a tuple of {need} {name}, got {got}"
+            )
+        if self.kind == BINARY:
             dm = 0
             for g, v in enumerate(self.values):
                 if v:
@@ -110,7 +131,23 @@ class Valuation:
 
     @staticmethod
     def table_of(m: int, entries: Mapping[int, int]) -> "Valuation":
-        return Valuation(TABLE, m, table=dict(entries))
+        """Table valuation from a mask-to-value map holding exactly the
+        masks 0..2^m-1, in any order."""
+        if m < 0:
+            raise ValueError(f"negative good count {m}")
+        size = len(entries)
+        # size == 2^m, tested without building 2^m for a huge m
+        if size.bit_length() == m + 1 and not size & (size - 1):
+            try:
+                return Valuation(TABLE, m, table=tuple(map(entries.__getitem__, range(size))))
+            except KeyError:
+                pass
+        # size keys cannot cover all of 0..size, so some mask up to size is absent
+        hole = next(mask for mask in range(size + 1) if mask not in entries)
+        if hole >> m == 0:
+            raise ValueError(f"table over {m} goods misses subset mask {hole}")
+        extra = next(mask for mask in entries if mask not in range(1 << m))
+        raise ValueError(f"table over {m} goods has out-of-range subset mask {extra!r}")
 
     @staticmethod
     def zeros(m: int) -> "Valuation":
@@ -133,12 +170,7 @@ class Valuation:
         if bundle < 0 or bundle >> self.m:
             raise ValueError(f"bundle {bundle:#x} has goods outside 0..{self.m - 1}")
         if self.kind == TABLE:
-            try:
-                return self.table[bundle]
-            except KeyError:
-                raise MalformedValuationError(
-                    f"table valuation has no entry for subset mask {bundle}"
-                ) from None
+            return self.table[bundle]
         if self.kind == BINARY:
             return (self._dmask & bundle).bit_count()
         total = 0
@@ -158,27 +190,9 @@ class Valuation:
         so monotonicity and normalization are preserved.
         """
         if self.kind == TABLE:
-            high = 1 << self.m
-            table = {}
-            for mask, v in self.table.items():
-                table[mask] = v
-                table[mask | high] = v
-            return Valuation(TABLE, self.m + 1, table=table)
+            # mask | 2^m sits 2^m further on and is worth what mask is
+            return Valuation(TABLE, self.m + 1, table=self.table * 2)
         return Valuation(self.kind, self.m + 1, values=self.values + (0,))
-
-    def undesire(self, good: int) -> "Valuation":
-        """Binary valuation with one good's value forced to zero."""
-        if self.kind != BINARY:
-            raise UnsupportedValuationError("undesire is defined for binary valuations")
-        vals = list(self.values)
-        vals[good] = 0
-        return Valuation(BINARY, self.m, values=tuple(vals))
-
-    def restrict(self, goods: Sequence[int]) -> "Valuation":
-        """Project an additive-like valuation onto the listed goods, in order."""
-        if not self.is_additive_like():
-            raise UnsupportedValuationError("restrict is defined for additive-like valuations")
-        return Valuation(self.kind, len(goods), values=tuple(self.values[g] for g in goods))
 
 
 @dataclass(frozen=True)
@@ -306,7 +320,7 @@ def fixed_partition(inst: Instance) -> AgentPartition:
 def require_matching_goods(inst: Instance) -> None:
     """Raise ValueError unless every valuation covers exactly the instance's goods."""
     for agent, v in enumerate(inst.agents):
-        if v.m != inst.m or (v.values is not None and len(v.values) != inst.m):
+        if v.m != inst.m:
             raise ValueError(f"agent {agent}: valuation does not cover exactly the {inst.m} goods")
 
 
@@ -314,9 +328,9 @@ def require_matching_goods(inst: Instance) -> None:
 # validation
 
 
-def _is_clean_table(table: Mapping, m: int) -> bool:
-    """Whether ``table`` passes every table check: exactly the 2^m masks as
-    keys, non-negative ints as values, the empty bundle at 0, monotone.
+def _is_clean_table(vals: tuple, m: int) -> bool:
+    """Whether a table passes every table check: non-negative ints as
+    values, the empty bundle at 0, monotone.
 
     A quick pass for the common valid case; any table it refuses goes
     through the per-mask checks, which word the report. Each good g splits
@@ -324,13 +338,7 @@ def _is_clean_table(table: Mapping, m: int) -> bool:
     half adds it; the halves are compared slice against slice, walking
     whichever of blocks or in-block offsets is fewer.
     """
-    size = 1 << m
-    if len(table) != size:
-        return False
-    try:
-        vals = list(map(table.__getitem__, range(size)))
-    except KeyError:
-        return False
+    size = len(vals)
     # monotone from vals[0] == 0 up, so no value can be negative
     if set(map(type, vals)) != {int} or vals[0] != 0:
         return False
@@ -355,9 +363,6 @@ def _valuation_violations(agent: int, v: Valuation, m: int) -> list[str]:
         out.append(f"agent {agent}: valuation covers {v.m} goods, instance has {m}")
         return out
     if v.kind in (BINARY, ADDITIVE):
-        if v.values is None or len(v.values) != m:
-            out.append(f"agent {agent}: value vector length differs from m={m}")
-            return out
         for g, val in enumerate(v.values):
             if not isinstance(val, int) or isinstance(val, bool):
                 out.append(f"agent {agent}: value of good {g} is not an integer")
@@ -370,30 +375,19 @@ def _valuation_violations(agent: int, v: Valuation, m: int) -> list[str]:
     if m > MAX_TABLE_GOODS:
         out.append(f"agent {agent}: table over {m} goods exceeds the cap of {MAX_TABLE_GOODS}")
         return out
-    if v.table is None:
-        out.append(f"agent {agent}: table valuation without a table")
+    table = v.table
+    if _is_clean_table(table, m):
         return out
-    if _is_clean_table(v.table, m):
-        return out
-    size = 1 << m
-    missing = [mask for mask in range(size) if mask not in v.table]
-    if missing:
-        out.append(f"agent {agent}: table misses {len(missing)} subsets, first mask {missing[0]}")
-        return out
-    extra = [mask for mask in v.table if mask < 0 or mask >= size]
-    if extra:
-        out.append(f"agent {agent}: table has out-of-range subset mask {extra[0]}")
-    if v.table[0] != 0:
-        out.append(f"agent {agent}: normalization violated, empty bundle worth {v.table[0]}")
-    for mask in range(size):
-        val = v.table[mask]
+    if table[0] != 0:
+        out.append(f"agent {agent}: normalization violated, empty bundle worth {table[0]}")
+    for mask, val in enumerate(table):
         if not isinstance(val, int) or isinstance(val, bool):
             out.append(f"agent {agent}: table value at mask {mask} is not an integer")
             continue
         if val < 0:
             out.append(f"agent {agent}: negative table value {val} at mask {mask}")
         for g in iter_bits(mask):
-            below = v.table[mask & ~(1 << g)]
+            below = table[mask & ~(1 << g)]
             if below > val:
                 out.append(
                     f"agent {agent}: monotonicity violated at subset {set(bits_of(mask))}"
@@ -406,9 +400,10 @@ def validate(inst: Instance) -> list[str]:
     """Collect invariant violations as human-readable strings.
 
     An empty report means the instance is well formed: valuations match m,
-    nonnegative integer utilities, binary in range, tables total, normalized
-    and monotonic, and groups partition the agent ids (fixed) or sizes sum
-    to n (variable).
+    nonnegative integer utilities, binary in range, tables normalized and
+    monotonic, and groups partition the agent ids (fixed) or sizes sum to n
+    (variable). The shape of each valuation is fixed at construction, so
+    only its values are judged here.
     """
     out = []
     if inst.m < 0:
@@ -482,7 +477,7 @@ def _scale_to_ints(fracs: Sequence[Fraction]) -> list[int]:
     return [int(f * denom) for f in fracs]
 
 
-def _table_keys(raw: Mapping, aid) -> list[int]:
+def _table_keys(raw: Mapping) -> list[int]:
     """Masks of a table's keys, which must be canonical decimal strings.
 
     Canonical keys map to distinct masks, so "1" and "01" cannot both land
@@ -495,7 +490,7 @@ def _table_keys(raw: Mapping, aid) -> list[int]:
     except (TypeError, ValueError):
         pass
     bad = next(k for k in raw if not _is_canonical_key(k))
-    raise ValueError(f"agent {aid}: table key {bad!r} is not a canonical decimal mask")
+    raise ValueError(f"table key {bad!r} is not a canonical decimal mask")
 
 
 def _is_canonical_key(key) -> bool:
@@ -505,15 +500,15 @@ def _is_canonical_key(key) -> bool:
         return False
 
 
-def _agent_from_dict(d: Mapping, m: int) -> Valuation:
+def _valuation_from_dict(d: Mapping, m: int) -> Valuation:
     kind = d.get("kind")
     if kind not in KINDS:
-        raise ValueError(f"agent {d.get('id')}: unknown kind {kind!r}")
+        raise ValueError(f"unknown kind {kind!r}")
     if kind == TABLE:
         raw = d.get("table")
         if not isinstance(raw, Mapping):
-            raise ValueError(f"agent {d.get('id')}: table kind needs a 'table' object")
-        keys = _table_keys(raw, d.get("id"))
+            raise ValueError("table kind needs a 'table' object")
+        keys = _table_keys(raw)
         vals = list(raw.values())
         if set(map(type, vals)) == {int}:
             ints = vals  # already on the integer grid; bool is not int here
@@ -522,7 +517,7 @@ def _agent_from_dict(d: Mapping, m: int) -> Valuation:
         return Valuation.table_of(m, dict(zip(keys, ints)))
     raw = d.get("values")
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-        raise ValueError(f"agent {d.get('id')}: {kind} kind needs a 'values' array")
+        raise ValueError(f"{kind} kind needs a 'values' array")
     ints = _scale_to_ints([_as_fraction(x) for x in raw])
     return Valuation(kind, m, values=tuple(ints))
 
@@ -543,7 +538,10 @@ def instance_from_dict(d: Mapping) -> Instance:
         aid = int(entry["id"])
         if aid in by_id:
             raise ValueError(f"duplicate agent id {aid}")
-        by_id[aid] = _agent_from_dict(entry, m)
+        try:
+            by_id[aid] = _valuation_from_dict(entry, m)
+        except ValueError as exc:
+            raise ValueError(f"agent {aid}: {exc}") from None
     n = len(by_id)
     if sorted(by_id) != list(range(n)):
         raise ValueError("agent ids must be dense 0..n-1")
@@ -566,7 +564,7 @@ def instance_to_dict(inst: Instance) -> dict:
     for aid, v in enumerate(inst.agents):
         entry: dict = {"id": aid, "kind": v.kind}
         if v.kind == TABLE:
-            entry["table"] = {str(mask): val for mask, val in sorted(v.table.items())}
+            entry["table"] = {str(mask): val for mask, val in enumerate(v.table)}
         else:
             entry["values"] = list(v.values)
         agents.append(entry)
@@ -577,9 +575,21 @@ def instance_to_dict(inst: Instance) -> dict:
     return {"m": inst.m, "agents": agents, "groups": groups}
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """JSON object hook: a repeated key is an error, not a silent overwrite."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated JSON object key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def instance_from_json(text: str) -> Instance:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_distinct_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad JSON: {exc}") from None
     if not isinstance(data, Mapping):

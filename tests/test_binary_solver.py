@@ -152,7 +152,7 @@ def test_p4_is_one_directional():
     the moves, rather than mapping original solutions forward.
     """
     v = Valuation.binary([1, 1, 1])
-    p = v.undesire(0)
+    p = Valuation.binary_from_desired(3, [1, 2])
     # own {0} vs other {1,2}: EF1 originally (1 >= 2-1), not after losing 0
     assert fair_toward(v, 0b001, 0b110, EF1)
     assert not fair_toward(p, 0b001, 0b110, EF1)
@@ -164,7 +164,7 @@ def test_p4_is_one_directional():
         if len(desired) % 2 == 0:
             desired.pop()
         vv = Valuation.binary_from_desired(m, desired)
-        pp = vv.undesire(min(desired))
+        pp = Valuation.binary_from_desired(m, [g for g in desired if g != min(desired)])
         own = rng.randrange(0, 1 << m)
         other = ((1 << m) - 1) ^ own
         if fair_toward(pp, own, other, EF1):

@@ -335,6 +335,25 @@ def test_fuzz_command(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "table,hint",
+    [
+        ('{"0": 0, "1": 5, "1": 1}', "repeated JSON object key '1'"),
+        ('{"0": 0}', "agent 0: table over 1 goods misses subset mask 1"),
+    ],
+)
+def test_malformed_table_exits_one(tmp_path, capsys, table, hint):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"m": 1, "agents": [{"id": 0, "kind": "table", "table": %s}], "groups": {"fixed": [[0]]}}'
+        % table
+    )
+    for argv in (["check", str(path), "--allocation", "0"], ["search", str(path)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert hint in err
+
+
 def test_table_format(two_one, capsys):
     code, out, _ = run_cli(
         ["check", two_one, "--allocation", "0,2;1,3", "--format", "table"], capsys

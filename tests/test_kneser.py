@@ -246,10 +246,9 @@ def test_tightness_tables_match_definition():
                     for vm, vc in zip(g.vertices, col.colors)
                     if vc == c
                 ]
-                expect = {
-                    sub: 0 if any(sub & ~bm == 0 for bm in bundles) else 1
-                    for sub in range(full + 1)
-                }
+                expect = tuple(
+                    0 if any(sub & ~bm == 0 for bm in bundles) else 1 for sub in range(full + 1)
+                )
                 assert v.table == expect, (t, n1, c)
 
 

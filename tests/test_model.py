@@ -1,5 +1,6 @@
 """Core data model: masks, valuations, instances, serialization."""
 
+import json
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from groupfair import (
     AgentPartition,
     Allocation,
     Instance,
-    MalformedValuationError,
     UnsupportedValuationError,
     Valuation,
     allocation_violations,
@@ -51,6 +51,7 @@ def test_binary_desired_mask():
     v = Valuation.binary([1, 0, 1])
     assert v.desired_mask == 0b101
     assert v.value(0b110) == 1
+    assert Valuation.binary([1, 1, 0]).desired_mask == 0b011
     w = Valuation.binary_from_desired(5, [4, 1])
     assert w.desired_mask == 0b10010
     with pytest.raises(UnsupportedValuationError):
@@ -59,10 +60,12 @@ def test_binary_desired_mask():
 
 def test_table_lookup_and_missing_entry():
     v = Valuation.table_of(2, {0: 0, 1: 3, 2: 3, 3: 5})
+    assert v.table == (0, 3, 3, 5)
     assert v.value(0b11) == 5
     assert not v.is_additive_like()
-    with pytest.raises(MalformedValuationError):
-        Valuation.table_of(2, {0: 0}).value(1)
+    # a table missing a mask cannot be built, so no lookup can miss
+    with pytest.raises(ValueError, match="misses subset mask 1"):
+        Valuation.table_of(2, {0: 0})
 
 
 def test_unknown_kind_rejected():
@@ -84,17 +87,6 @@ def test_with_zero_good_table_keeps_values():
     for mask in range(4):
         assert v.value(mask) == t.value(mask)
         assert v.value(mask | 0b100) == t.value(mask)
-
-
-def test_undesire_and_restrict():
-    v = Valuation.binary([1, 1, 0])
-    assert v.undesire(0).desired_mask == 0b010
-    # undesire returns a copy
-    assert v.desired_mask == 0b011
-    r = Valuation.additive([5, 6, 7]).restrict([2, 0])
-    assert r.values == (7, 5)
-    with pytest.raises(UnsupportedValuationError):
-        Valuation.table_of(1, {0: 0, 1: 1}).restrict([0])
 
 
 def test_instance_accessors():
@@ -124,9 +116,8 @@ def test_allocation_and_partition_shapes():
 
 
 def test_validate_flags_bad_data():
-    # wrong vector length, negative value, out-of-range binary
-    bad = Instance.fixed(3, [Valuation("additive", 3, values=(1, 2))], [[0]])
-    assert any("length" in s for s in validate(bad))
+    # negative value, out-of-range binary; a wrong vector length cannot be
+    # built (test_shape_errors_raise_on_construction)
     bad = Instance.fixed(2, [Valuation.additive([1, -2])], [[0]])
     assert any("negative" in s for s in validate(bad))
     bad = Instance.fixed(2, [Valuation.binary([0, 2])], [[0]])
@@ -140,21 +131,14 @@ def test_validate_table_monotonicity():
     assert any("monotonicity" in s for s in validate(drop))
     unnorm = Instance.fixed(2, [Valuation.table_of(2, {0: 1, 1: 1, 2: 1, 3: 1})], [[0]])
     assert any("normalization" in s for s in validate(unnorm))
-    holes = Instance.fixed(2, [Valuation.table_of(2, {0: 0, 3: 1})], [[0]])
-    assert any("misses" in s for s in validate(holes))
+    # a table with holes cannot be built (test_shape_errors_raise_on_construction)
 
 
 def _reference_table_violations(agent, v, m):
     # the per-mask table checks, kept as the reference for validate's
     # quick pass: same messages, same order
     size = 1 << m
-    missing = [mask for mask in range(size) if mask not in v.table]
-    if missing:
-        return [f"agent {agent}: table misses {len(missing)} subsets, first mask {missing[0]}"]
     out = []
-    extra = [mask for mask in v.table if mask < 0 or mask >= size]
-    if extra:
-        out.append(f"agent {agent}: table has out-of-range subset mask {extra[0]}")
     if v.table[0] != 0:
         out.append(f"agent {agent}: normalization violated, empty bundle worth {v.table[0]}")
     for mask in range(size):
@@ -200,6 +184,9 @@ def _random_table(rng, m, flaw):
     return table
 
 
+SHAPE_FLAWS = {"missing": "misses subset mask", "out-of-range": "out-of-range subset mask"}
+
+
 @pytest.mark.parametrize(
     "flaw",
     [
@@ -219,7 +206,14 @@ def test_table_violations_match_reference(flaw):
     reports = 0
     for _ in range(60):
         m = rng.randrange(0, 7)
-        v = Valuation.table_of(m, _random_table(rng, m, flaw))
+        table = _random_table(rng, m, flaw)
+        if flaw in SHAPE_FLAWS:
+            # a shape flaw is reported by construction, naming the mask
+            with pytest.raises(ValueError, match=SHAPE_FLAWS[flaw]):
+                Valuation.table_of(m, table)
+            reports += 1
+            continue
+        v = Valuation.table_of(m, table)
         expect = _reference_table_violations(3, v, m)
         assert _valuation_violations(3, v, m) == expect
         reports += bool(expect)
@@ -278,8 +272,8 @@ def test_json_fractions_scale_per_agent():
     assert inst.agents[1].values == (1, 2)
 
 
-def _table_doc(table):
-    return {"m": 1, "agents": [{"id": 0, "kind": "table", "table": table}], "groups": {"fixed": [[0]]}}
+def _table_doc(table, m=1):
+    return {"m": m, "agents": [{"id": 0, "kind": "table", "table": table}], "groups": {"fixed": [[0]]}}
 
 
 @pytest.mark.parametrize(
@@ -337,3 +331,84 @@ def test_round_trip_fuzz():
         inst = Instance.variable(m, agents, [n])
         back = instance_from_json(instance_to_json(inst, indent=None))
         assert back == inst
+
+
+def test_valuations_and_instances_hash():
+    table = Valuation.table_of(2, {0: 0, 1: 1, 2: 1, 3: 2})
+    assert type(table.table) is tuple and len(table.table) == 4
+    assert hash(table) == hash(Valuation.table_of(2, {3: 2, 2: 1, 1: 1, 0: 0}))
+
+    def build(top):
+        agents = [
+            Valuation.table_of(2, {0: 0, 1: 1, 2: 1, 3: top}),
+            Valuation.binary([1, 0]),
+            Valuation.additive([2, 3]),
+        ]
+        return Instance.fixed(2, agents, [[0, 1], [2]])
+
+    a, b = build(2), build(2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, instance_from_json(instance_to_json(a)), build(3)}) == 2
+
+
+def test_table_keys_in_any_order():
+    rng = random.Random(5)
+    for m in range(6):
+        values = {mask: rng.randrange(0, 9) for mask in range(1 << m)}
+        order = list(values)
+        rng.shuffle(order)
+        expect = tuple(values[mask] for mask in range(1 << m))
+        assert Valuation.table_of(m, {mask: values[mask] for mask in order}).table == expect
+        doc = _table_doc({str(mask): values[mask] for mask in order}, m)
+        assert instance_from_dict(doc).agents[0].table == expect
+        assert instance_from_json(json.dumps(doc)).agents[0].table == expect
+
+
+@pytest.mark.parametrize(
+    "build,hint",
+    [
+        # holes: masks 1 and 2 absent
+        (lambda: Valuation.table_of(2, {0: 0, 3: 1}), "table over 2 goods misses subset mask 1"),
+        (lambda: Valuation.table_of(1, {0: 0, 1: 1, 2: 1}), "out-of-range subset mask 2"),
+        (lambda: Valuation.table_of(1, {0: 0, 1: 1, -1: 1}), "out-of-range subset mask -1"),
+        (lambda: Valuation("table", 2, table=(0, 1, 1)), "needs a tuple of 4 table entries, got 3"),
+        (lambda: Valuation("table", 1, table={0: 0, 1: 1}), "got a dict"),
+        (lambda: Valuation("additive", 3, values=(1, 2)), "needs a tuple of 3 values, got 2"),
+        (lambda: Valuation("binary", 1, values=(1, 0)), "needs a tuple of 1 values, got 2"),
+        (lambda: Valuation("additive", 2, values=[1, 2]), "got a list"),
+        (lambda: Valuation("additive", 2), "got a NoneType"),
+        (lambda: Valuation("additive", -1, values=()), "negative good count -1"),
+    ],
+)
+def test_shape_errors_raise_on_construction(build, hint):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert hint in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "agent,hint",
+    [
+        ({"kind": "table", "table": {"0": 0, "3": 1}}, "agent 0: table over 2 goods misses subset mask 1"),
+        ({"kind": "table", "table": {"2": 1, "0": 0, "1": 1, "3": 1, "4": 1}}, "out-of-range subset mask 4"),
+        ({"kind": "table", "table": {"0": 0, "1": 1, "2": 1, "3": 1, "-1": 1}}, "out-of-range subset mask -1"),
+        ({"kind": "additive", "values": [1]}, "agent 0: additive valuation over 2 goods needs a tuple of 2 values, got 1"),
+        ({"kind": "binary", "values": [1, 0, 1]}, "got 3"),
+    ],
+)
+def test_shape_errors_raise_on_load(agent, hint):
+    doc = {"m": 2, "agents": [{"id": 0, **agent}], "groups": {"fixed": [[0]]}}
+    for load in (instance_from_dict, lambda d: instance_from_json(json.dumps(d))):
+        with pytest.raises(ValueError) as err:
+            load(doc)
+        assert hint in str(err.value)
+
+
+def test_repeated_json_keys_raise():
+    # plain json.loads keeps the last "1" and the table would load as {0: 0, 1: 1}
+    text = json.dumps(_table_doc({"0": 0, "1": 5})).replace('"1": 5', '"1": 5, "1": 1')
+    with pytest.raises(ValueError, match="repeated JSON object key '1'"):
+        instance_from_json(text)
+    with pytest.raises(ValueError, match="repeated JSON object key 'm'"):
+        instance_from_json('{"m": 1, "m": 2, "agents": [], "groups": {"fixed": []}}')
+    assert instance_from_json(text.replace(', "1": 1', "")).agents[0].table == (0, 5)

@@ -124,7 +124,9 @@ def test_table_loader_fuzz(doc):
         return
     assert isinstance(validate(inst), list)
     table = inst.agents[0].table
-    assert list(table) == [int(key) for key in raw]
-    assert all(type(x) is int for x in table.values())
+    # loaded only if the keys are exactly the masks, in any order
+    assert sorted(map(int, raw)) == list(range(len(table))) == list(range(1 << doc["m"]))
+    assert all(type(x) is int for x in table)
     if all(type(x) is int for x in raw.values()):
-        assert table == dict(zip(table, _scale_to_ints([_as_fraction(x) for x in raw.values()])))
+        scaled = dict(zip(map(int, raw), _scale_to_ints([_as_fraction(x) for x in raw.values()])))
+        assert table == tuple(scaled[mask] for mask in range(len(table)))
