@@ -51,7 +51,6 @@ def test_binary_desired_mask():
     v = Valuation.binary([1, 0, 1])
     assert v.desired_mask == 0b101
     assert v.value(0b110) == 1
-    assert Valuation.binary([1, 1, 0]).desired_mask == 0b011
     w = Valuation.binary_from_desired(5, [4, 1])
     assert w.desired_mask == 0b10010
     with pytest.raises(UnsupportedValuationError):
@@ -87,6 +86,17 @@ def test_with_zero_good_table_keeps_values():
     for mask in range(4):
         assert v.value(mask) == t.value(mask)
         assert v.value(mask | 0b100) == t.value(mask)
+
+
+def test_undesire_and_restrict():
+    # Valuation.undesire and Valuation.restrict are gone; an agent that stops
+    # desiring a good is built with binary_from_desired, and the original is
+    # left as it was
+    v = Valuation.binary([1, 1, 0])
+    u = Valuation.binary_from_desired(v.m, bits_of(v.desired_mask & ~0b001))
+    assert u.desired_mask == 0b010
+    assert v.desired_mask == 0b011
+    assert not hasattr(v, "undesire") and not hasattr(v, "restrict")
 
 
 def test_instance_accessors():
