@@ -33,6 +33,7 @@ from .model import (
     allocation_violations,
     instance_from_json,
     instance_to_dict,
+    instance_to_json,
     validate,
 )
 
@@ -267,8 +268,7 @@ def _cmd_corpus(args) -> int:
         for e in entries:
             path = os.path.join(args.export, f"{e.name}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(instance_to_dict(e.instance), fh, indent=2)
-                fh.write("\n")
+                fh.write(instance_to_json(e.instance) + "\n")
         print(f"wrote {len(entries)} instances to {args.export}", file=sys.stderr)
     if args.list:
         for e in entries:
@@ -319,10 +319,9 @@ def _cmd_kneser(args) -> int:
         if coloring is None:
             _, _, coloring = kneser.chromatic_number(g, mode="exact")
         inst = kneser.tightness_instance(g, coloring, _parse_split(args.split))
-        doc = json.dumps(instance_to_dict(inst), indent=2)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(doc + "\n")
+                fh.write(instance_to_json(inst) + "\n")
             result["instance"] = args.out
         else:
             result["instance"] = instance_to_dict(inst)
@@ -339,7 +338,6 @@ def _cmd_reduce(args) -> int:
         raise ValueError(f"cannot read {args.formula}: {exc}") from None
     f = reduction.parse_dimacs_cnf(text)
     inst = reduction.formula_to_instance(f)
-    doc = instance_to_dict(inst)
     result: dict = {
         "variables": f.num_vars,
         "clauses": len(f.clauses),
@@ -347,11 +345,10 @@ def _cmd_reduce(args) -> int:
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(instance_to_json(inst) + "\n")
         result["instance"] = args.out
     else:
-        result["instance"] = doc
+        result["instance"] = instance_to_dict(inst)
     run = RunReport("reduce", _digest(inst), result, None, 0.0)
     _emit(run, args.format)
     return OK

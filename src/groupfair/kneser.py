@@ -165,66 +165,92 @@ def _greedy_coloring(g: KneserGraph) -> Coloring:
     return Coloring(tuple(colors), len(classes))
 
 
+def _count_in(planes: list[int], carry: int) -> list[int]:
+    """Bit-sliced counters with one added at every bit of ``carry``."""
+    out = planes[:]
+    for k, p in enumerate(planes):
+        out[k] = p ^ carry
+        carry &= p
+        if not carry:
+            break
+    return out
+
+
 def _dsatur_exact(g: KneserGraph, clique: list[int], ub: Coloring) -> Coloring:
-    n = g.n
-    deg = [g.degree(v) for v in range(n)]
+    """Branch and bound DSATUR (Brélaz 1979): colour next the uncoloured
+    vertex with the most distinct neighbour colours, then the highest
+    degree, then the lowest index. It tries the colours in use and one new
+    one, all below the incumbent's count.
+
+    The state is bitsets. ``forb[c]`` is the union of the neighbourhoods of
+    the vertices coloured c, so c is closed to v exactly when v is in it.
+    Saturation counts are bit-sliced: bit v of ``planes[k]`` is bit k of
+    v's count. Painting v with c adds one for every uncoloured neighbour of
+    v outside ``forb[c]``, a ripple carry over the planes; each child gets
+    its own planes, so backtracking restores ``forb[c]`` alone. The counts
+    of coloured vertices go stale and are masked out when picking.
+    """
+    adj = g.adj
     best_num = ub.num_colors
     best = list(ub.colors)
-    colors = [-1] * n
-    nbr_colors = [0] * n  # bitmask of colors seen on each vertex's neighbors
-
-    def paint(v: int, c: int) -> list[int]:
-        colors[v] = c
-        touched = []
-        rest = g.adj[v]
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            if not nbr_colors[u] >> c & 1:
-                nbr_colors[u] |= 1 << c
-                touched.append(u)
-        return touched
-
-    def unpaint(v: int, c: int, touched: list[int]) -> None:
-        colors[v] = -1
-        for u in touched:
-            nbr_colors[u] &= ~(1 << c)
+    colors = [-1] * g.n  # stale off the current path; every leaf rewrites all
+    forb = [0] * best_num
+    # sorted by degree, highest first, for the tie-break after saturation
+    by_degree: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    degree_classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    # counts never exceed the colours in use, which stay below best_num
+    planes = [0] * best_num.bit_length()
 
     # symmetry breaking: a maximal clique needs pairwise distinct colors
-    for i, v in enumerate(clique):
-        paint(v, i)
+    uncoloured = (1 << g.n) - 1
+    for c, v in enumerate(clique):
+        colors[v] = c
+        forb[c] = adj[v]
+        uncoloured ^= 1 << v
+    for v in clique:  # distinct colours: each clique neighbour counts once
+        planes = _count_in(planes, adj[v] & uncoloured)
     start_used = len(clique)
+    top_down = range(len(planes) - 1, -1, -1)
 
-    def rec(done: int, used: int) -> None:
+    def rec(uncoloured: int, planes: list[int], used: int) -> None:
         nonlocal best_num, best
         if used >= best_num:
             return
-        if done == n:
+        if not uncoloured:
             best_num = used
             best = colors[:]
             return
-        v = -1
-        key = None
-        for u in range(n):
-            if colors[u] < 0:
-                cand = (-nbr_colors[u].bit_count(), -deg[u], u)
-                if key is None or cand < key:
-                    key = cand
-                    v = u
-        limit = min(used + 1, best_num - 1)
-        taken = nbr_colors[v]
+        # most saturated: keep the vertices with a 1 in each plane, top down
+        pick = uncoloured
+        for k in top_down:
+            if pick & planes[k]:
+                pick &= planes[k]
+        for cls in degree_classes:
+            if pick & cls:
+                pick &= cls
+                break
+        low = pick & -pick
+        v = low.bit_length() - 1
+        nbrs = adj[v]
+        rest = uncoloured ^ low
+        limit = used + 1 if used + 1 < best_num else best_num - 1
         for c in range(limit):
-            if taken >> c & 1:
+            old = forb[c]
+            if old & low:
                 continue
-            touched = paint(v, c)
-            rec(done + 1, max(used, c + 1))
-            unpaint(v, c, touched)
-            if best_num <= max(used, len(clique)):
+            colors[v] = c
+            forb[c] = old | nbrs
+            carry = nbrs & ~old & rest
+            rec(rest, _count_in(planes, carry) if carry else planes, c + 1 if c >= used else used)
+            forb[c] = old
+            if best_num <= used or best_num <= len(clique):
                 return  # cannot beat the clique bound anyway
 
     if start_used < best_num:
-        rec(start_used, start_used)
+        rec(uncoloured, planes, start_used)
     return Coloring(tuple(best), best_num)
 
 

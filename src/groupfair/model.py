@@ -477,6 +477,29 @@ def _scale_to_ints(fracs: Sequence[Fraction]) -> list[int]:
     return [int(f * denom) for f in fracs]
 
 
+def _utility_ints(raw: Iterable) -> list[int]:
+    """One agent's utilities on a common integer grid. Plain ints already
+    are (``bool`` is not ``int`` by type and goes the slow way, which
+    rejects it); anything else is read exactly and scaled."""
+    vals = list(raw)
+    if set(map(type, vals)) == {int}:
+        return vals
+    return _scale_to_ints([_as_fraction(x) for x in vals])
+
+
+def _json_int(x, what: str) -> int:
+    """A plain JSON integer: no float to truncate, no boolean, no string."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _json_ints(raw, what: str) -> tuple[int, ...]:
+    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+        raise ValueError(f"{what}s must be given as an array, got {raw!r}")
+    return tuple(_json_int(x, what) for x in raw)
+
+
 def _table_keys(raw: Mapping) -> list[int]:
     """Masks of a table's keys, which must be canonical decimal strings.
 
@@ -509,25 +532,16 @@ def _valuation_from_dict(d: Mapping, m: int) -> Valuation:
         if not isinstance(raw, Mapping):
             raise ValueError("table kind needs a 'table' object")
         keys = _table_keys(raw)
-        vals = list(raw.values())
-        if set(map(type, vals)) == {int}:
-            ints = vals  # already on the integer grid; bool is not int here
-        else:
-            ints = _scale_to_ints([_as_fraction(x) for x in vals])
-        return Valuation.table_of(m, dict(zip(keys, ints)))
+        return Valuation.table_of(m, dict(zip(keys, _utility_ints(raw.values()))))
     raw = d.get("values")
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         raise ValueError(f"{kind} kind needs a 'values' array")
-    ints = _scale_to_ints([_as_fraction(x) for x in raw])
-    return Valuation(kind, m, values=tuple(ints))
+    return Valuation(kind, m, values=tuple(_utility_ints(raw)))
 
 
 def instance_from_dict(d: Mapping) -> Instance:
     """Build an Instance from the JSON dialect; raises ValueError on bad data."""
-    try:
-        m = int(d["m"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("instance needs an integer 'm'") from None
+    m = _json_int(d.get("m"), "'m'")
     agents_raw = d.get("agents")
     if not isinstance(agents_raw, Sequence):
         raise ValueError("instance needs an 'agents' array")
@@ -535,7 +549,7 @@ def instance_from_dict(d: Mapping) -> Instance:
     for entry in agents_raw:
         if not isinstance(entry, Mapping) or "id" not in entry:
             raise ValueError("each agent needs an 'id'")
-        aid = int(entry["id"])
+        aid = _json_int(entry["id"], "agent id")
         if aid in by_id:
             raise ValueError(f"duplicate agent id {aid}")
         try:
@@ -550,10 +564,12 @@ def instance_from_dict(d: Mapping) -> Instance:
     if not isinstance(groups_raw, Mapping):
         raise ValueError("instance needs a 'groups' object")
     if "fixed" in groups_raw:
-        members = tuple(tuple(int(a) for a in grp) for grp in groups_raw["fixed"])
-        groups: Groups = FixedGroups(members)
+        fixed = groups_raw["fixed"]
+        if not isinstance(fixed, Sequence) or isinstance(fixed, (str, bytes)):
+            raise ValueError("'fixed' groups must be an array of member arrays")
+        groups: Groups = FixedGroups(tuple(_json_ints(grp, "group member") for grp in fixed))
     elif "variable" in groups_raw:
-        groups = VariableGroups(tuple(int(s) for s in groups_raw["variable"]))
+        groups = VariableGroups(_json_ints(groups_raw["variable"], "group size"))
     else:
         raise ValueError("groups must be 'fixed' or 'variable'")
     return Instance(m, agents, groups)
@@ -598,4 +614,36 @@ def instance_from_json(text: str) -> Instance:
 
 
 def instance_to_json(inst: Instance, indent: int | None = 2) -> str:
-    return json.dumps(instance_to_dict(inst), indent=indent)
+    """The text of ``json.dumps(instance_to_dict(inst), indent=indent)``.
+
+    CPython runs its C encoder only without indentation, and the
+    pure-Python one spends about 2 us on each table row. So the indented
+    layout is built here around compact C-encoded runs of plain ints.
+    """
+    doc = instance_to_dict(inst)
+    if indent is None:
+        return json.dumps(doc)
+    return _indented(doc, " " * indent, "\n")
+
+
+def _indented(obj, step: str, newline: str) -> str:
+    """``json.dumps(obj, indent=len(step))`` for dicts with string keys,
+    lists and scalars; ``newline`` carries the current indentation."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = newline + step
+    is_dict = isinstance(obj, dict)
+    compact = ""
+    if set(map(type, obj.values() if is_dict else obj)) == {int}:
+        compact = json.dumps(obj)[1:-1]
+    # one ", " between items; a key holding one would show as an extra
+    if compact and compact.count(", ") == len(obj) - 1:
+        body = compact.replace(", ", "," + inner)
+    elif is_dict:
+        body = ("," + inner).join(
+            f"{json.dumps(key)}: {_indented(val, step, inner)}" for key, val in obj.items()
+        )
+    else:
+        body = ("," + inner).join(_indented(val, step, inner) for val in obj)
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + inner + body + newline + closing

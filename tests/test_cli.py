@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes (0 ok, 2 certified no, 1 usage)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from groupfair import build_kneser, chromatic_number, instance_from_json, tightness_instance
 from groupfair.cli import main
+from groupfair.model import instance_to_dict
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def run_cli(argv, capsys):
@@ -248,6 +253,9 @@ def test_corpus_full_run_and_export(tmp_path, capsys):
     assert len(doc["results"]) == 15
     files = sorted(p.name for p in out_dir.glob("*.json"))
     assert len(files) == 15 and "binary-6-1.json" in files
+    # byte for byte the shipped corpus files
+    for name in files:
+        assert (out_dir / name).read_text() == (CORPUS_DIR / name).read_text(), name
     # exported documents load back as valid instances
     code, _, _ = run_cli(
         ["check", str(out_dir / "binary-6-1.json"), "--allocation", "0,1,2;3"], capsys
@@ -279,7 +287,9 @@ def test_kneser_tightness(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert out_file.exists()
+    g = build_kneser(4, 2, 2)
+    inst = tightness_instance(g, chromatic_number(g)[2], (3, 3))
+    assert out_file.read_text() == json.dumps(instance_to_dict(inst), indent=2) + "\n"
     code, out, _ = run_cli(
         ["search", str(out_file), "--notion", "ef1", "--balanced-goods"], capsys
     )
@@ -310,6 +320,8 @@ def test_reduce_round_trip(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["variables"] == 4 and doc["result"]["clauses"] == 2
+    text = out_file.read_text()
+    assert text == json.dumps(instance_to_dict(instance_from_json(text)), indent=2) + "\n"
     code, out, _ = run_cli(["solve", str(out_file), "--method", "binary"], capsys)
     assert code == 0
 
@@ -352,6 +364,20 @@ def test_malformed_table_exits_one(tmp_path, capsys, table, hint):
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
         assert hint in err
+
+
+@pytest.mark.parametrize(
+    "m,agent_id,groups",
+    [("2.9", "0", '{"fixed": [[0]]}'), ("1", "true", '{"fixed": [[0]]}'),
+     ("1", "0", '{"fixed": [[0.0]]}'), ("1", "0", '{"variable": [1.0]}')],
+)
+def test_non_integer_structure_exits_one(tmp_path, capsys, m, agent_id, groups):
+    path = tmp_path / "bad.json"
+    agent = '{"id": %s, "kind": "binary", "values": [1]}' % agent_id
+    path.write_text('{"m": %s, "agents": [%s], "groups": %s}' % (m, agent, groups))
+    code, out, err = run_cli(["search", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert "must be an integer" in err
 
 
 def test_table_format(two_one, capsys):

@@ -17,7 +17,16 @@ from groupfair import (
     tightness_instance,
     validate,
 )
-from groupfair.kneser import Coloring, _greedy_coloring, is_proper, to_dimacs
+from groupfair.kneser import (
+    EXACT_VERTEX_CAP,
+    Coloring,
+    KneserGraph,
+    _dsatur_exact,
+    _greedy_clique,
+    _greedy_coloring,
+    is_proper,
+    to_dimacs,
+)
 
 # chi(K(6,3,2)) measured once by the exact solver and pinned here; the
 # acceptance run recomputes it and must land on the same value
@@ -97,6 +106,104 @@ def test_is_proper_matches_pairwise_check():
             assert is_proper(g, col) == expect
             outcomes.add(expect)
     assert outcomes == {True, False}
+
+
+def _reference_dsatur(g, clique, ub):
+    # the per-vertex DSATUR the bitset kernel replaced, kept as its reference:
+    # neighbour colour sets walked bit by bit, the next vertex by a full scan
+    n = g.n
+    deg = [g.degree(v) for v in range(n)]
+    best_num = ub.num_colors
+    best = list(ub.colors)
+    colors = [-1] * n
+    nbr_colors = [0] * n  # bitmask of colors seen on each vertex's neighbors
+
+    def paint(v: int, c: int) -> list[int]:
+        colors[v] = c
+        touched = []
+        rest = g.adj[v]
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            rest ^= low
+            if not nbr_colors[u] >> c & 1:
+                nbr_colors[u] |= 1 << c
+                touched.append(u)
+        return touched
+
+    def unpaint(v: int, c: int, touched: list[int]) -> None:
+        colors[v] = -1
+        for u in touched:
+            nbr_colors[u] &= ~(1 << c)
+
+    # symmetry breaking: a maximal clique needs pairwise distinct colors
+    for i, v in enumerate(clique):
+        paint(v, i)
+    start_used = len(clique)
+
+    def rec(done: int, used: int) -> None:
+        nonlocal best_num, best
+        if used >= best_num:
+            return
+        if done == n:
+            best_num = used
+            best = colors[:]
+            return
+        v = -1
+        key = None
+        for u in range(n):
+            if colors[u] < 0:
+                cand = (-nbr_colors[u].bit_count(), -deg[u], u)
+                if key is None or cand < key:
+                    key = cand
+                    v = u
+        limit = min(used + 1, best_num - 1)
+        taken = nbr_colors[v]
+        for c in range(limit):
+            if taken >> c & 1:
+                continue
+            touched = paint(v, c)
+            rec(done + 1, max(used, c + 1))
+            unpaint(v, c, touched)
+            if best_num <= max(used, len(clique)):
+                return  # cannot beat the clique bound anyway
+
+    if start_used < best_num:
+        rec(start_used, start_used)
+    return Coloring(tuple(best), best_num)
+
+
+def _random_graph(rng, n, density):
+    # not regular in general, so the degree tie-break matters
+    adj = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return KneserGraph(0, 0, 0, tuple(range(n)), tuple(adj))
+
+
+def test_dsatur_kernel_matches_reference():
+    rng = random.Random(7)
+    for _ in range(60):
+        g = _random_graph(rng, rng.randrange(2, 26), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        clique = _greedy_clique(g)
+        # the greedy upper bound, and n colours so that the search runs to the end
+        for ub in (_greedy_coloring(g), Coloring(tuple(range(g.n)), g.n)):
+            got = _dsatur_exact(g, clique, ub)
+            assert got == _reference_dsatur(g, clique, ub)
+            assert is_proper(g, got)
+    searched = []
+    for b in range(1, 9):
+        for r in range(1, b + 1):
+            for s in range(1, r + 1):
+                g = build_kneser(b, r, s)
+                clique, ub = _greedy_clique(g), _greedy_coloring(g)
+                if g.n > EXACT_VERTEX_CAP or len(clique) == ub.num_colors or (b, r, s) == (8, 4, 2):
+                    continue
+                assert _dsatur_exact(g, clique, ub) == _reference_dsatur(g, clique, ub), (b, r, s)
+                searched.append((b, r, s))
+    assert len(searched) == 18
 
 
 def test_petersen():

@@ -17,6 +17,7 @@ from groupfair import (
     validate,
 )
 from groupfair.model import (
+    _indented,
     _valuation_violations,
     bits_of,
     full_mask,
@@ -267,6 +268,33 @@ def test_json_round_trip():
     assert [v.kind for v in back.agents] == ["additive", "binary", "table"]
 
 
+def test_indented_writer_matches_json_dumps():
+    rng = random.Random(3)
+    for _ in range(200):
+        m = rng.randrange(0, 5)
+        n = rng.randrange(1, 4)
+        agents = []
+        for _ in range(n):
+            kind = rng.choice(["additive", "binary", "table"])
+            if kind == "table":
+                table = {x: rng.randrange(0, 12) for x in range(1 << m)}
+                agents.append(Valuation.table_of(m, table))
+            else:
+                values = tuple(rng.randrange(0, 2) for _ in range(m))
+                agents.append(Valuation(kind, m, values=values))
+        if rng.random() < 0.5:
+            inst = Instance.variable(m, agents, [n, 0])
+        else:
+            inst = Instance.fixed(m, agents, [list(range(n)), []])
+        for indent in (None, 0, 1, 2, 4):
+            expect = json.dumps(instance_to_dict(inst), indent=indent)
+            assert instance_to_json(inst, indent) == expect
+    # a key holding the item separator must not be split at it
+    doc = {"a, b": 1, "c": [1, 2], "d": {"e, f": 3, "g": []}, "h": {}, "i": [[True, None, 0.5]]}
+    doc["j"] = (1, (2, "x"))
+    assert _indented(doc, "  ", "\n") == json.dumps(doc, indent=2)
+
+
 def test_json_fractions_scale_per_agent():
     doc = {
         "m": 2,
@@ -284,6 +312,9 @@ def test_json_fractions_scale_per_agent():
 
 def _table_doc(table, m=1):
     return {"m": m, "agents": [{"id": 0, "kind": "table", "table": table}], "groups": {"fixed": [[0]]}}
+
+
+_OK = _table_doc({"0": 0, "1": 1})
 
 
 @pytest.mark.parametrize(
@@ -312,6 +343,21 @@ def _table_doc(table, m=1):
         (_table_doc({"0": 0, "+1": 1}), "'+1'"),
         (_table_doc({"0": 0, "x": 1}), "'x'"),
         (_table_doc({"0": 0, "1": "1/0"}), "divides by zero"),
+        (_table_doc({"0": 0, "1": True}), "boolean"),
+        (_OK | {"agents": [{"id": 0, "kind": "binary", "values": [True]}]}, "boolean"),
+        # structural integers must be plain JSON integers: int() would read 2.9 as 2, true as 1
+        (_OK | {"m": 1.0}, "'m' must be an integer, got 1.0"),
+        (_OK | {"m": True}, "'m' must be an integer, got True"),
+        (_OK | {"m": "1"}, "'m' must be an integer, got '1'"),
+        (_OK | {"agents": [{**_OK["agents"][0], "id": 0.7}]}, "agent id must be an integer, got 0.7"),
+        (_OK | {"agents": [{**_OK["agents"][0], "id": False}]}, "agent id must be an integer"),
+        (_OK | {"groups": {"fixed": [[True]]}}, "group member must be an integer, got True"),
+        (_OK | {"groups": {"fixed": [[0.0]]}}, "group member must be an integer, got 0.0"),
+        (_OK | {"groups": {"fixed": [0]}}, "group members must be given as an array, got 0"),
+        (_OK | {"groups": {"fixed": 0}}, "'fixed' groups must be an array"),
+        (_OK | {"groups": {"variable": [1.5]}}, "group size must be an integer, got 1.5"),
+        (_OK | {"groups": {"variable": [True]}}, "group size must be an integer, got True"),
+        (_OK | {"groups": {"variable": "1"}}, "group sizes must be given as an array"),
     ],
 )
 def test_bad_documents_raise(doc, hint):
