@@ -86,7 +86,7 @@ def exact1_partition(v1: Valuation, v2: Valuation) -> tuple[int, int]:
     return first, second
 
 
-def ef1_two_one(inst: Instance, chooser: int | None = None) -> Allocation:
+def ef1_two_one(inst: Instance) -> Allocation:
     """EF1 allocation for fixed groups of sizes two and one.
 
     The pair splits the goods with :func:`exact1_partition`; the singleton
@@ -97,8 +97,6 @@ def ef1_two_one(inst: Instance, chooser: int | None = None) -> Allocation:
     single_idx = next(i for i, g in enumerate(inst.groups.members) if len(g) == 1)
     pair_idx = 1 - single_idx
     single_agent = inst.groups.members[single_idx][0]
-    if chooser is not None and chooser != single_agent:
-        raise ValueError(f"chooser must be the singleton agent {single_agent}")
     a, b = inst.groups.members[pair_idx]
     first, second = exact1_partition(inst.agents[a], inst.agents[b])
     vc = inst.agents[single_agent]

@@ -106,8 +106,7 @@ class _State:
     4-bit lane per agent.
     """
 
-    def __init__(self, inst: Instance):
-        members = _check_two_group_binary(inst)
+    def __init__(self, inst: Instance, members: tuple[tuple[int, ...], tuple[int, ...]]):
         self.inst = inst
         self.a_side = 0 if len(members[0]) >= len(members[1]) else 1
         self.a_ids = members[self.a_side]
@@ -247,7 +246,7 @@ def preprocess(inst: Instance) -> tuple[tuple[int, int], Instance, ReductionTrac
     instance over the surviving goods (original relative order, original
     group structure, perturbations applied), and the step-by-step trace.
     """
-    state = _State(inst)
+    state = _State(inst, _check_two_group_binary(inst))
     state.run()
     partial = (state.to_side[0], state.to_side[1])
     trace = ReductionTrace(tuple(state.steps), tuple(g[0] for g in state.goods))
@@ -286,11 +285,6 @@ def replay_trace(inst: Instance, trace: ReductionTrace) -> tuple[int, int]:
     return first, second
 
 
-def _shape(inst: Instance) -> tuple[int, int]:
-    members = inst.groups.members
-    return len(members[0]), len(members[1])
-
-
 def reducible_shape(n1: int, n2: int) -> bool:
     """Shapes whose reduction fixpoint is expected to empty the instance."""
     big, small = max(n1, n2), min(n1, n2)
@@ -308,10 +302,10 @@ def solve_ef1_binary(inst: Instance, jobs: int = 1) -> Allocation:
     """
     from .oracle import SearchConstraints, find_fair
 
-    _check_two_group_binary(inst)
-    n1, n2 = _shape(inst)
-    if reducible_shape(n1, n2):
-        partial, reduced, trace = preprocess(inst)
+    sizes = tuple(map(len, inst.groups.members)) if inst.is_fixed else ()
+    reducible = len(sizes) == 2 and reducible_shape(*sizes)
+    if reducible:
+        partial, reduced, trace = preprocess(inst)  # checks the instance
         if reduced.m == 0:
             alloc = Allocation(partial)
             report = is_fair(inst, alloc, EF1)
@@ -320,15 +314,15 @@ def solve_ef1_binary(inst: Instance, jobs: int = 1) -> Allocation:
             return alloc
         log.warning(
             "reduction stalled on shape (%d,%d) with %d goods left; falling back to search",
-            n1, n2, reduced.m,
+            *sizes, reduced.m,
         )
-        cert = find_fair(inst, SearchConstraints(EF1), jobs=jobs)
-        if not cert.found:
-            raise AssertionError(f"shape ({n1},{n2}) must admit EF1 but search found none")
-        return cert.allocation
+    else:
+        _check_two_group_binary(inst)
     cert = find_fair(inst, SearchConstraints(EF1), jobs=jobs)
     if cert.found:
         return cert.allocation
+    if reducible:
+        raise AssertionError(f"shape ({sizes[0]},{sizes[1]}) must admit EF1 but search found none")
     raise FairAllocationNotFound(
         f"no EF1 allocation exists (searched {cert.examined} candidates)", certificate=cert
     )

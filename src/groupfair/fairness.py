@@ -21,10 +21,8 @@ from .model import (
     Valuation,
     allocation_violations,
     bits_of,
-    fixed_partition,
     full_mask,
     iter_bits,
-    require_matching_goods,
 )
 
 
@@ -231,8 +229,9 @@ class FairnessReport:
         }
 
 
-def _group_lookup(inst: Instance, alloc: Allocation, partition: AgentPartition | None) -> list[int]:
-    require_matching_goods(inst)
+def _group_lookup(
+    inst: Instance, alloc: Allocation, partition: AgentPartition | None
+) -> tuple[int, ...]:
     problems = allocation_violations(inst.m, alloc)
     if problems:
         raise ValueError("; ".join(problems))
@@ -241,14 +240,14 @@ def _group_lookup(inst: Instance, alloc: Allocation, partition: AgentPartition |
             raise ValueError("fixed-group instance does not take an agent partition")
         if alloc.k != inst.k:
             raise ValueError(f"allocation has {alloc.k} bundles, instance has {inst.k} groups")
-        return list(fixed_partition(inst).assignment)
+        return inst.assignment
     if partition is None:
         raise ValueError("variable-group instance needs an agent partition")
     if len(partition.assignment) != inst.n:
         raise ValueError("partition covers the wrong number of agents")
     if partition.k != alloc.k:
         raise ValueError("partition and allocation disagree on the number of groups")
-    return list(partition.assignment)
+    return partition.assignment
 
 
 def is_fair(

@@ -18,9 +18,11 @@ instances carry ``{"variable": [n1, n2, ...]}`` instead of fixed members.
 
 The shape of a valuation is fixed at construction: a value vector holds m
 entries, a table holds all 2^m, stored as a tuple indexed by bundle mask.
-Constructors and the loader raise ValueError on any other shape, so
-``validate`` only judges content (integers, binary range, normalisation,
-monotonicity, the table cap, the groups). Valuations and instances are
+So is the structure of an instance: every valuation covers its m goods,
+fixed groups partition the agents 0..n-1 and variable group sizes are
+non-negative and sum to n. Constructors and the loader raise ValueError on
+anything else, so ``validate`` only judges content (integers, binary range,
+normalisation, monotonicity, the table cap). Valuations and instances are
 hashable.
 """
 
@@ -222,11 +224,53 @@ Groups = Union[FixedGroups, VariableGroups]
 
 @dataclass(frozen=True)
 class Instance:
-    """A fair-division instance: goods 0..m-1, agents, and group structure."""
+    """A fair-division instance: goods 0..m-1, agents, and group structure.
+
+    Construction enforces the structure and raises ValueError on its first
+    flaw: a negative good count, a valuation over other than m goods, fixed
+    groups that do not partition the agents 0..n-1, or variable sizes that
+    are negative or do not sum to n.
+    """
 
     m: int
     agents: tuple[Valuation, ...]
     groups: Groups
+    # Group index of each agent under fixed groups, None under variable
+    # ones; derived, not part of identity.
+    assignment: tuple[int, ...] | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.m < 0:
+            raise ValueError(f"negative good count {self.m}")
+        for agent, v in enumerate(self.agents):
+            if v.m != self.m:
+                raise ValueError(
+                    f"agent {agent}: valuation covers {v.m} goods, instance has {self.m}"
+                )
+        n = len(self.agents)
+        gof = None
+        if isinstance(self.groups, FixedGroups):
+            gof = [-1] * n
+            for gi, members in enumerate(self.groups.members):
+                for a in members:
+                    if not 0 <= a < n:
+                        raise ValueError(f"group {gi}: unknown agent id {a}")
+                    if gof[a] != -1:
+                        raise ValueError(f"group {gi}: agent {a} appears in more than one group")
+                    gof[a] = gi
+            if -1 in gof:
+                missing = [a for a in range(n) if gof[a] == -1]
+                raise ValueError(f"agents {missing} belong to no group")
+            gof = tuple(gof)
+        else:
+            sizes = self.groups.sizes
+            if any(s < 0 for s in sizes):
+                raise ValueError("negative group size")
+            if sum(sizes) != n:
+                raise ValueError(
+                    f"group sizes {list(sizes)} sum to {sum(sizes)}, instance has {n} agents"
+                )
+        object.__setattr__(self, "assignment", gof)
 
     @property
     def n(self) -> int:
@@ -239,14 +283,6 @@ class Instance:
     @property
     def is_fixed(self) -> bool:
         return isinstance(self.groups, FixedGroups)
-
-    def group_of(self, agent: int) -> int:
-        if not isinstance(self.groups, FixedGroups):
-            raise ValueError("group_of needs fixed groups")
-        for i, members in enumerate(self.groups.members):
-            if agent in members:
-                return i
-        raise ValueError(f"agent {agent} is in no group")
 
     @staticmethod
     def fixed(m: int, agents: Sequence[Valuation], members: Sequence[Sequence[int]]) -> "Instance":
@@ -308,22 +344,6 @@ class AgentPartition:
         return AgentPartition(tuple(assignment), len(groups))
 
 
-def fixed_partition(inst: Instance) -> AgentPartition:
-    """The agent partition of a fixed-group instance; raises ValueError
-    unless its groups partition agents 0..n-1."""
-    part = AgentPartition.from_groups(inst.groups.members)
-    if len(part.assignment) != inst.n:
-        raise ValueError("groups must partition agents 0..n-1")
-    return part
-
-
-def require_matching_goods(inst: Instance) -> None:
-    """Raise ValueError unless every valuation covers exactly the instance's goods."""
-    for agent, v in enumerate(inst.agents):
-        if v.m != inst.m:
-            raise ValueError(f"agent {agent}: valuation does not cover exactly the {inst.m} goods")
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -357,11 +377,8 @@ def _is_clean_table(vals: tuple, m: int) -> bool:
     return True
 
 
-def _valuation_violations(agent: int, v: Valuation, m: int) -> list[str]:
+def _valuation_violations(agent: int, v: Valuation) -> list[str]:
     out = []
-    if v.m != m:
-        out.append(f"agent {agent}: valuation covers {v.m} goods, instance has {m}")
-        return out
     if v.kind in (BINARY, ADDITIVE):
         for g, val in enumerate(v.values):
             if not isinstance(val, int) or isinstance(val, bool):
@@ -372,6 +389,7 @@ def _valuation_violations(agent: int, v: Valuation, m: int) -> list[str]:
                 out.append(f"agent {agent}: binary value {val} for good {g} outside {{0,1}}")
         return out
     # table
+    m = v.m
     if m > MAX_TABLE_GOODS:
         out.append(f"agent {agent}: table over {m} goods exceeds the cap of {MAX_TABLE_GOODS}")
         return out
@@ -397,41 +415,17 @@ def _valuation_violations(agent: int, v: Valuation, m: int) -> list[str]:
 
 
 def validate(inst: Instance) -> list[str]:
-    """Collect invariant violations as human-readable strings.
+    """Collect content violations as human-readable strings.
 
-    An empty report means the instance is well formed: valuations match m,
-    nonnegative integer utilities, binary in range, tables normalized and
-    monotonic, and groups partition the agent ids (fixed) or sizes sum to n
-    (variable). The shape of each valuation is fixed at construction, so
-    only its values are judged here.
+    An empty report means every utility is a nonnegative integer, binary
+    values lie in {0, 1}, and tables are normalized, monotonic and within
+    the cap of MAX_TABLE_GOODS goods. The shape of each valuation and the
+    structure of the instance (goods count, groups) are enforced at
+    construction, so only values are judged here.
     """
     out = []
-    if inst.m < 0:
-        out.append(f"negative good count {inst.m}")
     for agent, v in enumerate(inst.agents):
-        out.extend(_valuation_violations(agent, v, inst.m))
-    n = inst.n
-    if isinstance(inst.groups, FixedGroups):
-        seen = set()
-        for gi, members in enumerate(inst.groups.members):
-            for a in members:
-                if a < 0 or a >= n:
-                    out.append(f"group {gi}: unknown agent id {a}")
-                elif a in seen:
-                    out.append(f"group {gi}: agent {a} appears in more than one group")
-                seen.add(a)
-        if len(seen) != n:
-            missing = sorted(set(range(n)) - seen)
-            if missing:
-                out.append(f"agents {missing} belong to no group")
-    else:
-        if any(s < 0 for s in inst.groups.sizes):
-            out.append("negative group size")
-        if sum(inst.groups.sizes) != n:
-            out.append(
-                f"group sizes {list(inst.groups.sizes)} sum to {sum(inst.groups.sizes)},"
-                f" instance has {n} agents"
-            )
+        out.extend(_valuation_violations(agent, v))
     return out
 
 

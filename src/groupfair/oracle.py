@@ -56,8 +56,6 @@ from .model import (
     Instance,
     Valuation,
     VariableGroups,
-    fixed_partition,
-    require_matching_goods,
 )
 
 # Upper bound on partitions x allocation counters walked in one call.
@@ -74,14 +72,13 @@ class SearchConstraints:
     ``balanced_allocation`` restricts to bundle sizes pairwise within one.
     ``balanced_partition`` (variable groups only) ranges over every group
     size vector whose entries pairwise differ by at most one, instead of
-    the instance's declared sizes. ``fixed_partition`` pins the partition
-    of a variable-group instance to one concrete assignment.
+    the instance's declared sizes. To search one concrete partition of a
+    variable-group instance, search the fixed-group instance it gives.
     """
 
     notion: Notion
     balanced_allocation: bool = False
     balanced_partition: bool = False
-    fixed_partition: AgentPartition | None = None
 
 
 @dataclass
@@ -204,20 +201,12 @@ def _assignments(ids: tuple[int, ...], sizes: Sequence[int], n: int) -> Iterator
 def _partition_plan(inst: Instance, cons: SearchConstraints) -> tuple[int, Iterator, bool]:
     """Number of partitions, an iterator of assignment tuples (the declared
     one for fixed groups), and whether partitions are part of the answer."""
-    require_matching_goods(inst)
     if isinstance(inst.groups, FixedGroups):
         if cons.balanced_partition:
             raise ValueError("balanced_partition applies to variable groups only")
-        if cons.fixed_partition is not None:
-            raise ValueError("fixed_partition applies to variable groups only")
-        return 1, iter([fixed_partition(inst).assignment]), False
+        return 1, iter([inst.assignment]), False
     groups: VariableGroups = inst.groups
     n = inst.n
-    if cons.fixed_partition is not None:
-        part = cons.fixed_partition
-        if len(part.assignment) != n or part.k != inst.k:
-            raise ValueError("fixed_partition does not match the instance shape")
-        return 1, iter([part.assignment]), True
     if cons.balanced_partition:
         vectors = balanced_size_vectors(n, inst.k)
     else:

@@ -102,8 +102,6 @@ def test_ef1_two_one_singleton_first_group():
     )
     alloc = ef1_two_one(inst)
     assert is_fair(inst, alloc, EF1).overall
-    with pytest.raises(ValueError):
-        ef1_two_one(inst, chooser=1)
 
 
 def test_ef1_two_one_shape_errors():

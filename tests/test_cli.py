@@ -380,6 +380,29 @@ def test_non_integer_structure_exits_one(tmp_path, capsys, m, agent_id, groups):
     assert "must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "groups,hint",
+    [
+        ('{"fixed": [[0, 1], [1]]}', "group 1: agent 1 appears in more than one group"),
+        ('{"fixed": [[0], []]}', "agents [1] belong to no group"),
+        ('{"variable": [2, 1]}', "group sizes [2, 1] sum to 3, instance has 2 agents"),
+        ('{"variable": [-1, 3]}', "negative group size"),
+    ],
+)
+def test_malformed_groups_exit_one(tmp_path, capsys, groups, hint):
+    path = tmp_path / "bad.json"
+    agents = ", ".join('{"id": %d, "kind": "binary", "values": [1, 0]}' % a for a in range(2))
+    path.write_text('{"m": 2, "agents": [%s], "groups": %s}' % (agents, groups))
+    for argv in (
+        ["check", str(path), "--allocation", "0;1"],
+        ["search", str(path)],
+        ["solve", str(path), "--method", "binary"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {hint}\n"
+
+
 def test_table_format(two_one, capsys):
     code, out, _ = run_cli(
         ["check", two_one, "--allocation", "0,2;1,3", "--format", "table"], capsys

@@ -104,11 +104,11 @@ def test_instance_accessors():
     agents = [Valuation.binary([1, 0]), Valuation.binary([0, 1]), Valuation.binary([1, 1])]
     fixed = Instance.fixed(2, agents, [[0, 2], [1]])
     assert fixed.n == 3 and fixed.k == 2 and fixed.is_fixed
-    assert fixed.group_of(2) == 0
+    # the group of each agent is stored once; group_of is gone
+    assert fixed.assignment == (0, 1, 0)
+    assert not hasattr(fixed, "group_of")
     var = Instance.variable(2, agents, [2, 1])
-    assert var.k == 2 and not var.is_fixed
-    with pytest.raises(ValueError):
-        var.group_of(0)
+    assert var.k == 2 and not var.is_fixed and var.assignment is None
 
 
 def test_allocation_and_partition_shapes():
@@ -226,7 +226,7 @@ def test_table_violations_match_reference(flaw):
             continue
         v = Valuation.table_of(m, table)
         expect = _reference_table_violations(3, v, m)
-        assert _valuation_violations(3, v, m) == expect
+        assert _valuation_violations(3, v) == expect
         reports += bool(expect)
     if flaw == "monotone":
         assert reports == 0
@@ -235,14 +235,63 @@ def test_table_violations_match_reference(flaw):
 
 
 def test_validate_groups():
+    # the groups are checked when the instance is built; validate judges
+    # the values only
     agents = [Valuation.binary([1]), Valuation.binary([1])]
-    dup = Instance.fixed(1, agents, [[0, 1], [1]])
-    assert any("more than one group" in s for s in validate(dup))
-    missing = Instance.fixed(1, agents, [[0], []])
-    assert any("belong to no group" in s for s in validate(missing))
-    short = Instance.variable(1, agents, [1])
-    assert any("sum to" in s for s in validate(short))
+    with pytest.raises(ValueError, match="group 1: agent 1 appears in more than one group"):
+        Instance.fixed(1, agents, [[0, 1], [1]])
+    with pytest.raises(ValueError, match=r"agents \[1\] belong to no group"):
+        Instance.fixed(1, agents, [[0], []])
+    with pytest.raises(ValueError, match=r"group sizes \[1\] sum to 1, instance has 2 agents"):
+        Instance.variable(1, agents, [1])
     assert validate(Instance.variable(1, agents, [1, 1])) == []
+
+
+_A3 = {"id": 0, "kind": "additive", "values": [1, 2, 3]}
+
+
+def _doc(agents, groups, m=3):
+    return {"m": m, "agents": [dict(a, id=i) for i, a in enumerate(agents)], "groups": groups}
+
+
+# Malformed structures that once reached the entry points: find_fair
+# certified "exhausted-none" for sizes no partition has, preprocess
+# answered for an agent in two groups, and an agent in no group or a
+# valuation over other goods leaked KeyError or IndexError.
+MALFORMED = [
+    (_doc([_A3, _A3], {"variable": [2, 1]}), r"group sizes \[2, 1\] sum to 3, instance has 2 agents"),
+    (_doc([_A3, _A3], {"variable": [-1, 3]}), "negative group size"),
+    (_doc([_A3, _A3], {"fixed": [[0, 1], [1]]}), "group 1: agent 1 appears in more than one group"),
+    (_doc([_A3, _A3, _A3], {"fixed": [[0], [1]]}), r"agents \[2\] belong to no group"),
+    (_doc([_A3, _A3], {"fixed": [[0], [2]]}), "group 1: unknown agent id 2"),
+    (_doc([_A3, _A3], {"fixed": [[0], [-1]]}), "group 1: unknown agent id -1"),
+]
+
+
+@pytest.mark.parametrize("doc,message", MALFORMED)
+def test_malformed_structure_raises_on_construction(doc, message):
+    agents = [Valuation.additive(a["values"]) for a in doc["agents"]]
+    groups = doc["groups"]
+    build = Instance.fixed if "fixed" in groups else Instance.variable
+    with pytest.raises(ValueError, match=message):
+        build(doc["m"], agents, groups.get("fixed", groups.get("variable")))
+    with pytest.raises(ValueError, match=message):
+        instance_from_dict(doc)
+    with pytest.raises(ValueError, match=message):
+        instance_from_json(json.dumps(doc))
+
+
+def test_goods_count_raises_on_construction():
+    # a 3-good valuation in a 4-good instance once leaked IndexError from preprocess
+    agents = [Valuation.binary([1, 1, 0]), Valuation.binary([1, 1, 0, 1])]
+    with pytest.raises(ValueError, match="agent 0: valuation covers 3 goods, instance has 4"):
+        Instance.fixed(4, agents, [[0], [1]])
+    with pytest.raises(ValueError, match="negative good count -1"):
+        Instance.fixed(-1, [], [])
+    # the loader builds each valuation over the document's m, so a short
+    # vector is caught there first
+    with pytest.raises(ValueError, match="agent 0: binary valuation over 4 goods"):
+        instance_from_dict(_doc([{"kind": "binary", "values": [1, 1, 0]}], {"fixed": [[0]]}, m=4))
 
 
 def test_allocation_violations():

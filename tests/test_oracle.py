@@ -162,23 +162,27 @@ def test_balanced_partition_sweeps_size_vectors():
 
 
 def test_fixed_partition_pin():
+    # one partition of a variable-group instance is searched as the
+    # fixed-group instance it gives
     agents = [Valuation.additive([5, 0]), Valuation.additive([0, 5])]
-    inst = Instance.variable(2, agents, [1, 1])
     pin = AgentPartition((1, 0), 2)
-    cert = find_fair(inst, SearchConstraints(EF, fixed_partition=pin))
-    assert cert.found and cert.partition == pin
+    inst = Instance.fixed(2, agents, pin.groups_lists())
+    cert = find_fair(inst, SearchConstraints(EF))
+    assert cert.found and cert.partition is None
     assert cert.allocation.bundles == (0b10, 0b01)
+    assert inst.assignment == pin.assignment
 
 
 def test_constraint_validation():
     fixed = Instance.fixed(1, [Valuation.binary([1])], [[0]])
     with pytest.raises(ValueError):
         find_fair(fixed, SearchConstraints(EF1, balanced_partition=True))
-    with pytest.raises(ValueError):
-        find_fair(fixed, SearchConstraints(EF1, fixed_partition=AgentPartition((0,), 1)))
+    with pytest.raises(TypeError):
+        SearchConstraints(EF1, fixed_partition=AgentPartition((0,), 1))
+    # a partition of the wrong number of agents cannot pin an instance
     var = Instance.variable(1, [Valuation.binary([1])], [1, 0])
-    with pytest.raises(ValueError):
-        find_fair(var, SearchConstraints(EF1, fixed_partition=AgentPartition((0, 1), 2)))
+    with pytest.raises(ValueError, match="group 1: unknown agent id 1"):
+        Instance.fixed(var.m, var.agents, AgentPartition((0, 1), 2).groups_lists())
 
 
 def test_guards():
@@ -236,13 +240,9 @@ def test_enumerate_matches_brute_force(notion, kind, k):
     ids=["agent-in-two-groups", "agent-in-no-group"],
 )
 def test_invalid_fixed_groups_are_rejected(n, members):
-    inst = Instance.fixed(2, [Valuation.binary([1, 1])] * n, members)
-    with pytest.raises(ValueError):
-        is_fair(inst, Allocation.of([[0], [1]]), EF1)
-    with pytest.raises(ValueError):
-        find_fair(inst, SearchConstraints(EF1))
-    with pytest.raises(ValueError):
-        list(enumerate_fair(inst, SearchConstraints(EF1)))
+    # such an instance cannot be built, so no search or check can see it
+    with pytest.raises(ValueError, match="more than one group|belong to no group"):
+        Instance.fixed(2, [Valuation.binary([1, 1])] * n, members)
 
 
 def test_parallel_scan_matches_serial():
@@ -360,16 +360,11 @@ def test_exhausted_stats_add_up(balanced):
 
 @pytest.mark.parametrize("m,goods", [(3, 4), (4, 3)], ids=["4-goods-in-3", "3-goods-in-4"])
 def test_valuation_goods_must_match_instance(m, goods):
-    # at one time the first found an allocation and the second leaked an
-    # error about a bundle mask
-    inst = Instance.fixed(m, [Valuation.additive([1] * goods), Valuation.additive([1] * m)], [[0], [1]])
-    with pytest.raises(ValueError, match="cover exactly"):
-        find_fair(inst, SearchConstraints(EF1))
-    with pytest.raises(ValueError, match="cover exactly"):
-        list(enumerate_fair(inst, SearchConstraints(EF1)))
-    alloc = Allocation.of([list(range(m)), []])
-    with pytest.raises(ValueError, match="cover exactly"):
-        is_fair(inst, alloc, EF1)
+    # at one time find_fair found an allocation for the first and leaked an
+    # error about a bundle mask for the second; now neither can be built
+    agents = [Valuation.additive([1] * goods), Valuation.additive([1] * m)]
+    with pytest.raises(ValueError, match=f"agent 0: valuation covers {goods} goods, instance has {m}"):
+        Instance.fixed(m, agents, [[0], [1]])
 
 
 def test_notion_monotonicity_on_corpus():

@@ -1,5 +1,8 @@
 """Cross-cutting invariants, driven by hypothesis instead of fixed seeds."""
 
+from itertools import product
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,3 +133,69 @@ def test_table_loader_fuzz(doc):
     if all(type(x) is int for x in raw.values()):
         scaled = dict(zip(map(int, raw), _scale_to_ints([_as_fraction(x) for x in raw.values()])))
         assert table == tuple(scaled[mask] for mask in range(len(table)))
+
+
+def _partitions_exist(n, k, fits):
+    """Whether some map of agents 0..n-1 to groups 0..k-1 fits."""
+    return any(fits(gof) for gof in product(range(k), repeat=n))
+
+
+def _fixed_is_partition(n, members):
+    k = len(members)
+    return _partitions_exist(
+        n, k, lambda gof: all(sorted(members[g]) == [a for a in range(n) if gof[a] == g] for g in range(k))
+    )
+
+
+def _sizes_have_partition(n, sizes):
+    k = len(sizes)
+    return _partitions_exist(n, k, lambda gof: all(gof.count(g) == sizes[g] for g in range(k)))
+
+
+@st.composite
+def group_specs(draw):
+    """Groups of a random agent partition, then up to two members dropped
+    or inserted (ids -1..4), or up to two sizes shifted."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=4))
+    gof = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    edits = draw(st.integers(min_value=0, max_value=2))
+    if draw(st.booleans()):
+        members = [[a for a in range(n) if gof[a] == g] for g in range(k)]
+        for _ in range(edits):
+            grp = members[draw(st.integers(0, k - 1))]
+            if grp and draw(st.booleans()):
+                grp.pop(draw(st.integers(0, len(grp) - 1)))
+            else:
+                grp.insert(draw(st.integers(0, len(grp))), draw(st.integers(-1, 4)))
+        return n, ("fixed", members)
+    sizes = [gof.count(g) for g in range(k)]
+    for _ in range(edits):
+        sizes[draw(st.integers(0, k - 1))] += draw(st.integers(-2, 2))
+    return n, ("variable", sizes)
+
+
+@settings(max_examples=300)
+@given(group_specs())
+def test_groups_construct_exactly_when_valid(spec):
+    """Groups build an instance exactly when some partition of the agents
+    matches them, both by the constructors and through the loader."""
+    n, (kind, raw) = spec
+    agents = [Valuation.binary([1])] * n
+    valid = _fixed_is_partition(n, raw) if kind == "fixed" else _sizes_have_partition(n, raw)
+    build = Instance.fixed if kind == "fixed" else Instance.variable
+    doc = {
+        "m": 1,
+        "agents": [{"id": a, "kind": "binary", "values": [1]} for a in range(n)],
+        "groups": {kind: raw},
+    }
+    if valid:
+        inst = build(1, agents, raw)
+        assert instance_from_dict(doc) == inst
+        if kind == "fixed":
+            assert all(a in raw[g] for a, g in enumerate(inst.assignment))
+    else:
+        with pytest.raises(ValueError):
+            build(1, agents, raw)
+        with pytest.raises(ValueError):
+            instance_from_dict(doc)
