@@ -15,13 +15,14 @@ re-verified through the fairness checker in-process.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 
-from . import algorithms, fuzz, kneser, oracle, reduction
+from . import algorithms, kneser, oracle, reduction
 from .binary_solver import solve_ef1_binary
 from .errors import FairAllocationNotFound, GroupFairError
 from .fairness import EF1, Notion, is_exact1, is_fair, meets_prop_up_to_goods, parse_notion
@@ -44,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
     # certified negative outcomes, so remap to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(USAGE)
+        self.exit(USAGE, f"{self.prog}: error: {message}\n")
 
 
 @dataclass
@@ -350,6 +351,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from . import fuzz  # the suites load only when asked for
+
     if args.list:
         for name in sorted(fuzz.SUITES):
             print(name)
@@ -376,7 +379,11 @@ def _cmd_fuzz(args) -> int:
 # wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: argparse keeps no state between parse_args
+    # calls, every default is immutable and help text is laid out when it is
+    # printed, so repeated main calls behave as if each built its own.
     parser = _Parser(prog="groupfair", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")

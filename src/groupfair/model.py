@@ -18,12 +18,12 @@ instances carry ``{"variable": [n1, n2, ...]}`` instead of fixed members.
 
 The shape of a valuation is fixed at construction: a value vector holds m
 entries, a table holds all 2^m, stored as a tuple indexed by bundle mask.
-So is the structure of an instance: every valuation covers its m goods,
-fixed groups partition the agents 0..n-1 and variable group sizes are
-non-negative and sum to n. Constructors and the loader raise ValueError on
-anything else, so ``validate`` only judges content (integers, binary range,
-normalisation, monotonicity, the table cap). Valuations and instances are
-hashable.
+So is the structure of an instance: there is at least one group, every
+valuation covers its m goods, fixed groups partition the agents 0..n-1 and
+variable group sizes are non-negative and sum to n. Constructors and the
+loader raise ValueError on anything else, so ``validate`` only judges
+content (integers, binary range, normalisation, monotonicity, the table
+cap). Valuations and instances are hashable.
 """
 
 from __future__ import annotations
@@ -227,9 +227,9 @@ class Instance:
     """A fair-division instance: goods 0..m-1, agents, and group structure.
 
     Construction enforces the structure and raises ValueError on its first
-    flaw: a negative good count, a valuation over other than m goods, fixed
-    groups that do not partition the agents 0..n-1, or variable sizes that
-    are negative or do not sum to n.
+    flaw: a negative good count, no groups at all, a valuation over other
+    than m goods, fixed groups that do not partition the agents 0..n-1, or
+    variable sizes that are negative or do not sum to n.
     """
 
     m: int
@@ -242,6 +242,8 @@ class Instance:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError(f"negative good count {self.m}")
+        if self.groups.k == 0:
+            raise ValueError("instance has no groups")
         for agent, v in enumerate(self.agents):
             if v.m != self.m:
                 raise ValueError(

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import SearchSpaceTooLargeError, UnsupportedNotionError
 from .fairness import EF1, EF2, EFX, EFX0, Notion, is_fair, rejected_bundle, removable_values
@@ -57,6 +56,9 @@ from .model import (
     Valuation,
     VariableGroups,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 # Upper bound on partitions x allocation counters walked in one call.
 SCAN_GUARD = 10**8
@@ -474,6 +476,8 @@ def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certifi
     notion, balanced = cons.notion, cons.balanced_allocation
     parallel = jobs > 1 and span > _SERIAL_CUTOFF
     stats = SearchStats(workers=jobs if parallel else 1)
+    if parallel:  # multiprocessing loads only for scans that use the pool
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
         for gof in assignments:
             stats.partitions += 1

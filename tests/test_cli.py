@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, formats, exit codes (0 ok, 2 certified no, 1 usage)."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from groupfair import build_kneser, chromatic_number, instance_from_json, tightness_instance
-from groupfair.cli import main
+from groupfair.cli import _build_parser, main
 from groupfair.model import instance_to_dict
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -55,10 +59,13 @@ def variable_inst(tmp_path):
 
 
 def test_no_subcommand_is_usage_error(capsys):
-    code, _, _ = run_cli([], capsys)
-    assert code == 1
-    code, _, _ = run_cli(["frobnicate"], capsys)
-    assert code == 1
+    code, out, err = run_cli([], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: groupfair ")
+    assert err.endswith("groupfair: error: the following arguments are required: command\n")
+    code, out, err = run_cli(["frobnicate"], capsys)
+    assert code == 1 and out == ""
+    assert "groupfair: error: argument command: invalid choice: 'frobnicate'" in err
 
 
 def test_check_pass_and_fail(two_one, capsys):
@@ -87,8 +94,15 @@ def test_check_notion_flag(two_one, capsys):
 
 
 def test_check_usage_errors(two_one, capsys):
-    code, _, _ = run_cli(["check", two_one], capsys)  # --allocation required
+    code, out, err = run_cli(["check", two_one], capsys)  # --allocation required
+    assert code == 1 and out == ""
+    assert err.startswith("usage: groupfair check ")
+    assert err.endswith(
+        "groupfair check: error: the following arguments are required: --allocation\n"
+    )
+    code, _, err = run_cli(["check", two_one, "--allocation", ";", "--format", "xml"], capsys)
     assert code == 1
+    assert "groupfair check: error: argument --format: invalid choice: 'xml'" in err
     code, _, _ = run_cli(["check", "/no/such/file.json", "--allocation", ";"], capsys)
     assert code == 1
     code, _, _ = run_cli(["check", two_one, "--allocation", "0,1;2"], capsys)
@@ -188,10 +202,15 @@ def test_solve_roundrobin(two_one, capsys):
 
 
 def test_solve_requires_known_method(two_one, capsys):
-    code, _, _ = run_cli(["solve", two_one, "--method", "magic"], capsys)
+    code, _, err = run_cli(["solve", two_one, "--method", "magic"], capsys)
     assert code == 1
-    code, _, _ = run_cli(["solve", two_one], capsys)
+    assert "groupfair solve: error: argument --method: invalid choice: 'magic'" in err
+    code, _, err = run_cli(["solve", two_one], capsys)
     assert code == 1
+    assert err.endswith("groupfair solve: error: the following arguments are required: --method\n")
+    code, _, err = run_cli(["search", two_one, "--jobs", "x"], capsys)
+    assert code == 1
+    assert err.endswith("groupfair search: error: argument --jobs: invalid int value: 'x'\n")
 
 
 def test_search_found_and_exhausted(two_one, tmp_path, capsys):
@@ -401,6 +420,86 @@ def test_malformed_groups_exit_one(tmp_path, capsys, groups, hint):
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
         assert err == f"error: {hint}\n"
+
+
+@pytest.mark.parametrize("groups", ['{"fixed": []}', '{"variable": []}'])
+def test_no_groups_exit_one(tmp_path, capsys, groups):
+    # search once divided by the group count and ended in ZeroDivisionError
+    path = tmp_path / "empty.json"
+    path.write_text('{"m": 1, "agents": [], "groups": %s}' % groups)
+    for argv in (
+        ["search", str(path)],
+        ["search", str(path), "--balanced-agents"],
+        ["check", str(path), "--allocation", "0"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: instance has no groups\n"
+
+
+def _mask_elapsed(text):
+    text = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', text)
+    return re.sub(r"elapsed: [0-9.]+s", "elapsed: 0s", text)
+
+
+def test_cached_parser_keeps_no_state(two_one, variable_inst, capsys):
+    sequence = [
+        # an option's value must not outlive the call that gave it
+        ["search", two_one, "--balanced-goods", "--notion", "efx"],
+        ["search", two_one],
+        ["check", variable_inst, "--allocation", "0,1,2;3,4", "--partition", "0,1;2,3"],
+        ["check", variable_inst, "--allocation", "0,1,2;3,4"],
+        # a usage error must not leave anything behind either
+        ["solve", two_one],
+        ["solve", two_one, "--method", "two-one"],
+        ["search", two_one, "--jobs", "x"],
+        ["search", two_one, "--jobs", "1"],
+        ["solve", two_one, "--method", "two-one", "--format", "table"],
+        ["solve", two_one, "--method", "two-one"],
+    ]
+    first = {}
+    for argv in sequence:  # each argv as the first call on a fresh parser
+        _build_parser.cache_clear()
+        code, out, err = run_cli(argv, capsys)
+        first[tuple(argv)] = (code, _mask_elapsed(out), err)
+    _build_parser.cache_clear()
+    parser = _build_parser()
+    for argv in sequence:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, _mask_elapsed(out), err) == first[tuple(argv)], argv
+        assert _build_parser() is parser
+    doc = json.loads(first[("search", two_one)][1])
+    assert doc["result"]["notion"] == "ef1"
+    assert doc["result"]["outcome"] == "found"
+    assert first[("solve", two_one)][0] == 1
+
+    subcommands = ("check", "solve", "search", "corpus", "kneser", "reduce", "fuzz")
+    for argv in [["--help"]] + [[cmd, "--help"] for cmd in subcommands]:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        with pytest.raises(SystemExit):
+            _build_parser.__wrapped__().parse_args(argv)
+        assert out == capsys.readouterr().out, argv
+        assert _build_parser() is parser
+
+
+def test_import_leaves_pool_and_fuzz_unloaded():
+    # neither the import nor a serial search needs multiprocessing or the suites
+    code = (
+        "import sys, groupfair.cli\n"
+        "lazy = ('concurrent.futures.process', 'multiprocessing', 'groupfair.fuzz')\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
+        "groupfair.cli.main(['search', 'corpus/efx0-2-1.json', '--jobs', '2'])\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
+    )
+    root = CORPUS_DIR.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[]"
 
 
 def test_table_format(two_one, capsys):

@@ -256,8 +256,9 @@ def _doc(agents, groups, m=3):
 
 # Malformed structures that once reached the entry points: find_fair
 # certified "exhausted-none" for sizes no partition has, preprocess
-# answered for an agent in two groups, and an agent in no group or a
-# valuation over other goods leaked KeyError or IndexError.
+# answered for an agent in two groups, an agent in no group or a
+# valuation over other goods leaked KeyError or IndexError, and an
+# instance with no groups ended search in ZeroDivisionError.
 MALFORMED = [
     (_doc([_A3, _A3], {"variable": [2, 1]}), r"group sizes \[2, 1\] sum to 3, instance has 2 agents"),
     (_doc([_A3, _A3], {"variable": [-1, 3]}), "negative group size"),
@@ -265,6 +266,8 @@ MALFORMED = [
     (_doc([_A3, _A3, _A3], {"fixed": [[0], [1]]}), r"agents \[2\] belong to no group"),
     (_doc([_A3, _A3], {"fixed": [[0], [2]]}), "group 1: unknown agent id 2"),
     (_doc([_A3, _A3], {"fixed": [[0], [-1]]}), "group 1: unknown agent id -1"),
+    (_doc([], {"fixed": []}, m=1), "instance has no groups"),
+    (_doc([], {"variable": []}, m=1), "instance has no groups"),
 ]
 
 
