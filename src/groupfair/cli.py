@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
@@ -31,6 +30,7 @@ from .model import (
     Allocation,
     FixedGroups,
     Instance,
+    _indented,
     instance_from_json,
     instance_to_dict,
     instance_to_json,
@@ -46,6 +46,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _as_json(doc: dict) -> str:
+    """The text of ``json.dumps(doc, indent=2)``, with the long runs of
+    plain ints (tables, colourings) left to the C encoder."""
+    return _indented(doc, "  ", "\n")
 
 
 @dataclass
@@ -68,7 +74,7 @@ class RunReport:
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.to_dict(), indent=2)
+            return _as_json(self.to_dict())
         lines = [f"command: {self.command}"]
         if self.instance is not None:
             digest = " ".join(f"{k}={v}" for k, v in self.instance.items())
@@ -287,7 +293,7 @@ def _cmd_corpus(args) -> int:
             "passed": all(r.passed for r in results),
             "elapsed": round(elapsed, 6),
         }
-        print(json.dumps(payload, indent=2))
+        print(_as_json(payload))
     return OK if all(r.passed for r in results) else CERTIFIED_NO
 
 
@@ -371,7 +377,7 @@ def _cmd_fuzz(args) -> int:
     else:
         payload = result.to_dict()
         payload["seed"] = args.seed
-        print(json.dumps(payload, indent=2))
+        print(_as_json(payload))
     return OK if result.passed else CERTIFIED_NO
 
 

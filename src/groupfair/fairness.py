@@ -8,7 +8,6 @@ exact integers; proportionality avoids division by cross-multiplying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .errors import UnsupportedNotionError
@@ -20,7 +19,6 @@ from .model import (
     Instance,
     Valuation,
     allocation_violations,
-    bits_of,
     full_mask,
     iter_bits,
 )
@@ -90,16 +88,23 @@ def parse_notion(text: str) -> Notion:
 
 def _table_min_after_removals(v: Valuation, other: int, c: int) -> int:
     """Least value of ``other`` to a table agent after deleting at most c goods."""
-    goods = bits_of(other)
-    best = v.value(other)
-    for size in range(1, min(c, len(goods)) + 1):
-        for drop in combinations(goods, size):
-            mm = other
-            for g in drop:
-                mm &= ~(1 << g)
-            val = v.value(mm)
-            if val < best:
-                best = val
+    table = v.table
+    best = table[other]
+    # other less each set of i goods, for i = 1..c; each set is reached once,
+    # by removing its goods from the lowest up: ``free`` holds the goods
+    # above the last one removed
+    layer = [(other, other)]
+    for _ in range(c):
+        below = []
+        for mask, free in layer:
+            while free:
+                low = free & -free
+                free ^= low
+                val = table[mask ^ low]
+                if val < best:
+                    best = val
+                below.append((mask ^ low, free))
+        layer = below
     return best
 
 

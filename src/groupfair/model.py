@@ -33,6 +33,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import UnsupportedValuationError
@@ -622,24 +623,32 @@ def instance_to_json(inst: Instance, indent: int | None = 2) -> str:
     return _indented(doc, " " * indent, "\n")
 
 
+_FLAT = {int, bool, str, type(None)}  # what json.dumps writes the same with or without indent
+
+
 def _indented(obj, step: str, newline: str) -> str:
     """``json.dumps(obj, indent=len(step))`` for dicts with string keys,
     lists and scalars; ``newline`` carries the current indentation."""
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
-    inner = newline + step
-    is_dict = isinstance(obj, dict)
-    compact = ""
-    if set(map(type, obj.values() if is_dict else obj)) == {int}:
-        compact = json.dumps(obj)[1:-1]
-    # one ", " between items; a key holding one would show as an extra
-    if compact and compact.count(", ") == len(obj) - 1:
-        body = compact.replace(", ", "," + inner)
-    elif is_dict:
-        body = ("," + inner).join(
-            f"{json.dumps(key)}: {_indented(val, step, inner)}" for key, val in obj.items()
-        )
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        opening, closing, items = "{", "}", obj.values()
+    elif isinstance(obj, (list, tuple)):
+        opening, closing, items = "[", "]", obj
     else:
-        body = ("," + inner).join(_indented(val, step, inner) for val in obj)
-    opening, closing = "{}" if is_dict else "[]"
-    return opening + inner + body + newline + closing
+        return json.dumps(obj)
+    if not obj:
+        return opening + closing
+    inner = newline + step
+    if set(map(type, items)) <= _FLAT:
+        compact = json.dumps(obj)[1:-1]
+        # one ", " between items; a key or string holding one would show as an extra
+        if compact.count(", ") == len(obj) - 1:
+            return opening + inner + compact.replace(", ", "," + inner) + newline + closing
+    if opening == "{":
+        parts = [f"{encode_basestring_ascii(key)}: {_indented(val, step, inner)}" for key, val in obj.items()]
+    else:
+        parts = [_indented(val, step, inner) for val in obj]
+    return opening + inner + ("," + inner).join(parts) + newline + closing

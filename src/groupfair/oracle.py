@@ -32,6 +32,22 @@ only the numbers of checkers outside its bundle that value it (all of
 them for EFX0), so only those are checked again. Table agents are not
 assumed monotone and are checked at the leaves only, via
 :func:`fairness.rejected_bundle`.
+
+The scan also keeps a failure memo, the transposition table of game-tree
+search. Every verdict below a node is a function of the checkers' running
+numbers for the bundles other than their own (``avail`` follows from them,
+or is the number itself for PROP), of the bundle sizes in balanced mode
+and of the goods still unplaced. Once the subtree under a node has been
+walked from its first leaf with no hit, those numbers are recorded,
+packed into one int that is updated as goods come and go; a later node
+that reaches the same numbers is cut like a bound cut. A checker whose
+valued goods are all placed leaves the key: it passed at that node and
+nothing below moves it. A table agent's verdict depends on the whole
+bundle masks, so scans with table agents record nothing. The memo lives
+for one scan of [start, end), so each pool chunk keeps its own, and it
+holds one int per recorded node. ``SearchStats.memo_pruned`` counts its
+cuts, which are part of ``pruned``; their candidates count in
+``candidates_pruned``, so ``examined`` and the first hit do not change.
 """
 
 from __future__ import annotations
@@ -40,7 +56,7 @@ import math
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import SearchSpaceTooLargeError, UnsupportedNotionError
@@ -62,8 +78,12 @@ if TYPE_CHECKING:
 
 # Upper bound on partitions x allocation counters walked in one call.
 SCAN_GUARD = 10**8
-# Up to this many candidates per partition a pool costs more than it saves:
-# on 2 cores, EF scans of 2^16 candidates tie, 3^10 run 0.8x, 2^17 run 1.6x.
+# Up to this many candidates per partition a pool costs more than it saves.
+# On scans the failure memo cannot shorten (four identical agents with
+# distinct values and an odd total, EF), 2 workers on 2 cores ran 0.9-1.15x
+# the serial speed at 2^16 candidates and 0.8-1.3x at 3^10, 1.2-1.9x at 2^18
+# (medians of 5, two rounds). Scans the memo does shorten finish serially
+# in milliseconds and lose to any pool.
 _SERIAL_CUTOFF = 1 << 16
 
 
@@ -90,26 +110,38 @@ class SearchStats:
     ``nodes`` counts the tree nodes visited (a good placed in a bundle),
     ``pruned`` the subtrees cut and ``candidates_pruned`` the admissible
     candidates inside them, ``leaves_rejected`` the candidates checked in
-    full and rejected. On an exhausted search the last two add up to
-    ``examined``. ``partitions`` counts the agent partitions walked and
-    ``workers`` the processes that walked them.
+    full and rejected. ``memo_pruned`` counts the cut subtrees that the
+    failure memo recognised as refuted before; they are part of
+    ``pruned``. On an exhausted search ``leaves_rejected +
+    candidates_pruned == examined`` still holds. ``partitions`` counts the
+    agent partitions walked and ``workers`` the processes that walked them.
     """
 
     nodes: int = 0
     pruned: int = 0
+    memo_pruned: int = 0
     candidates_pruned: int = 0
     leaves_rejected: int = 0
     partitions: int = 0
     workers: int = 1
 
-    def count(self, nodes: int, pruned: int, candidates_pruned: int, leaves_rejected: int) -> None:
+    def count(
+        self, nodes: int, pruned: int, memo_pruned: int, candidates_pruned: int, leaves_rejected: int
+    ) -> None:
         self.nodes += nodes
         self.pruned += pruned
+        self.memo_pruned += memo_pruned
         self.candidates_pruned += candidates_pruned
         self.leaves_rejected += leaves_rejected
 
     def add(self, other: "SearchStats") -> None:
-        self.count(other.nodes, other.pruned, other.candidates_pruned, other.leaves_rejected)
+        self.count(
+            other.nodes,
+            other.pruned,
+            other.memo_pruned,
+            other.candidates_pruned,
+            other.leaves_rejected,
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -238,7 +270,7 @@ def _checkers(inst: Instance, gof: Sequence[int]) -> tuple[list[int], list[tuple
 
 
 def _leaves_in(
-    sizes: list[int], free: int, lo: int, start: int, end: int, balanced: bool, memo: dict
+    sizes: list[int], free: int, lo: int, start: int, end: int, balanced: bool, counts: dict
 ) -> int:
     """Admissible leaves with index in [start, end) under the node whose
     bundles have ``sizes``, whose goods 0..free-1 are unplaced and whose
@@ -251,19 +283,46 @@ def _leaves_in(
         if not balanced:
             return width
         key = tuple(sizes)
-        if key not in memo:
-            memo[key] = _balanced_completions(key, free)
-        return memo[key]
+        if key not in counts:
+            counts[key] = _balanced_completions(key, free)
+        return counts[key]
     total = 0
     for b in range(k):
         sizes[b] += 1
-        total += _leaves_in(sizes, free - 1, lo + b * width // k, start, end, balanced, memo)
+        total += _leaves_in(sizes, free - 1, lo + b * width // k, start, end, balanced, counts)
         sizes[b] -= 1
     return total
 
 
 def _tables_reject(tables: list, leaf: tuple[int, ...], notion: Notion) -> bool:
     return any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables)
+
+
+class _Removals:
+    """The removal states of a bundle under a removal notion, numbered.
+
+    A state is what :func:`fairness.removable_values` keeps of a bundle;
+    state 0 is the empty bundle's. ``after[s]`` maps the value of a good
+    joining a bundle in state s to the new state, filled in on first use,
+    and ``allowance[s]`` is the sum the notion removes in state s.
+    """
+
+    def __init__(self, notion: Notion):
+        self.notion = notion
+        self.kept: list[tuple[int, ...]] = [()]
+        self.number = {(): 0}
+        self.after: list[dict[int, int]] = [{}]
+        self.allowance = [0]
+
+    def step(self, s: int, x: int) -> int:
+        kept = removable_values(self.notion, (*self.kept[s], x))
+        t = self.number.setdefault(kept, len(self.kept))
+        if t == len(self.kept):
+            self.kept.append(kept)
+            self.after.append({})
+            self.allowance.append(sum(kept))
+        self.after[s][x] = t
+        return t
 
 
 def _hits(
@@ -298,27 +357,70 @@ def _hits(
     # Running numbers of checker c: avail[c] is its own bundle plus every
     # unplaced good, needs[c][j] what bundle j is worth to it after the
     # notion's removals (for prop, the 1/k share; -1 marks its own bundle).
-    # It rejects the node when avail[c] < max(needs[c]).
-    avail = [sum(w) for w in worths]
+    # It rejects the node when avail[c] < max(needs[c]). For removal
+    # notions held[c][j] is bundle j's value and kept[c][j] its removal
+    # state, so needs[c][j] = held[c][j] - allowance[kept[c][j]].
+    totals = [sum(w) for w in worths]
+    avail = totals[:]
     if kind == "prop":
-        needs = [[-(-t // k)] * k for t in avail]
+        needs = [[-(-t // k)] * k for t in totals]
     else:
         needs = [[-1 if j == own else 0 for j in range(k)] for own in owns]
     held = [[0] * k for _ in owns]
-    kept: list[list[tuple[int, ...]]] = [[()] * k for _ in owns]
+    kept = [[0] * k for _ in owns]
+    removals = _Removals(notion)
+    after, allowance = removals.after, removals.allowance
+    # The failure memo's key packs those numbers into one int of bit
+    # fields: per checker its deficit total - avail (prop) or, per other
+    # bundle, its need (ef) or held value and removal state (removal
+    # notions); above them the bundle sizes (balanced mode only) and on top
+    # the level g. A checker is finished once every good it values is
+    # placed: it passed at that node and nothing below moves it, so it takes
+    # no part in any verdict below. Checkers are laid out in the order they
+    # finish, so at level g the memo reads key >> finished[g]. spots[c][j]
+    # is the place of checker c's number for bundle j.
+    efx0 = kind == "efx0"
+    valued = [range(m) if efx0 else list(compress(range(m), w)) for w in worths]
+    lowest = [goods[0] if goods else m for goods in valued]
+    widths = [t.bit_length() for t in totals]
+    state_bits = 0
+    if removal:
+        budget = max(notion.c, 1)
+        state_bits = (math.comb(len({x for w in worths for x in w}) + budget, budget) - 1).bit_length()
+    spots = [[0] * k for _ in owns]
+    finished = [0] * (m + 1)
+    bit = 0
+    for c in sorted(range(len(owns)), key=lowest.__getitem__, reverse=True):
+        if kind == "prop":  # one deficit, whichever bundle the good joins
+            spots[c] = [1 << bit] * k
+            bit += widths[c]
+        else:
+            for j in range(k):
+                if j != owns[c]:
+                    spots[c][j] = 1 << bit
+                    bit += widths[c] + state_bits
+        finished[lowest[c]] = bit
+    for g in range(m - 1, -1, -1):
+        finished[g] = max(finished[g], finished[g + 1])
+    size_spots = [0] * k
+    if balanced:
+        for j in range(k):
+            size_spots[j] = 1 << bit
+            bit += m.bit_length()
+    level = 1 << bit
     # Placing good g in bundle b moves only the numbers of checkers outside
-    # b that value g (or all of them for efx0, where worthless goods count).
-    touch = [
-        [
-            [
-                (c, w[g], needs[c], held[c], kept[c])
-                for c, w in enumerate(worths)
-                if owns[c] != b and (w[g] or kind == "efx0")
-            ]
-            for b in range(k)
-        ]
-        for g in range(m)
-    ]
+    # b that value g (or all of them for efx0, where worthless goods count);
+    # shift[g][b] is what it adds to the key besides removal states.
+    touch: list[list[list]] = [[[] for _ in range(k)] for _ in range(m)]
+    shift = [[size_spots[j] - level for j in range(k)] for _ in range(m)]
+    for c, w in enumerate(worths):
+        row = spots[c]
+        for g in valued[c]:
+            x = w[g]
+            for j in range(k):
+                if j != owns[c]:
+                    touch[g][j].append((c, x, needs[c], held[c], kept[c], row[j] << widths[c]))
+                    shift[g][j] += x * row[j]
     width = [k**g for g in range(m + 1)]
     q, r = divmod(m, k)
     tallest = q + (r > 0)
@@ -327,8 +429,18 @@ def _hits(
     sizes = [0] * k
     path = [0] * m
     replaced: list = [None] * m
-    memo: dict = {}
-    nodes = pruned = cut = rejected = 0
+    counts: dict = {}
+    # above[g] is the key of the node whose children place good g, and
+    # marks[g] what the memo knows that node by. A node whose subtree was
+    # walked from its first leaf on and held no hit goes into refuted; below
+    # a table agent's verdict the key says nothing, so a scan with table
+    # agents records none.
+    above = [0] * m
+    above[m - 1] = level * m
+    marks = [0] * m
+    refuted: set[int] = set()
+    floor = start - 1  # no recorded subtree may hold a leaf at or before this
+    nodes = pruned = recalled = cut = rejected = 0
     g, b, base = m - 1, 0, 0
     while True:
         if b < k and base + b * width[g] < end:
@@ -346,39 +458,60 @@ def _hits(
             if removal:
                 replaced[g] = [t[4][b] for t in moved]
             ok = True
-            for c, x, need, held_c, kept_c in moved:
+            turn = 0  # what removal states add to the key
+            for c, x, need, held_c, kept_c, spot in moved:
                 a = avail[c] = avail[c] - x
                 if ef:
                     need[b] += x
                 elif removal:
-                    held_c[b] += x
-                    kept_c[b] = removable_values(notion, (*kept_c[b], x))
-                    need[b] = held_c[b] - sum(kept_c[b])
+                    was = kept_c[b]
+                    now = after[was].get(x)
+                    if now is None:
+                        now = removals.step(was, x)
+                    kept_c[b] = now
+                    h = held_c[b] = held_c[b] + x
+                    need[b] = h - allowance[now]
+                    turn += (now - was) * spot
                 if a < max(need):
                     ok = False
             if ok and g:
-                path[g] = b
-                base = lo
-                g -= 1
-                b = 0
-                continue
-            if ok:
+                key = above[g] + shift[g][b] + turn
+                mark = key >> finished[g]
+                if mark in refuted:
+                    pruned += 1
+                    recalled += 1
+                    cut += _leaves_in(sizes, g, lo, start, end, balanced, counts)
+                else:
+                    path[g] = b
+                    base = lo
+                    marks[g] = mark
+                    g -= 1
+                    b = 0
+                    above[g] = key
+                    continue
+            elif ok:
                 leaf = tuple(bundles)
                 if tables and _tables_reject(tables, leaf, notion):
                     rejected += 1
                 else:
-                    stats.count(nodes, pruned, cut, rejected)
-                    nodes = pruned = cut = rejected = 0
+                    stats.count(nodes, pruned, recalled, cut, rejected)
+                    nodes = pruned = recalled = cut = rejected = 0
+                    floor = lo
                     yield lo, leaf
             elif g:
                 pruned += 1
-                cut += _leaves_in(sizes, g, lo, start, end, balanced, memo)
+                cut += _leaves_in(sizes, g, lo, start, end, balanced, counts)
             else:
                 rejected += 1
         else:
             g += 1
             if g == m:
                 break
+            # the node that placed good g is done and base is its first leaf;
+            # one reaching past end is the last node walked, so no later
+            # node can mistake it for refuted
+            if floor < base and not tables:
+                refuted.add(marks[g])
             b = path[g]
             base -= b * width[g]
         # take good g back out of bundle b
@@ -387,17 +520,17 @@ def _hits(
         if s < q:
             owed += 1
         moved = touch[g][b]
-        for c, x, need, held_c, kept_c in moved:
+        for c, x, need, held_c, kept_c, spot in moved:
             avail[c] += x
             if ef:
                 need[b] -= x
         if removal:
-            for (c, x, need, held_c, kept_c), old in zip(moved, replaced[g]):
+            for (c, x, need, held_c, kept_c, spot), was in zip(moved, replaced[g]):
                 held_c[b] -= x
-                kept_c[b] = old
-                need[b] = held_c[b] - sum(old)
+                kept_c[b] = was
+                need[b] = held_c[b] - allowance[was]
         b += 1
-    stats.count(nodes, pruned, cut, rejected)
+    stats.count(nodes, pruned, recalled, cut, rejected)
 
 
 def _scan_range(

@@ -325,6 +325,32 @@ def test_kneser_tightness(tmp_path, capsys):
     assert code == 1  # wrong graph family
 
 
+def test_json_reports_match_json_dumps(two_one, capsys):
+    # reports are written by the indented writer, not json.dumps(indent=2);
+    # the text must be the same, byte for byte
+    questions = [
+        ["kneser", "--b", "6", "--r", "3", "--s", "2", "--chi", "bounds"],
+        ["check", two_one, "--allocation", "0,1,2,3;"],
+        ["search", two_one, "--notion", "ef"],
+        ["corpus"],
+        ["fuzz", "--suite", "exact1", "--runs", "5"],
+    ]
+    code, out, _ = run_cli(questions[0], capsys)
+    split = json.loads(out)["result"]["chi"]["upper"]
+    questions.append(
+        ["kneser", "--b", "6", "--r", "3", "--s", "2", "--chi", "bounds",
+         "--tightness", "--split", f"{split - 1},1"]
+    )
+    for argv in questions:
+        code, out, _ = run_cli(argv, capsys)
+        assert code in (0, 2)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    doc = json.loads(out)
+    assert len(doc["result"]["instance"]["agents"][0]["table"]) == 2**6
+    code, out, _ = run_cli(questions[1], capsys)
+    assert json.loads(out)["fairness"]["witnesses"]
+
+
 def test_kneser_guard_exits_one(capsys):
     code, _, err = run_cli(["kneser", "--b", "30", "--r", "15", "--s", "1"], capsys)
     assert code == 1

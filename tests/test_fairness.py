@@ -1,6 +1,7 @@
 """Fairness predicates: envy relaxations, witnesses, proportionality, balance."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -113,6 +114,23 @@ def test_table_efc_tries_removal_sets():
     t = Valuation.table_of(2, {0: 0, 1: 0, 2: 0, 3: 9})
     assert fair_toward(t, 0, 0b11, EF1)
     assert not fair_toward(t, 0, 0b11, EF)
+    # against every removal set of at most c goods, on a table that grows
+    # with the bundle but not monotonically, so a larger removal set can
+    # leave more value than a smaller one
+    rng = random.Random(41)
+    m = 5
+    t = Valuation.table_of(m, {mask: 2 * mask.bit_count() + rng.randrange(0, 4) for mask in range(1 << m)})
+    for other in range(1 << m):
+        goods = [g for g in range(m) if other >> g & 1]
+        for c in range(1, 5):
+            least = min(
+                t.value(other & ~sum(1 << g for g in drop))
+                for size in range(min(c, len(goods)) + 1)
+                for drop in combinations(goods, size)
+            )
+            for own in range(1 << m):
+                if not own & other:
+                    assert fair_toward(t, own, other, up_to(c)) == (t.value(own) >= least)
 
 
 def test_prop_needs_whole_allocation():

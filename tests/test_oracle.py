@@ -333,6 +333,92 @@ def test_kernel_matches_reference_scanner(notion, kind, k, balanced):
         assert non_monotone > 0
 
 
+def _memo_instance(rng, k, notion):
+    """An instance whose running numbers repeat across the tree: few distinct
+    valuations shared by several agents, small repeated values and goods
+    that are worthless to everyone."""
+    if k == 2 and rng.random() < 0.25:
+        # a corpus impossibility (for this notion if there is one) with its
+        # goods spread among worthless ones
+        cores = [e for e in corpus() if e.instance.k == 2 and not e.constraints.balanced_partition]
+        core = rng.choice([e for e in cores if e.constraints.notion == notion] or cores).instance
+        m = rng.randrange(core.m, 10)
+        where = sorted(rng.sample(range(m), core.m))
+        agents = []
+        for v in core.agents:
+            values = [0] * m
+            for g0, g in enumerate(where):
+                values[g] = v.values[g0]
+            agents.append(Valuation(v.kind, m, values=tuple(values)))
+        return Instance.fixed(m, agents, [list(g) for g in core.groups.members])
+    m = rng.randrange(1, 10 if k == 2 else 7)
+    pad = set(rng.sample(range(m), rng.randrange(0, m)))
+    kinds = []
+    for _ in range(rng.randrange(1, 3)):
+        if rng.random() < 0.5:
+            kinds.append(Valuation.binary([int(g not in pad and rng.random() < 0.7) for g in range(m)]))
+        else:
+            kinds.append(Valuation.additive([0 if g in pad else rng.choice((1, 1, 2, 3)) for g in range(m)]))
+    n = rng.randrange(1, 6)
+    agents = [rng.choice(kinds) for _ in range(n)]
+    if rng.random() < 0.5:
+        members = [[] for _ in range(k)]
+        for a in range(n):
+            members[rng.randrange(k)].append(a)
+        return Instance.fixed(m, agents, members)
+    cuts = sorted(rng.randrange(0, n + 1) for _ in range(k - 1))
+    return Instance.variable(m, agents, [b - a for a, b in zip([0, *cuts], [*cuts, n])])
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("notion", [EF, EF1, EF2, EFX, EFX0, PROP], ids=str)
+def test_memo_matches_reference_scanner(monkeypatch, notion, k, balanced):
+    # the failure memo cuts subtrees whose running numbers were refuted
+    # before: hits, their order, the counts and the first hit must not move
+    rng = random.Random(f"memo-{notion}-{k}-{balanced}")
+    recalled = 0
+    pooled = None
+    for _ in range(20):
+        inst = _memo_instance(rng, k, notion)
+        m = inst.m
+        cons = SearchConstraints(notion, balanced_allocation=balanced)
+        span = k**m
+        expected = []
+        for gof in _partition_plan(inst, cons)[1]:
+            full = list(_reference_hits(inst, gof, notion, balanced, 0, span))
+            expected += [a for _i, a in full]
+            start = rng.randrange(0, span + 1)
+            end = rng.randrange(start, span + 1)
+            for lo, hi in ((0, span), (start, end)):
+                stats = SearchStats()
+                got = list(_hits(inst, gof, notion, balanced, lo, hi, stats))
+                assert got == [h for h in full if lo <= h[0] < hi]
+                checked = stats.leaves_rejected + stats.candidates_pruned + len(got)
+                assert checked == _admissible(m, k, balanced, lo, hi)
+                assert stats.memo_pruned <= stats.pruned
+                recalled += stats.memo_pruned
+        # enumerate_fair resumes the scan after every yield
+        assert [a.bundles for _p, a in enumerate_fair(inst, cons)] == expected
+        cert = find_fair(inst, cons)
+        assert cert.found == bool(expected)
+        if expected:
+            assert cert.allocation.bundles == expected[0]
+        else:
+            assert cert.stats.leaves_rejected + cert.stats.candidates_pruned == cert.examined
+        if pooled is None and span > 2**5:
+            pooled = (inst, cons, cert)
+    # balanced bundles of at most two goods always pass EF2: nothing to refute
+    assert recalled > 0 or (notion == EF2 and k == 3 and balanced)
+    # the pool path: every chunk keeps its own memo
+    monkeypatch.setattr(oracle, "_SERIAL_CUTOFF", 2**4)
+    inst, cons, serial = pooled
+    cert = find_fair(inst, cons, jobs=2)
+    assert cert == serial and cert.stats.workers == 2
+    if not cert.found:
+        assert cert.stats.leaves_rejected + cert.stats.candidates_pruned == cert.examined
+
+
 def test_table_agents_have_no_efx():
     table = Valuation.table_of(2, {0: 0, 1: 1, 2: 1, 3: 2})
     inst = Instance.fixed(2, [Valuation.additive([0, 0]), table], [[0], [1]])
@@ -355,7 +441,17 @@ def test_exhausted_stats_add_up(balanced):
         assert s.leaves_rejected + s.candidates_pruned == cert.examined
         assert s.pruned > 0 and s.nodes < 2 * 2**m
         assert (s.partitions, s.workers) == (1, 1)
+        assert 0 < s.memo_pruned <= s.pruned
         assert cert.to_dict()["stats"] == s.to_dict()
+        assert list(s.to_dict()) == [
+            "nodes",
+            "pruned",
+            "memo_pruned",
+            "candidates_pruned",
+            "leaves_rejected",
+            "partitions",
+            "workers",
+        ]
 
 
 @pytest.mark.parametrize("m,goods", [(3, 4), (4, 3)], ids=["4-goods-in-3", "3-goods-in-4"])
@@ -416,3 +512,17 @@ def test_certificate_to_dict():
     }
     d = Certificate(True, allocation=Allocation.of([[0], [1]])).to_dict()
     assert d["outcome"] == "found" and d["allocation"] == [[0], [1]]
+    stats = SearchStats(nodes=9, pruned=4, memo_pruned=3, candidates_pruned=5, leaves_rejected=1)
+    assert Certificate(False, examined=6, stats=stats).to_dict() == {
+        "outcome": "exhausted-none",
+        "examined": 6,
+        "stats": {
+            "nodes": 9,
+            "pruned": 4,
+            "memo_pruned": 3,
+            "candidates_pruned": 5,
+            "leaves_rejected": 1,
+            "partitions": 0,
+            "workers": 1,
+        },
+    }
