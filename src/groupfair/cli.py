@@ -30,7 +30,7 @@ from .model import (
     Allocation,
     FixedGroups,
     Instance,
-    _indented,
+    dumps_indented,
     instance_from_json,
     instance_to_dict,
     instance_to_json,
@@ -46,12 +46,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _as_json(doc: dict) -> str:
-    """The text of ``json.dumps(doc, indent=2)``, with the long runs of
-    plain ints (tables, colourings) left to the C encoder."""
-    return _indented(doc, "  ", "\n")
 
 
 @dataclass
@@ -74,7 +68,7 @@ class RunReport:
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return _as_json(self.to_dict())
+            return dumps_indented(self.to_dict())
         lines = [f"command: {self.command}"]
         if self.instance is not None:
             digest = " ".join(f"{k}={v}" for k, v in self.instance.items())
@@ -293,7 +287,7 @@ def _cmd_corpus(args) -> int:
             "passed": all(r.passed for r in results),
             "elapsed": round(elapsed, 6),
         }
-        print(_as_json(payload))
+        print(dumps_indented(payload))
     return OK if all(r.passed for r in results) else CERTIFIED_NO
 
 
@@ -377,7 +371,7 @@ def _cmd_fuzz(args) -> int:
     else:
         payload = result.to_dict()
         payload["seed"] = args.seed
-        print(_as_json(payload))
+        print(dumps_indented(payload))
     return OK if result.passed else CERTIFIED_NO
 
 

@@ -620,7 +620,14 @@ def instance_to_json(inst: Instance, indent: int | None = 2) -> str:
     doc = instance_to_dict(inst)
     if indent is None:
         return json.dumps(doc)
-    return _indented(doc, " " * indent, "\n")
+    return dumps_indented(doc, indent)
+
+
+def dumps_indented(obj, indent: int = 2) -> str:
+    """The text of ``json.dumps(obj, indent=indent)`` for dicts with string
+    keys, lists and scalars, with the long runs of plain ints (tables,
+    colourings) left to the C encoder."""
+    return _indented(obj, " " * indent, "\n")
 
 
 _FLAT = {int, bool, str, type(None)}  # what json.dumps writes the same with or without indent

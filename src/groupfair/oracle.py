@@ -38,16 +38,22 @@ search. Every verdict below a node is a function of the checkers' running
 numbers for the bundles other than their own (``avail`` follows from them,
 or is the number itself for PROP), of the bundle sizes in balanced mode
 and of the goods still unplaced. Once the subtree under a node has been
-walked from its first leaf with no hit, those numbers are recorded,
-packed into one int that is updated as goods come and go; a later node
-that reaches the same numbers is cut like a bound cut. A checker whose
-valued goods are all placed leaves the key: it passed at that node and
-nothing below moves it. A table agent's verdict depends on the whole
-bundle masks, so scans with table agents record nothing. The memo lives
-for one scan of [start, end), so each pool chunk keeps its own, and it
-holds one int per recorded node. ``SearchStats.memo_pruned`` counts its
-cuts, which are part of ``pruned``; their candidates count in
-``candidates_pruned``, so ``examined`` and the first hit do not change.
+walked from its first leaf with no hit, those numbers are recorded, packed
+into one int that is updated as goods come and go; a later node that
+reaches the same numbers is cut like a bound cut. A checker whose valued
+goods are all placed leaves the key: it passed at that node and nothing
+below moves it. A table agent's verdict depends on the whole bundle masks,
+so scans with table agents record nothing. The memo lives for one scan of
+[start, end), so each pool chunk keeps its own. It works only on nodes
+with at least two goods unplaced (smaller subtrees are walked faster than
+looked up), and each level of the tree records at most k**ceil(m/2) nodes,
+one int each: at most about m * sqrt(k**m) ints for k**m leaves (some
+41,000 for 2**22). A full level still looks up, unless it filled without a
+single recall: the lowest such levels, which hold most of the nodes, stop
+building keys, so a scan the memo cannot shorten runs close to the speed
+of one without it. ``SearchStats.memo_pruned`` counts its cuts, which are
+part of ``pruned``; their candidates count in ``candidates_pruned``, so
+``examined`` and the first hit do not change.
 """
 
 from __future__ import annotations
@@ -419,7 +425,8 @@ def _hits(
             x = w[g]
             for j in range(k):
                 if j != owns[c]:
-                    touch[g][j].append((c, x, needs[c], held[c], kept[c], row[j] << widths[c]))
+                    tail = (held[c], kept[c], row[j] << widths[c])  # removal notions only
+                    touch[g][j].append((c, x, needs[c], tail))
                     shift[g][j] += x * row[j]
     width = [k**g for g in range(m + 1)]
     q, r = divmod(m, k)
@@ -431,15 +438,26 @@ def _hits(
     replaced: list = [None] * m
     counts: dict = {}
     # above[g] is the key of the node whose children place good g, and
-    # marks[g] what the memo knows that node by. A node whose subtree was
-    # walked from its first leaf on and held no hit goes into refuted; below
-    # a table agent's verdict the key says nothing, so a scan with table
-    # agents records none.
+    # marks[g] what the memo knows that node by. The memo works at levels
+    # g >= low, never below 2: a subtree of k leaves is walked faster than
+    # looked up. A node whose subtree was walked from its first leaf on and
+    # held no hit goes into refuted while room[g] lasts: each level records
+    # at most k**ceil(m/2) keys, as many as the middle level of the tree has
+    # nodes, and only looks up once full. When level low has filled up
+    # without a single recall (recalled_at), it is not looked up either and
+    # low moves up. The low levels hold most of the nodes, so a scan the
+    # memo cannot shorten soon builds keys only on the few upper nodes.
+    # Below a table agent's verdict the key says nothing, so a scan with
+    # table agents records none.
     above = [0] * m
     above[m - 1] = level * m
     marks = [0] * m
     refuted: set[int] = set()
+    room = [0] * m if tables else [0, 0] + [k ** ((m + 1) // 2)] * (m - 2)
+    recalled_at = [False] * m
+    low = m if tables else 2
     floor = start - 1  # no recorded subtree may hold a leaf at or before this
+    turn = 0  # what removal states add to the key; 0 for the other notions
     nodes = pruned = recalled = cut = rejected = 0
     g, b, base = m - 1, 0, 0
     while True:
@@ -456,14 +474,15 @@ def _hits(
                 owed -= 1
             moved = touch[g][b]
             if removal:
-                replaced[g] = [t[4][b] for t in moved]
+                replaced[g] = [t[3][1][b] for t in moved]
+                turn = 0
             ok = True
-            turn = 0  # what removal states add to the key
-            for c, x, need, held_c, kept_c, spot in moved:
+            for c, x, need, tail in moved:
                 a = avail[c] = avail[c] - x
                 if ef:
                     need[b] += x
                 elif removal:
+                    held_c, kept_c, spot = tail
                     was = kept_c[b]
                     now = after[was].get(x)
                     if now is None:
@@ -475,19 +494,23 @@ def _hits(
                 if a < max(need):
                     ok = False
             if ok and g:
-                key = above[g] + shift[g][b] + turn
-                mark = key >> finished[g]
-                if mark in refuted:
-                    pruned += 1
-                    recalled += 1
-                    cut += _leaves_in(sizes, g, lo, start, end, balanced, counts)
-                else:
+                if g >= low:
+                    key = above[g] + shift[g][b] + turn
+                    mark = key >> finished[g]
+                    if mark in refuted:
+                        pruned += 1
+                        recalled += 1
+                        recalled_at[g] = True
+                        cut += _leaves_in(sizes, g, lo, start, end, balanced, counts)
+                        ok = False
+                    else:
+                        marks[g] = mark
+                        above[g - 1] = key
+                if ok:
                     path[g] = b
                     base = lo
-                    marks[g] = mark
                     g -= 1
                     b = 0
-                    above[g] = key
                     continue
             elif ok:
                 leaf = tuple(bundles)
@@ -510,8 +533,11 @@ def _hits(
             # the node that placed good g is done and base is its first leaf;
             # one reaching past end is the last node walked, so no later
             # node can mistake it for refuted
-            if floor < base and not tables:
+            if room[g] and floor < base:
                 refuted.add(marks[g])
+                room[g] -= 1
+                while low < m and not room[low] and not recalled_at[low]:
+                    low += 1
             b = path[g]
             base -= b * width[g]
         # take good g back out of bundle b
@@ -520,12 +546,12 @@ def _hits(
         if s < q:
             owed += 1
         moved = touch[g][b]
-        for c, x, need, held_c, kept_c, spot in moved:
+        for c, x, need, _tail in moved:
             avail[c] += x
             if ef:
                 need[b] -= x
         if removal:
-            for (c, x, need, held_c, kept_c, spot), was in zip(moved, replaced[g]):
+            for (c, x, need, (held_c, kept_c, _spot)), was in zip(moved, replaced[g]):
                 held_c[b] -= x
                 kept_c[b] = was
                 need[b] = held_c[b] - allowance[was]

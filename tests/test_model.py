@@ -17,9 +17,9 @@ from groupfair import (
     validate,
 )
 from groupfair.model import (
-    _indented,
     _valuation_violations,
     bits_of,
+    dumps_indented,
     full_mask,
     instance_from_dict,
     instance_to_dict,
@@ -344,7 +344,7 @@ def test_indented_writer_matches_json_dumps():
     # a key holding the item separator must not be split at it
     doc = {"a, b": 1, "c": [1, 2], "d": {"e, f": 3, "g": []}, "h": {}, "i": [[True, None, 0.5]]}
     doc["j"] = (1, (2, "x"))
-    assert _indented(doc, "  ", "\n") == json.dumps(doc, indent=2)
+    assert dumps_indented(doc) == json.dumps(doc, indent=2)
 
 
 def test_json_fractions_scale_per_agent():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -337,12 +338,14 @@ def _memo_instance(rng, k, notion):
     """An instance whose running numbers repeat across the tree: few distinct
     valuations shared by several agents, small repeated values and goods
     that are worthless to everyone."""
-    if k == 2 and rng.random() < 0.25:
+    top = 10 if k == 2 else 7  # one more than the largest m
+    if rng.random() < 0.25:
         # a corpus impossibility (for this notion if there is one) with its
-        # goods spread among worthless ones
-        cores = [e for e in corpus() if e.instance.k == 2 and not e.constraints.balanced_partition]
+        # goods spread among worthless ones; for k=3 the third group is a
+        # copy of the first
+        cores = [e for e in corpus() if e.instance.m < top and not e.constraints.balanced_partition]
         core = rng.choice([e for e in cores if e.constraints.notion == notion] or cores).instance
-        m = rng.randrange(core.m, 10)
+        m = rng.randrange(core.m, top)
         where = sorted(rng.sample(range(m), core.m))
         agents = []
         for v in core.agents:
@@ -350,16 +353,22 @@ def _memo_instance(rng, k, notion):
             for g0, g in enumerate(where):
                 values[g] = v.values[g0]
             agents.append(Valuation(v.kind, m, values=tuple(values)))
-        return Instance.fixed(m, agents, [list(g) for g in core.groups.members])
-    m = rng.randrange(1, 10 if k == 2 else 7)
+        members = [list(g) for g in core.groups.members]
+        if k == 3:
+            members.append(list(range(len(agents), len(agents) + len(members[0]))))
+            agents += [agents[a] for a in members[0]]
+        return Instance.fixed(m, agents, members)
+    # the memo works at levels g >= 2 only, so for k=3 a subtree it can cut
+    # needs a few goods and several checkers whose needs clash
+    m = rng.randrange(1, top)
     pad = set(rng.sample(range(m), rng.randrange(0, m)))
     kinds = []
-    for _ in range(rng.randrange(1, 3)):
+    for _ in range(rng.randrange(1, 3 if k == 2 else 4)):
         if rng.random() < 0.5:
             kinds.append(Valuation.binary([int(g not in pad and rng.random() < 0.7) for g in range(m)]))
         else:
             kinds.append(Valuation.additive([0 if g in pad else rng.choice((1, 1, 2, 3)) for g in range(m)]))
-    n = rng.randrange(1, 6)
+    n = rng.randrange(1, 6) if k == 2 else rng.randrange(3, 6)
     agents = [rng.choice(kinds) for _ in range(n)]
     if rng.random() < 0.5:
         members = [[] for _ in range(k)]
@@ -408,8 +417,10 @@ def test_memo_matches_reference_scanner(monkeypatch, notion, k, balanced):
             assert cert.stats.leaves_rejected + cert.stats.candidates_pruned == cert.examined
         if pooled is None and span > 2**5:
             pooled = (inst, cons, cert)
-    # balanced bundles of at most two goods always pass EF2: nothing to refute
-    assert recalled > 0 or (notion == EF2 and k == 3 and balanced)
+    # the memo works at levels g >= 2, where k=3 bundles of at most 6 goods
+    # leave EF2 nothing to refute: a bundle needs 3 goods to fail it, and
+    # then the bound cuts (balanced bundles of at most two always pass)
+    assert recalled > 0 or (notion == EF2 and k == 3)
     # the pool path: every chunk keeps its own memo
     monkeypatch.setattr(oracle, "_SERIAL_CUTOFF", 2**4)
     inst, cons, serial = pooled
@@ -452,6 +463,26 @@ def test_exhausted_stats_add_up(balanced):
             "partitions",
             "workers",
         ]
+
+
+def test_memo_memory_stays_bounded():
+    # distinct values: the running numbers do not repeat, so the memo cuts
+    # nothing and only holds keys. Each level records at most k**ceil(m/2)
+    # of them; an unbounded memo held one per refuted node (about 3000 here,
+    # a 213 kB peak), and the bound allows 1408 at 100 bytes a key
+    m, k = 13, 2
+    rng = random.Random(13)
+    values = [rng.randrange(1, 10**6) for _ in range(m)]
+    values[0] += sum(values) % 2 == 0  # an odd total: never EF for 2+2 equal agents
+    inst = Instance.fixed(m, [Valuation.additive(values)] * 4, [[0, 1], [2, 3]])
+    tracemalloc.start()
+    try:
+        cert = find_fair(inst, SearchConstraints(EF))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not cert.found and cert.stats.memo_pruned == 0
+    assert peak < 100 * (m - 2) * k ** ((m + 1) // 2)
 
 
 @pytest.mark.parametrize("m,goods", [(3, 4), (4, 3)], ids=["4-goods-in-3", "3-goods-in-4"])
