@@ -86,26 +86,31 @@ def parse_notion(text: str) -> Notion:
 # pairwise and per-agent checks
 
 
-def _table_min_after_removals(v: Valuation, other: int, c: int) -> int:
-    """Least value of ``other`` to a table agent after deleting at most c goods."""
-    table = v.table
-    best = table[other]
-    # other less each set of i goods, for i = 1..c; each set is reached once,
-    # by removing its goods from the lowest up: ``free`` holds the goods
-    # above the last one removed
+def table_accepts(table: Sequence[int], mine: int, other: int, c: int) -> bool:
+    """Does a table agent whose own bundle is worth ``mine`` accept bundle
+    ``other`` once some set of at most c of its goods is deleted?
+
+    Tables need not be monotone, so every removal set of up to c goods is
+    tried, the empty one first, and the first one that brings ``other``
+    down to ``mine`` ends the search. Each set is reached once, by removing
+    its goods from the lowest up: ``free`` holds the goods above the last
+    one removed.
+    """
+    if table[other] <= mine:
+        return True
     layer = [(other, other)]
-    for _ in range(c):
+    for left in range(c - 1, -1, -1):
         below = []
         for mask, free in layer:
             while free:
                 low = free & -free
                 free ^= low
-                val = table[mask ^ low]
-                if val < best:
-                    best = val
-                below.append((mask ^ low, free))
+                if table[mask ^ low] <= mine:
+                    return True
+                if left and free:
+                    below.append((mask ^ low, free))
         layer = below
-    return best
+    return False
 
 
 def removable_values(notion: Notion, values: Sequence[int]) -> tuple[int, ...]:
@@ -158,7 +163,7 @@ def fair_toward(v: Valuation, own: int, other: int, notion: Notion) -> bool:
         return v.value(own) >= v.value(other)
     if v.kind == TABLE:
         if notion.kind == "efc":
-            return v.value(own) >= _table_min_after_removals(v, other, notion.c)
+            return table_accepts(v.table, v.value(own), other, notion.c)
         raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
     vals = v.values
     other_vals = [vals[g] for g in iter_bits(other)]

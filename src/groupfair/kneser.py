@@ -24,6 +24,8 @@ from .model import TABLE, Instance, Valuation, full_mask
 # Largest vertex count we will materialize, and the branch-and-bound cap.
 BUILD_GUARD = 10**4
 EXACT_VERTEX_CAP = 70
+# bytes.translate table from the ASCII digits "0" and "1" to the values 0 and 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -304,22 +306,23 @@ def tightness_instance(g: KneserGraph, col: Coloring, split: tuple[int, int]) ->
         raise ValueError(f"split {split} must sum to {col.num_colors} colors")
     m = g.b
     full = full_mask(m)
-    class_bundles: list[list[int]] = [[] for _ in range(col.num_colors)]
-    for v, c in enumerate(col.colors):
-        class_bundles[c].append(g.vertices[v])
+    size = full + 1
+    # Bit x of a colour's set is 1 when bundle x lies inside one of its
+    # bundles: the set starts at those bundles and is closed downwards one
+    # good at a time, taking x from x + 2^j whenever x lacks good j.
+    # lacks[j] marks those x: 2^j ones, 2^j zeros, repeated. The table is
+    # the complement, read off the binary text lowest bit first.
+    every = (1 << size) - 1
+    lacks = [every // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(m)]
+    inside = [0] * col.num_colors
+    for vm, c in zip(g.vertices, col.colors):
+        inside[c] |= 1 << (vm if c < n1 else full ^ vm)
     agents = []
-    for c in range(col.num_colors):
-        in_first = c < n1
-        table = [1] * (full + 1)
-        for vm in class_bundles[c]:
-            bm = vm if in_first else full ^ vm
-            # zero every submask of bm, bm itself and 0 included
-            sub = bm
-            while True:
-                table[sub] = 0
-                if not sub:
-                    break
-                sub = (sub - 1) & bm
-        agents.append(Valuation(TABLE, m, table=tuple(table)))
+    for down in inside:
+        for j in range(m):
+            down |= (down >> (1 << j)) & lacks[j]
+        bits = format(down ^ every, f"0{size}b")[::-1]
+        table = tuple(bits.encode().translate(_DIGIT_VALUES))
+        agents.append(Valuation(TABLE, m, table=table))
     members = [list(range(n1)), list(range(n1, n1 + n2))]
     return Instance.fixed(m, agents, members)

@@ -13,7 +13,8 @@ Serialization speaks a small JSON dialect::
      "groups": {"fixed": [[0], [1]]}}
 
 Table keys are bundle bitmasks rendered as decimal strings, one per mask,
-in any order; repeated JSON object keys are rejected. Variable-group
+in any order (keys in mask order are read as one run of values); repeated
+JSON object keys are rejected. Variable-group
 instances carry ``{"variable": [n1, n2, ...]}`` instead of fixed members.
 
 The shape of a valuation is fixed at construction: a value vector holds m
@@ -46,6 +47,11 @@ KINDS = (BINARY, ADDITIVE, TABLE)
 # Hard cap on goods for table valuations and exhaustive enumeration. 2**24
 # table rows is the largest footprint we are willing to hold or walk.
 MAX_TABLE_GOODS = 24
+
+
+def _is_table_size(size: int, m: int) -> bool:
+    """size == 2^m, tested without building 2^m for a huge m."""
+    return size.bit_length() == m + 1 and not size & (size - 1)
 
 
 def full_mask(m: int) -> int:
@@ -139,8 +145,7 @@ class Valuation:
         if m < 0:
             raise ValueError(f"negative good count {m}")
         size = len(entries)
-        # size == 2^m, tested without building 2^m for a huge m
-        if size.bit_length() == m + 1 and not size & (size - 1):
+        if _is_table_size(size, m):
             try:
                 return Valuation(TABLE, m, table=tuple(map(entries.__getitem__, range(size))))
             except KeyError:
@@ -520,7 +525,14 @@ def _is_canonical_key(key) -> bool:
         return False
 
 
-def _valuation_from_dict(d: Mapping, m: int) -> Valuation:
+def _mask_keys(size: int) -> list[str]:
+    """The canonical table keys "0", "1", ... of masks 0..size-1, in order."""
+    return list(map(str, range(size)))
+
+
+def _valuation_from_dict(d: Mapping, m: int, canonical: list[str]) -> Valuation:
+    """One agent's valuation. ``canonical`` is the document's list of the
+    2^m canonical table keys, filled by the first table of that size."""
     kind = d.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -528,6 +540,13 @@ def _valuation_from_dict(d: Mapping, m: int) -> Valuation:
         raw = d.get("table")
         if not isinstance(raw, Mapping):
             raise ValueError("table kind needs a 'table' object")
+        size = len(raw)
+        # keys "0", "1", ... in mask order: the values are the table itself
+        if _is_table_size(size, m):
+            if not canonical:
+                canonical.extend(_mask_keys(size))
+            if list(raw) == canonical:
+                return Valuation(TABLE, m, table=tuple(_utility_ints(raw.values())))
         keys = _table_keys(raw)
         return Valuation.table_of(m, dict(zip(keys, _utility_ints(raw.values()))))
     raw = d.get("values")
@@ -543,6 +562,7 @@ def instance_from_dict(d: Mapping) -> Instance:
     if not isinstance(agents_raw, Sequence):
         raise ValueError("instance needs an 'agents' array")
     by_id = {}
+    canonical: list[str] = []
     for entry in agents_raw:
         if not isinstance(entry, Mapping) or "id" not in entry:
             raise ValueError("each agent needs an 'id'")
@@ -550,7 +570,7 @@ def instance_from_dict(d: Mapping) -> Instance:
         if aid in by_id:
             raise ValueError(f"duplicate agent id {aid}")
         try:
-            by_id[aid] = _valuation_from_dict(entry, m)
+            by_id[aid] = _valuation_from_dict(entry, m, canonical)
         except ValueError as exc:
             raise ValueError(f"agent {aid}: {exc}") from None
     n = len(by_id)
@@ -573,11 +593,21 @@ def instance_from_dict(d: Mapping) -> Instance:
 
 
 def instance_to_dict(inst: Instance) -> dict:
+    return _instance_doc(inst, _table_object)
+
+
+def _table_object(table: tuple) -> dict:
+    return {str(mask): val for mask, val in enumerate(table)}
+
+
+def _instance_doc(inst: Instance, table_entry) -> dict:
+    """The instance's JSON document with ``table_entry(table)`` standing for
+    each table object."""
     agents = []
     for aid, v in enumerate(inst.agents):
         entry: dict = {"id": aid, "kind": v.kind}
         if v.kind == TABLE:
-            entry["table"] = {str(mask): val for mask, val in enumerate(v.table)}
+            entry["table"] = table_entry(v.table)
         else:
             entry["values"] = list(v.values)
         agents.append(entry)
@@ -615,12 +645,14 @@ def instance_to_json(inst: Instance, indent: int | None = 2) -> str:
 
     CPython runs its C encoder only without indentation, and the
     pure-Python one spends about 2 us on each table row. So the indented
-    layout is built here around compact C-encoded runs of plain ints.
+    layout is built here around compact C-encoded runs of plain ints, and
+    a table of plain ints is written straight from its tuple through one
+    row layout per document, with no ``{"mask": value}`` dict between.
     """
-    doc = instance_to_dict(inst)
     if indent is None:
-        return json.dumps(doc)
-    return dumps_indented(doc, indent)
+        return json.dumps(instance_to_dict(inst))
+    layouts: dict[str, str] = {}
+    return dumps_indented(_instance_doc(inst, lambda table: _TableRows(table, layouts)), indent)
 
 
 def dumps_indented(obj, indent: int = 2) -> str:
@@ -633,6 +665,31 @@ def dumps_indented(obj, indent: int = 2) -> str:
 _FLAT = {int, bool, str, type(None)}  # what json.dumps writes the same with or without indent
 
 
+class _TableRows:
+    """A table object ``{"0": v0, "1": v1, ...}`` as the writer's input,
+    kept as the valuation's tuple. ``layouts`` maps an indentation to the
+    rows with a ``%d`` for each value; it is shared by the tables of one
+    document, which all have 2^m rows."""
+
+    __slots__ = ("table", "layouts")
+
+    def __init__(self, table: tuple, layouts: dict[str, str]):
+        self.table = table
+        self.layouts = layouts
+
+    def render(self, step: str, newline: str) -> str:
+        table = self.table
+        if set(map(type, table)) != {int}:
+            return _indented(_table_object(table), step, newline)
+        inner = newline + step
+        rows = self.layouts.get(inner)
+        if rows is None:
+            rows = self.layouts[inner] = ("," + inner).join(
+                f'"{key}": %d' for key in _mask_keys(len(table))
+            )
+        return "{" + inner + rows % table + newline + "}"
+
+
 def _indented(obj, step: str, newline: str) -> str:
     """``json.dumps(obj, indent=len(step))`` for dicts with string keys,
     lists and scalars; ``newline`` carries the current indentation."""
@@ -640,6 +697,8 @@ def _indented(obj, step: str, newline: str) -> str:
         return encode_basestring_ascii(obj)
     if type(obj) is int:
         return int.__repr__(obj)
+    if type(obj) is _TableRows:
+        return obj.render(step, newline)
     if isinstance(obj, dict):
         opening, closing, items = "{", "}", obj.values()
     elif isinstance(obj, (list, tuple)):

@@ -30,8 +30,10 @@ bundle grows nor rises as the other grows, so the whole subtree is cut.
 PROP cuts when k * avail is below the agent's total. Placing a good moves
 only the numbers of checkers outside its bundle that value it (all of
 them for EFX0), so only those are checked again. Table agents are not
-assumed monotone and are checked at the leaves only, via
-:func:`fairness.rejected_bundle`.
+assumed monotone and are checked at the leaves only, through the one table
+rule :func:`fairness.table_accepts` (PROP through
+:func:`fairness.rejected_bundle`), which stops at the first removal set
+that ends the envy.
 
 The scan also keeps a failure memo, the transposition table of game-tree
 search. Every verdict below a node is a function of the checkers' running
@@ -66,7 +68,17 @@ from itertools import combinations, compress, permutations
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import SearchSpaceTooLargeError, UnsupportedNotionError
-from .fairness import EF1, EF2, EFX, EFX0, Notion, is_fair, rejected_bundle, removable_values
+from .fairness import (
+    EF1,
+    EF2,
+    EFX,
+    EFX0,
+    Notion,
+    is_fair,
+    rejected_bundle,
+    removable_values,
+    table_accepts,
+)
 from .model import (
     BINARY,
     MAX_TABLE_GOODS,
@@ -301,7 +313,20 @@ def _leaves_in(
 
 
 def _tables_reject(tables: list, leaf: tuple[int, ...], notion: Notion) -> bool:
-    return any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables)
+    """Whether some table agent rejects the leaf's bundles: PROP through
+    :func:`fairness.rejected_bundle`, the envy notions through
+    :func:`fairness.table_accepts` on the bare tuple (with k > 1 only EF and
+    EFc reach here, and c is 0 for EF)."""
+    if notion.kind == "prop":
+        return any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables)
+    c = notion.c
+    for v, own in tables:
+        table = v.table
+        mine = table[leaf[own]]
+        for j, other in enumerate(leaf):
+            if j != own and not table_accepts(table, mine, other, c):
+                return True
+    return False
 
 
 class _Removals:

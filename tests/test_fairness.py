@@ -24,7 +24,7 @@ from groupfair import (
     parse_notion,
     up_to,
 )
-from groupfair.fairness import agent_verdict
+from groupfair.fairness import agent_verdict, table_accepts
 from groupfair.model import AgentPartition, full_mask
 
 
@@ -131,6 +131,37 @@ def test_table_efc_tries_removal_sets():
             for own in range(1 << m):
                 if not own & other:
                     assert fair_toward(t, own, other, up_to(c)) == (t.value(own) >= least)
+
+
+def _least_after_removals(table, other, c):
+    """Least value of ``other`` over every removal set of at most c goods."""
+    goods = [g for g in range(len(table).bit_length() - 1) if other >> g & 1]
+    return min(
+        table[other & ~sum(1 << g for g in drop)]
+        for size in range(min(c, len(goods)) + 1)
+        for drop in combinations(goods, size)
+    )
+
+
+@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "non-monotone"])
+def test_table_accepts_matches_every_removal_set(monotone):
+    rng = random.Random(f"table-accepts-{monotone}")
+    for _ in range(30):
+        m = rng.randrange(0, 6)
+        table = [0] * (1 << m)
+        for mask in range(1, 1 << m):
+            if monotone:
+                table[mask] = max(table[mask & ~(1 << g)] for g in range(m) if mask >> g & 1) + rng.randrange(3)
+            else:
+                table[mask] = rng.randrange(8)
+        table = tuple(table)
+        top = max(table)
+        # other = 0 included, and c up to 3 exceeds |other| for small bundles
+        for other in range(1 << m):
+            for c in range(4):
+                least = _least_after_removals(table, other, c)
+                for mine in range(-1, top + 2):
+                    assert table_accepts(table, mine, other, c) == (mine >= least), (table, mine, other, c)
 
 
 def test_prop_needs_whole_allocation():

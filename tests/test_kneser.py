@@ -340,12 +340,25 @@ def test_tightness_validates_inputs():
         tightness_instance(petersen, pcol, (2, 1))  # not K(2t,t,2)
 
 
+def _submask_walk_table(m, bundles):
+    """A colour's table by walking the submasks of each of its bundles."""
+    table = [1] * (1 << m)
+    for bm in bundles:
+        sub = bm
+        while True:
+            table[sub] = 0
+            if not sub:
+                break
+            sub = (sub - 1) & bm
+    return tuple(table)
+
+
 def test_tightness_tables_match_definition():
-    for t in (3, 4):
+    for t in (3, 4, 5, 6):
         g = build_kneser(2 * t, t, 2)
         _, y, col = chromatic_number(g, mode="exact" if t == 3 else "bounds")
         full = (1 << 2 * t) - 1
-        for n1 in (y, 0, 1, y - 1, y // 2):
+        for n1 in sorted({y, 0, 1, y - 1, y // 2}):
             inst = tightness_instance(g, col, (n1, y - n1))
             for c, v in enumerate(inst.agents):
                 bundles = [
@@ -353,10 +366,12 @@ def test_tightness_tables_match_definition():
                     for vm, vc in zip(g.vertices, col.colors)
                     if vc == c
                 ]
-                expect = tuple(
-                    0 if any(sub & ~bm == 0 for bm in bundles) else 1 for sub in range(full + 1)
-                )
-                assert v.table == expect, (t, n1, c)
+                assert v.table == _submask_walk_table(2 * t, bundles), (t, n1, c)
+                if t <= 4:  # the definition itself, entry by entry
+                    expect = tuple(
+                        0 if any(sub & ~bm == 0 for bm in bundles) else 1 for sub in range(full + 1)
+                    )
+                    assert v.table == expect, (t, n1, c)
 
 
 def test_fewer_agents_than_colors_frees_balanced_ef1():

@@ -473,6 +473,73 @@ def test_table_keys_in_any_order():
 
 
 @pytest.mark.parametrize(
+    "doc,message",
+    [
+        (_table_doc({"0": 0, "1": True}), "agent 0: boolean is not a utility value"),
+        (_table_doc({"0": 0, "1": "1/0"}), "agent 0: utility value '1/0' divides by zero"),
+        (_table_doc({"0": 0, "01": 1}), "agent 0: table key '01' is not a canonical decimal mask"),
+        (_table_doc({"0": 0, "1": 1, "2": 1}, 2), "agent 0: table over 2 goods misses subset mask 3"),
+        (_table_doc({"0": 0, "1": 1, "2": 1}, 1), "agent 0: table over 1 goods has out-of-range subset mask 2"),
+        (_table_doc({"0": 0}, 10**9), "agent 0: table over 1000000000 goods misses subset mask 1"),
+        (_table_doc({"0": 0}, -1), "agent 0: negative good count -1"),
+    ],
+)
+def test_canonical_order_tables_raise_as_any_order(doc, message):
+    """Keys "0", "1", ... in mask order take the loader's short way; each of
+    these documents keeps the message the per-key reading gives."""
+    for load in (instance_from_dict, lambda d: instance_from_json(json.dumps(d))):
+        with pytest.raises(ValueError) as err:
+            load(doc)
+        assert str(err.value) == message
+
+
+def test_canonical_order_tables_load_as_any_order():
+    # fractions scale to the same grid whichever order the keys come in
+    values = {"0": 0, "1": "1/2", "2": 0.25, "3": "3/4"}
+    canonical = _table_doc(values, 2)
+    shuffled = _table_doc({key: values[key] for key in ("3", "1", "0", "2")}, 2)
+    assert instance_from_dict(canonical) == instance_from_dict(shuffled)
+    assert instance_from_dict(canonical).agents[0].table == (0, 2, 1, 3)
+    # a repeated key is refused before any table is read
+    text = '{"m": 1, "agents": [{"id": 0, "kind": "table", "table": {"0": 0, "0": 0, "1": 1}}]}'
+    with pytest.raises(ValueError) as err:
+        instance_from_json(text)
+    assert str(err.value) == "repeated JSON object key '0'"
+    # tables of one document share the key list, whatever order each uses
+    doc = {
+        "m": 2,
+        "agents": [
+            {"id": 0, "kind": "table", "table": {"0": 0, "1": 1, "2": 2, "3": 3}},
+            {"id": 1, "kind": "additive", "values": [1, 2]},
+            {"id": 2, "kind": "table", "table": {"3": 5, "2": 4, "1": 0, "0": 0}},
+            {"id": 3, "kind": "table", "table": {"0": 0, "1": 6, "2": 7, "3": 8}},
+        ],
+        "groups": {"fixed": [[0, 1], [2, 3]]},
+    }
+    inst = instance_from_dict(doc)
+    assert [v.table for v in inst.agents if v.kind == "table"] == [(0, 1, 2, 3), (0, 0, 4, 5), (0, 6, 7, 8)]
+    assert instance_from_json(instance_to_json(inst)) == inst
+
+
+def test_table_writer_matches_json_dumps():
+    rng = random.Random(12)
+    for m in (0, 1, 12):
+        tables = [
+            Valuation("table", m, table=tuple(rng.randrange(0, 10**rng.randrange(1, 12)) for _ in range(1 << m)))
+            for _ in range(2)
+        ]
+        mixed = tables + [Valuation.additive(range(m)), Valuation.binary([1] * m)]
+        for agents in (tables, mixed):
+            inst = Instance.fixed(m, agents, [list(range(len(agents))), []])
+            for indent in (2, 4):
+                assert instance_to_json(inst, indent) == json.dumps(instance_to_dict(inst), indent=indent)
+    # entries that are not plain ints are written as json.dumps writes them
+    odd = Valuation("table", 2, table=(0, True, 0.5, None))
+    inst = Instance.fixed(2, [odd, Valuation.table_of(2, {0: 0, 1: 1, 2: 1, 3: 2})], [[0], [1]])
+    assert instance_to_json(inst) == json.dumps(instance_to_dict(inst), indent=2)
+
+
+@pytest.mark.parametrize(
     "build,hint",
     [
         # holes: masks 1 and 2 absent

@@ -3,7 +3,7 @@
 import math
 import random
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -56,8 +56,26 @@ def _reference_hits(inst, gof, notion, balanced, start, end):
         if balanced and max(sizes) - min(sizes) > 1:
             continue
         agents = enumerate(inst.agents)
-        if all(rejected_bundle(v, bundles, gof[a], notion) is None for a, v in agents):
+        if not any(_reference_rejects(v, bundles, gof[a], notion) for a, v in agents):
             yield idx, tuple(bundles)
+
+
+def _reference_rejects(v, bundles, own, notion):
+    """Whether the agent rejects some bundle; for tables under EF and EFc the
+    rule is spelled out here, over every removal set of at most c goods."""
+    if v.kind != "table" or notion.kind == "prop":
+        return rejected_bundle(v, bundles, own, notion) is not None
+    mine = v.table[bundles[own]]
+    for j, other in enumerate(bundles):
+        if j == own:
+            continue
+        goods = [g for g in range(v.m) if other >> g & 1]
+        removals = [
+            drop for size in range(min(notion.c, len(goods)) + 1) for drop in combinations(goods, size)
+        ]
+        if all(v.table[other & ~sum(1 << g for g in drop)] > mine for drop in removals):
+            return True
+    return False
 
 
 def _admissible(m, k, balanced, start, end):
@@ -276,12 +294,20 @@ def test_pool_path_matches_serial(monkeypatch, m, found, balanced):
 _KERNEL_CASES = [
     (notion, kind)
     for notion in (EF, EF1, EF2, EFX, EFX0, PROP)
-    for kind in ("binary", "additive", "table")
-    if not (kind == "table" and notion in (EFX, EFX0))
+    for kind in ("binary", "additive", "table", "mixed")
+    if not (kind in ("table", "mixed") and notion in (EFX, EFX0))
 ]
 
 
 def _random_agent(rng, kind, m):
+    if kind == "mixed":
+        # table agents next to additive and binary ones in one instance
+        kind = rng.choice(("table", "monotone", "binary", "additive"))
+    if kind == "monotone":
+        table = [0] * (1 << m)
+        for mask in range(1, 1 << m):
+            table[mask] = max(table[mask & ~(1 << g)] for g in range(m) if mask >> g & 1) + rng.randrange(3)
+        return Valuation("table", m, table=tuple(table))
     if kind == "table" and rng.random() < 0.6:
         # arbitrary entries, so most tables are not monotone
         return Valuation.table_of(m, {mask: rng.randrange(0, 7) for mask in range(1 << m)})
@@ -295,7 +321,7 @@ def _random_agent(rng, kind, m):
 @pytest.mark.parametrize("notion,kind", _KERNEL_CASES, ids=lambda x: str(x))
 def test_kernel_matches_reference_scanner(notion, kind, k, balanced):
     rng = random.Random(f"{notion}-{kind}-{k}-{balanced}")
-    non_monotone = 0
+    non_monotone = mixed = 0
     for _ in range(25):
         m = rng.randrange(0, 6 if k == 2 else 5)
         n = rng.randrange(1, 5)
@@ -309,6 +335,7 @@ def test_kernel_matches_reference_scanner(notion, kind, k, balanced):
             cuts = sorted(rng.randrange(0, n + 1) for _ in range(k - 1))
             inst = Instance.variable(m, agents, [b - a for a, b in zip([0, *cuts], [*cuts, n])])
         non_monotone += any("monotonicity" in p for p in validate(inst))
+        mixed += len({v.kind == "table" for v in agents}) == 2
         cons = SearchConstraints(notion, balanced_allocation=balanced)
         span = k**m
         expected = []
@@ -330,8 +357,10 @@ def test_kernel_matches_reference_scanner(notion, kind, k, balanced):
         assert cert.found == bool(expected)
         if expected:
             assert cert.allocation.bundles == expected[0]
-    if kind == "table":
+    if kind in ("table", "mixed"):
         assert non_monotone > 0
+    if kind == "mixed":
+        assert mixed > 0
 
 
 def _memo_instance(rng, k, notion):

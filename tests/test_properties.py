@@ -23,7 +23,7 @@ from groupfair import (
     up_to,
     validate,
 )
-from groupfair.model import _as_fraction, _scale_to_ints, full_mask
+from groupfair.model import _as_fraction, _scale_to_ints, _table_keys, _utility_ints, full_mask
 from groupfair.oracle import balanced_allocation_count, balanced_size_vectors, _multinomial
 
 values = st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=7)
@@ -105,7 +105,19 @@ table_values = st.one_of(
 @st.composite
 def table_documents(draw):
     m = draw(st.integers(min_value=0, max_value=4))
-    if draw(st.booleans()):  # every mask present, some dropped
+    shape = draw(st.sampled_from(["canonical", "dropped", "any"]))
+    if shape == "canonical":
+        # keys "0", "1", ... in mask order, for 2^m masks or a power of two
+        # next to it, sometimes with one slot's key replaced
+        size = 1 << draw(st.integers(min_value=max(0, m - 1), max_value=m + 1))
+        table = {str(mask): draw(table_values) for mask in range(size)}
+        if draw(st.booleans()):
+            slot = draw(st.integers(min_value=0, max_value=size - 1))
+            key = draw(table_keys)
+            items = list(table.items())
+            items[slot] = (key, items[slot][1])
+            table = dict(items)
+    elif shape == "dropped":  # every mask present, some dropped
         table = {str(mask): draw(table_values) for mask in range(1 << m)}
         for key in draw(st.lists(st.sampled_from(sorted(table)), max_size=2)):
             table.pop(key, None)
@@ -115,16 +127,31 @@ def table_documents(draw):
     return {"m": m, "agents": [agent], "groups": {"fixed": [[0]]}}
 
 
+def _per_key_reading(doc):
+    """The table read key by key, as the loader does for keys out of order:
+    the loaded valuation, or the text of the error it raises."""
+    raw = doc["agents"][0]["table"]
+    try:
+        return Valuation.table_of(doc["m"], dict(zip(_table_keys(raw), _utility_ints(raw.values()))))
+    except ValueError as exc:
+        return f"agent 0: {exc}"
+
+
 @settings(max_examples=300)
 @given(table_documents())
 def test_table_loader_fuzz(doc):
-    """The loader raises only its own errors, and plain-int tables load
-    exactly as through the Fraction reading."""
+    """The loader raises only its own errors, gives what the per-key reading
+    gives (valuation or message) whatever the key order, and plain-int
+    tables load exactly as through the Fraction reading."""
     raw = doc["agents"][0]["table"]
     try:
         inst = instance_from_dict(doc)
-    except (ValueError, GroupFairError):
+    except ValueError as exc:
+        assert str(exc) == _per_key_reading(doc)
         return
+    except GroupFairError:
+        return
+    assert inst.agents[0] == _per_key_reading(doc)
     assert isinstance(validate(inst), list)
     table = inst.agents[0].table
     # loaded only if the keys are exactly the masks, in any order
