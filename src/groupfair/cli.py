@@ -32,8 +32,8 @@ from .model import (
     Instance,
     dumps_indented,
     instance_from_json,
-    instance_to_dict,
     instance_to_json,
+    instance_to_rows,
     validate,
 )
 
@@ -124,6 +124,24 @@ def _parse_split(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f"expected two comma-separated sizes, got {text!r}")
     return int(parts[0]), int(parts[1])
+
+
+def _jobs(text: str) -> int:
+    """``--jobs``: a process count, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _emit(report: RunReport, fmt: str) -> None:
@@ -320,7 +338,7 @@ def _cmd_kneser(args) -> int:
                 fh.write(instance_to_json(inst) + "\n")
             result["instance"] = args.out
         else:
-            result["instance"] = instance_to_dict(inst)
+            result["instance"] = instance_to_rows(inst)
     run = RunReport("kneser", None, result, None, time.perf_counter() - t0)
     _emit(run, args.format)
     return OK
@@ -344,7 +362,7 @@ def _cmd_reduce(args) -> int:
             fh.write(instance_to_json(inst) + "\n")
         result["instance"] = args.out
     else:
-        result["instance"] = instance_to_dict(inst)
+        result["instance"] = instance_to_rows(inst)
     run = RunReport("reduce", _digest(inst), result, None, 0.0)
     _emit(run, args.format)
     return OK
@@ -403,7 +421,7 @@ def _build_parser() -> _Parser:
         required=True,
         choices=("binary", "two-one", "exact1", "roundrobin", "cutchoose", "knife", "prop"),
     )
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_jobs, default=_usable_cpus())
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("search", parents=[common], help="exhaustive existence search")
@@ -411,14 +429,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--notion", default="ef1")
     p.add_argument("--balanced-goods", action="store_true", help="bundle sizes within one")
     p.add_argument("--balanced-agents", action="store_true", help="group sizes within one")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_jobs, default=_usable_cpus())
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("corpus", parents=[common], help="run the built-in impossibility corpus")
     p.add_argument("--run", metavar="NAME", help="run a single entry")
     p.add_argument("--list", action="store_true", help="list entries")
     p.add_argument("--export", metavar="DIR", help="write the instances as JSON files")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(fn=_cmd_corpus)
 
     p = sub.add_parser("kneser", parents=[common], help="generalized Kneser graph toolkit")

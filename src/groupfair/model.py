@@ -651,8 +651,15 @@ def instance_to_json(inst: Instance, indent: int | None = 2) -> str:
     """
     if indent is None:
         return json.dumps(instance_to_dict(inst))
+    return dumps_indented(instance_to_rows(inst), indent)
+
+
+def instance_to_rows(inst: Instance) -> dict:
+    """:func:`instance_to_dict`'s document with each table left as its tuple,
+    for :func:`dumps_indented` to write as the same rows, wherever in a
+    report the document sits; ``str`` shows it as the dict's text."""
     layouts: dict[str, str] = {}
-    return dumps_indented(_instance_doc(inst, lambda table: _TableRows(table, layouts)), indent)
+    return _instance_doc(inst, lambda table: _TableRows(table, layouts))
 
 
 def dumps_indented(obj, indent: int = 2) -> str:
@@ -676,6 +683,9 @@ class _TableRows:
     def __init__(self, table: tuple, layouts: dict[str, str]):
         self.table = table
         self.layouts = layouts
+
+    def __repr__(self) -> str:
+        return repr(_table_object(self.table))
 
     def render(self, step: str, newline: str) -> str:
         table = self.table

@@ -46,7 +46,7 @@ reaches the same numbers is cut like a bound cut. A checker whose valued
 goods are all placed leaves the key: it passed at that node and nothing
 below moves it. A table agent's verdict depends on the whole bundle masks,
 so scans with table agents record nothing. The memo lives for one scan of
-[start, end), so each pool chunk keeps its own. It works only on nodes
+[start, end). It works only on nodes
 with at least two goods unplaced (smaller subtrees are walked faster than
 looked up), and each level of the tree records at most k**ceil(m/2) nodes,
 one int each: at most about m * sqrt(k**m) ints for k**m leaves (some
@@ -56,13 +56,22 @@ building keys, so a scan the memo cannot shorten runs close to the speed
 of one without it. ``SearchStats.memo_pruned`` counts its cuts, which are
 part of ``pruned``; their candidates count in ``candidates_pruned``, so
 ``examined`` and the first hit do not change.
+
+With ``jobs`` > 1, every partition's scan still starts in-process, where
+one memo serves the whole scan. Only once the memo has stopped cutting
+(its lowest level filled without a recall; from the start in a scan with
+no memo) and more than ``_POOL_LEAVES`` leaves lie ahead does the scan stop
+at the next subtree boundary x that is a multiple of the pool's chunk and
+hand [x, span) to a process pool as whole chunks, each scanned with a memo
+of its own. The pool opens once per call, on the first hand-off. Hits
+before x come first, then the lowest chunk's; ``examined`` and the counts
+are those of the one scan.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, compress, permutations
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -96,13 +105,13 @@ if TYPE_CHECKING:
 
 # Upper bound on partitions x allocation counters walked in one call.
 SCAN_GUARD = 10**8
-# Up to this many candidates per partition a pool costs more than it saves.
-# On scans the failure memo cannot shorten (four identical agents with
-# distinct values and an odd total, EF), 2 workers on 2 cores ran 0.9-1.15x
-# the serial speed at 2^16 candidates and 0.8-1.3x at 3^10, 1.2-1.9x at 2^18
-# (medians of 5, two rounds). Scans the memo does shorten finish serially
-# in milliseconds and lose to any pool.
-_SERIAL_CUTOFF = 1 << 16
+# A scan hands its rest to the pool only when more than this many leaves lie
+# ahead. Handed off as soon as the memo stopped, scans it cannot shorten
+# (four identical additive agents, distinct values, EF, no allocation) ran
+# on 2 workers at 0.60x the serial speed with 14,336 leaves ahead (k=2),
+# 0.78x with 13,122 (k=3), 1.09x with 28,672 (k=2), 1.29x with 52,488 (k=3)
+# and 1.47x with 61,440 (k=2); medians of 5 on 2 cores.
+_POOL_LEAVES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -132,7 +141,8 @@ class SearchStats:
     failure memo recognised as refuted before; they are part of
     ``pruned``. On an exhausted search ``leaves_rejected +
     candidates_pruned == examined`` still holds. ``partitions`` counts the
-    agent partitions walked and ``workers`` the processes that walked them.
+    agent partitions walked. ``workers`` is 1 when every scan ran to its end
+    in-process, and the pool's size, ``jobs``, once a scan was handed to it.
     """
 
     nodes: int = 0
@@ -364,11 +374,17 @@ def _hits(
     start: int,
     end: int,
     stats: SearchStats,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
+    chunk: int = 0,
+) -> Iterator[tuple[int, tuple[int, ...] | None]]:
     """Satisfying ``(index, bundles)`` with index in [start, end), in order.
 
     Walks the allocation tree depth first (see the module docstring); the
-    node, pruning and leaf counts are added to ``stats``.
+    node, pruning and leaf counts are added to ``stats``. With ``chunk``, a
+    power of k, the scan may end early for the pool: once the memo has
+    stopped cutting and more than ``_POOL_LEAVES`` leaves lie ahead, it
+    stops at the next multiple x of ``chunk`` that ends a subtree (at
+    ``start`` in a scan with no memo) and yields ``(x, None)`` last; every
+    leaf before x has been walked.
     """
     m, k = inst.m, inst.k
     kind = notion.kind
@@ -474,6 +490,16 @@ def _hits(
     # memo cannot shorten soon builds keys only on the few upper nodes.
     # Below a table agent's verdict the key says nothing, so a scan with
     # table agents records none.
+    #
+    # due is the lowest level whose subtree close may end the scan for the
+    # pool: a node at level g >= log_k(chunk) ends on a multiple of chunk.
+    # It stays m (never) while the memo may still cut, that is until low
+    # first moves up, and from the start in a scan with no memo.
+    handoff = width.index(chunk) if chunk else m
+    due = handoff if tables else m
+    if due < m and end - start > _POOL_LEAVES:
+        yield start, None
+        return
     above = [0] * m
     above[m - 1] = level * m
     marks = [0] * m
@@ -563,6 +589,14 @@ def _hits(
                 room[g] -= 1
                 while low < m and not room[low] and not recalled_at[low]:
                     low += 1
+                    due = handoff
+            if g >= due:
+                x = base + width[g]
+                if end - x > _POOL_LEAVES:
+                    stats.count(nodes, pruned, recalled, cut, rejected)
+                    yield x, None
+                    return
+                due = m  # what is left only shrinks
             b = path[g]
             base -= b * width[g]
         # take good g back out of bundle b
@@ -601,22 +635,21 @@ def _scan_range(
 
 def _scan_parallel(
     pool: ProcessPoolExecutor,
-    jobs: int,
     inst: Instance,
     gof: Sequence[int],
     notion: Notion,
     balanced: bool,
-    span: int,
+    start: int,
+    end: int,
+    chunk: int,
     stats: SearchStats,
 ) -> tuple[int, tuple[int, ...]] | None:
-    """One partition's first hit, scanned in chunks of whole subtrees; the
-    chunks still pending are cancelled once the lowest hit is known."""
-    chunk = 1
-    while chunk * jobs * 8 < span:
-        chunk *= inst.k
+    """The first hit in [start, end), scanned by the pool in chunks of whole
+    subtrees; the chunks still pending are cancelled once the lowest hit is
+    known."""
     futures = [
         pool.submit(_scan_range, inst, tuple(gof), notion, balanced, lo, lo + chunk)
-        for lo in range(0, span, chunk)
+        for lo in range(start, end, chunk)
     ]
     try:
         # chunks are disjoint and ordered, so the first hit is the minimum
@@ -644,6 +677,17 @@ def _guard(inst: Instance, partitions: int) -> int:
     return inst.k ** inst.m
 
 
+def _pool_chunk(k: int, span: int, jobs: int) -> int:
+    """The pool's unit of work, a power of k: scans hand off only at its
+    multiples. 0 for one job, which never hands off."""
+    if jobs <= 1:
+        return 0
+    chunk = 1
+    while chunk * jobs * 8 < span:
+        chunk *= k
+    return chunk
+
+
 def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certificate:
     """Decide existence by walking every admissible candidate.
 
@@ -658,21 +702,26 @@ def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certifi
         balanced_allocation_count(inst.m, inst.k) if cons.balanced_allocation else span
     )
     notion, balanced = cons.notion, cons.balanced_allocation
-    parallel = jobs > 1 and span > _SERIAL_CUTOFF
-    stats = SearchStats(workers=jobs if parallel else 1)
-    if parallel:  # multiprocessing loads only for scans that use the pool
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+    chunk = _pool_chunk(inst.k, span, jobs)
+    stats = SearchStats()
+    pool = None
+    try:
         for gof in assignments:
             stats.partitions += 1
-            if parallel:
-                hit = _scan_parallel(pool, jobs, inst, gof, notion, balanced, span, stats)
-            else:
-                hit, part_stats = _scan_range(inst, gof, notion, balanced, 0, span)
-                stats.add(part_stats)
+            hit = next(_hits(inst, gof, notion, balanced, 0, span, stats, chunk), None)
+            if hit is not None and hit[1] is None:  # the memo stopped cutting: pool the rest
+                if pool is None:  # multiprocessing loads only for scans that use it
+                    from concurrent.futures import ProcessPoolExecutor
+
+                    pool = ProcessPoolExecutor(max_workers=jobs)
+                    stats.workers = jobs
+                hit = _scan_parallel(pool, inst, gof, notion, balanced, hit[0], span, chunk, stats)
             if hit is not None:
                 part = AgentPartition(tuple(gof), inst.k) if with_partition else None
                 return Certificate(True, allocation=Allocation(hit[1]), partition=part, stats=stats)
+    finally:
+        if pool is not None:  # chunks still running past a hit are not waited for
+            pool.shutdown(wait=hit is None, cancel_futures=True)
     return Certificate(False, examined=num_parts * per_partition, stats=stats)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -213,6 +214,29 @@ def test_solve_requires_known_method(two_one, capsys):
     assert err.endswith("groupfair search: error: argument --jobs: invalid int value: 'x'\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", ["solve", "search", "corpus"])
+def test_jobs_must_be_positive(two_one, capsys, command, value):
+    # a count below one used to run serially without a word
+    argv = {
+        "solve": ["solve", two_one, "--method", "binary"],
+        "search": ["search", two_one],
+        "corpus": ["corpus"],
+    }[command]
+    code, out, err = run_cli([*argv, "--jobs", value], capsys)
+    assert (code, out) == (1, "")
+    message = f"argument --jobs: must be at least 1, got {value}"
+    assert err.endswith(f"groupfair {command}: error: {message}\n")
+
+
+def test_jobs_default_is_usable_cpus(two_one):
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parser = _build_parser()
+    assert parser.parse_args(["search", two_one]).jobs == usable
+    assert parser.parse_args(["solve", two_one, "--method", "binary"]).jobs == usable
+    assert parser.parse_args(["corpus"]).jobs == 1
+
+
 def test_search_found_and_exhausted(two_one, tmp_path, capsys):
     code, out, _ = run_cli(["search", two_one], capsys)
     assert code == 0
@@ -349,6 +373,29 @@ def test_json_reports_match_json_dumps(two_one, capsys):
     assert len(doc["result"]["instance"]["agents"][0]["table"]) == 2**6
     code, out, _ = run_cli(questions[1], capsys)
     assert json.loads(out)["fairness"]["witnesses"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_inline_instance_reports(tmp_path, capsys, fmt):
+    # without --out, kneser --tightness and reduce put the instance in the
+    # report: the document instance_to_dict gives, as JSON or as its text
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 4 2\n1 2 3 0\n-2 -3 -4 0\n")
+    out_file = tmp_path / "inst.json"
+    questions = [
+        ["kneser", "--b", "6", "--r", "3", "--s", "2", "--chi", "bounds",
+         "--tightness", "--split", "2,4"],
+        ["reduce", "--formula", str(cnf)],
+    ]
+    for argv in questions:
+        assert run_cli([*argv, "--out", str(out_file)], capsys)[0] == 0
+        expected = instance_to_dict(instance_from_json(out_file.read_text()))
+        code, out, _ = run_cli([*argv, "--format", fmt], capsys)
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["result"]["instance"] == expected
+        else:
+            assert f"\ninstance: {expected}\n" in out
 
 
 def test_kneser_guard_exits_one(capsys):
@@ -526,6 +573,36 @@ def test_import_leaves_pool_and_fuzz_unloaded():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]" and lines[-1] == "[]"
+
+
+def test_memo_cut_search_starts_no_pool(tmp_path):
+    # the m=18 parity scan is one the failure memo finishes in-process, so the
+    # default --jobs must neither hand it off nor load the process pool
+    rng = random.Random(18)
+    values = [rng.randint(1, 9) for _ in range(18)]
+    values[0] += sum(values) % 2 == 0  # an odd total: no EF split for 2+2 equal agents
+    doc = {
+        "m": 18,
+        "agents": [{"id": a, "kind": "additive", "values": values} for a in range(4)],
+        "groups": {"fixed": [[0, 1], [2, 3]]},
+    }
+    path = tmp_path / "parity18.json"
+    path.write_text(json.dumps(doc))
+    code = (
+        "import contextlib, io, json, sys, groupfair.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    exit_code = groupfair.cli.main(['search', {str(path)!r}, '--notion', 'ef'])\n"
+        "stats = json.loads(out.getvalue())['result']['stats']\n"
+        "print(exit_code, stats['workers'], 'concurrent.futures.process' in sys.modules)\n"
+    )
+    root = CORPUS_DIR.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "1", "False"]
 
 
 def test_table_format(two_one, capsys):

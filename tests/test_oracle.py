@@ -264,31 +264,151 @@ def test_invalid_fixed_groups_are_rejected(n, members):
         Instance.fixed(2, [Valuation.binary([1, 1])] * n, members)
 
 
+def _memo_miss(m, seed, k=2):
+    """Additive values, distinct up to 10**6, whose total k does not divide:
+    identical agents never have EF, and the failure memo finds nothing to cut."""
+    values = random.Random(seed).sample(range(1, 10**6), m)
+    while sum(values) % k == 0:
+        values[0] += 1
+    return values
+
+
+def _split_at(values, index):
+    """The values with one good raised so that candidate ``index`` (k=2)
+    splits them exactly in half."""
+    values = list(values)
+    ones = [g for g in range(len(values)) if index >> g & 1]
+    zeros = [g for g in range(len(values)) if not index >> g & 1]
+    excess = sum(values[g] for g in ones) - sum(values[g] for g in zeros)
+    values[(zeros if excess > 0 else ones)[0]] += abs(excess)
+    return values
+
+
+def _table_of(values):
+    m = len(values)
+    return Valuation.table_of(
+        m, {mask: sum(v for g, v in enumerate(values) if mask >> g & 1) for mask in range(2**m)}
+    )
+
+
+def _four(valuation, members=([0, 1], [2, 3])):
+    """Four agents with one valuation, in fixed groups."""
+    return Instance.fixed(valuation.m, [valuation] * 4, list(members))
+
+
+def _first_in_process(inst, cons, jobs):
+    """What each partition's in-process scan ends on under ``jobs``: its
+    first hit or the ``(x, None)`` that hands [x, span) to the pool."""
+    span = inst.k**inst.m
+    chunk = oracle._pool_chunk(inst.k, span, jobs)
+    notion, balanced = cons.notion, cons.balanced_allocation
+    return [
+        next(_hits(inst, gof, notion, balanced, 0, span, SearchStats(), chunk), None)
+        for gof in _partition_plan(inst, cons)[1]
+    ]
+
+
+def _assert_pool_matches_serial(inst, cons, handed_off, jobs=2):
+    serial = find_fair(inst, cons, jobs=1)
+    pooled = find_fair(inst, cons, jobs=jobs)
+    assert pooled == serial
+    for cert in (serial, pooled):
+        s = cert.stats
+        assert s.partitions == serial.stats.partitions
+        if not cert.found:
+            assert s.leaves_rejected + s.candidates_pruned == cert.examined
+    assert serial.stats.workers == 1
+    assert pooled.stats.workers == (jobs if handed_off else 1)
+    return pooled
+
+
 def test_parallel_scan_matches_serial():
-    # span 2^18 crosses the serial cutoff, so jobs=2 takes the pool path
-    assert 2**18 > oracle._SERIAL_CUTOFF
-    agents = [Valuation.additive([1] * 18), Valuation.additive([1] * 18)]
-    inst = Instance.fixed(18, agents, [[0], [1]])
-    a = find_fair(inst, SearchConstraints(EF), jobs=1)
-    b = find_fair(inst, SearchConstraints(EF), jobs=2)
-    assert a == b and a.found
-    assert (a.stats.workers, b.stats.workers) == (1, 2)
+    # at the shipped threshold: the memo-miss scan of 2^16 candidates hands
+    # more than _POOL_LEAVES leaves to the pool, the scan the memo cuts none
+    rng = random.Random(16)
+    parity = [rng.randrange(1, 10) for _ in range(16)]
+    parity[0] += sum(parity) % 2 == 0
+    for values, handed_off in ((_memo_miss(16, 0), True), (parity, False)):
+        inst = _four(Valuation.additive(values))
+        cert = _assert_pool_matches_serial(inst, SearchConstraints(EF), handed_off)
+        assert not cert.found and cert.examined == 2**16
+    assert 2**16 - 2**12 > oracle._POOL_LEAVES
 
 
 @pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
 @pytest.mark.parametrize("m,found", [(8, True), (9, False)], ids=["found", "exhausted"])
 def test_pool_path_matches_serial(monkeypatch, m, found, balanced):
-    # a low cutoff sends a small scan through the pool, in chunks of 2^2 leaves
-    monkeypatch.setattr(oracle, "_SERIAL_CUTOFF", 2**4)
-    inst = Instance.fixed(m, [Valuation.additive([1] * m)] * 4, [[0, 1], [2, 3]])
+    # a low threshold hands a small memo-miss scan to the pool, in chunks of
+    # 2^4 (m=8) or 2^5 (m=9) leaves; the planted split at index 113 lies past
+    # the hand-off, which comes at 80 (free) or 96 (balanced)
+    monkeypatch.setattr(oracle, "_POOL_LEAVES", 2**4)
+    values = _split_at(_memo_miss(m, 0), 113) if found else _memo_miss(m, 0)
+    inst = _four(Valuation.additive(values))
     cons = SearchConstraints(EF, balanced_allocation=balanced)
-    serial = find_fair(inst, cons, jobs=1)
-    pooled = find_fair(inst, cons, jobs=2)
-    assert serial == pooled and serial.found == found
-    assert pooled.stats.workers == 2
-    if not found:
-        s = pooled.stats
-        assert s.leaves_rejected + s.candidates_pruned == pooled.examined
+    assert _first_in_process(inst, cons, 2)[0][1] is None
+    cert = _assert_pool_matches_serial(inst, cons, handed_off=True)
+    assert cert.found == found
+    if found:
+        assert cert.allocation.bundles == (255 ^ 113, 113)
+
+
+@pytest.mark.parametrize(
+    "where,seed,index,boundary",
+    [("before", 0, 190, 192), ("at", 9, 448, 448), ("after", 0, 193, 192)],
+    ids=["before", "at", "after"],
+)
+def test_handoff_boundary(monkeypatch, where, seed, index, boundary):
+    # a memo-miss scan of 2^10 candidates, chunks of 2^6, with one exact
+    # split planted next to the chunk boundary where the scan hands off:
+    # one before it is found in-process, one at or after it by the pool
+    monkeypatch.setattr(oracle, "_POOL_LEAVES", 2**4)
+    inst = _four(Valuation.additive(_split_at(_memo_miss(10, seed), index)))
+    cons = SearchConstraints(EF)
+    span, chunk = 2**10, oracle._pool_chunk(2, 2**10, 2)
+    walked = list(_hits(inst, inst.assignment, EF, False, 0, span, SearchStats(), chunk))
+    if where == "before":  # the scan goes on past the hit to hand off next
+        assert [i for i, _b in walked] == [index, boundary] and walked[1][1] is None
+    else:
+        assert walked == [(boundary, None)]
+    cert = _assert_pool_matches_serial(inst, cons, handed_off=where != "before")
+    assert cert.found and cert.allocation.bundles == (1023 ^ index, index)
+
+
+_MISS8 = [Valuation.additive(_memo_miss(8, 0))] * 4
+_HANDOFF_CASES = {  # instance, constraints, whether the scans hand off
+    "k3": (
+        _four(Valuation.additive(_memo_miss(6, 0, 3)), ([0, 1], [2], [3])),
+        SearchConstraints(EF),
+        True,
+    ),
+    "balanced-goods": (
+        _four(Valuation.additive(_memo_miss(10, 0))),
+        SearchConstraints(EF, balanced_allocation=True),
+        True,
+    ),
+    "variable": (Instance.variable(8, _MISS8, [2, 2]), SearchConstraints(EF), True),
+    "balanced-agents": (
+        Instance.variable(8, _MISS8, [2, 2]),
+        SearchConstraints(EF, balanced_partition=True),
+        True,
+    ),
+    "tables": (_four(_table_of(_memo_miss(8, 0))), SearchConstraints(EF), True),
+    "memo-cuts": (_four(Valuation.additive([1] * 9)), SearchConstraints(EF), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_HANDOFF_CASES))
+def test_handoff_matches_serial(monkeypatch, case):
+    # below the shipped threshold every memo-miss shape hands off; a table
+    # scan keeps no memo and hands off at once; a scan the memo cuts never
+    inst, cons, handed_off = _HANDOFF_CASES[case]
+    monkeypatch.setattr(oracle, "_POOL_LEAVES", 2**4)
+    first = _first_in_process(inst, cons, 2)
+    assert [f is not None and f[1] is None for f in first] == [handed_off] * len(first)
+    if inst.agents[0].kind == "table":
+        assert first == [(0, None)]
+    _assert_pool_matches_serial(inst, cons, handed_off)
+    _assert_pool_matches_serial(inst, cons, handed_off, jobs=3)
 
 
 _KERNEL_CASES = [
@@ -450,11 +570,14 @@ def test_memo_matches_reference_scanner(monkeypatch, notion, k, balanced):
     # leave EF2 nothing to refute: a bundle needs 3 goods to fail it, and
     # then the bound cuts (balanced bundles of at most two always pass)
     assert recalled > 0 or (notion == EF2 and k == 3)
-    # the pool path: every chunk keeps its own memo
-    monkeypatch.setattr(oracle, "_SERIAL_CUTOFF", 2**4)
+    # jobs=2 below the shipped threshold: a scan the memo shortens stays
+    # in-process, one it cannot hands off and every pool chunk keeps its own
+    monkeypatch.setattr(oracle, "_POOL_LEAVES", 2**4)
     inst, cons, serial = pooled
     cert = find_fair(inst, cons, jobs=2)
-    assert cert == serial and cert.stats.workers == 2
+    walked = _first_in_process(inst, cons, 2)[: serial.stats.partitions]
+    handed_off = any(f is not None and f[1] is None for f in walked)
+    assert cert == serial and cert.stats.workers == (2 if handed_off else 1)
     if not cert.found:
         assert cert.stats.leaves_rejected + cert.stats.candidates_pruned == cert.examined
 
