@@ -16,10 +16,13 @@ top after every application):
 * ``P3-pair`` / ``P3-sets`` / ``dominance-AB``: two disjoint sets of goods
   G1, G2 such that every first-group agent desires at least as many goods
   in G1 as in G2 and every second-group agent at least as many in G2 as in
-  G1; G1 goes to the first group and G2 to the second. Searched up to set
-  size three. Singleton pairs are tagged ``P3-pair``, equal sizes
-  ``P3-sets``, unequal ``dominance-AB``. When the second group is a single
-  agent only equal sizes are used.
+  G1; G1 goes to the first group and G2 to the second. Size pairs are
+  scanned in the order (1,1), (1,2), (2,1), (1,3), (2,2), (3,1), (2,3),
+  (3,2), (3,3); when the second group is a single agent only the equal
+  sizes (1,1), (2,2), (3,3) are used. The first pair found is taken, and the
+  sets of a size are built only when every smaller pair has failed.
+  Singleton pairs are tagged ``P3-pair``, equal sizes ``P3-sets``, unequal
+  ``dominance-AB``.
 * ``P4``: an agent desiring an odd number of goods stops desiring her
   lowest-indexed desired good. Any allocation that is EF1 for her after
   the perturbation is EF1 for her before it. With a singleton second
@@ -153,31 +156,37 @@ class _State:
         return False
 
     def rule_dominance(self) -> bool:
-        g = len(self.goods)
+        goods = self.goods
+        g = len(goods)
         if g < 2:
             return False
-        packs: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {1: [], 2: [], 3: []}
-        for i, (_, s, t) in enumerate(self.goods):
-            packs[1].append(((i,), 1 << i, s, t))
-        for size in (2, 3):
-            if g < size:
-                continue
-            for combo in combinations(range(g), size):
-                mask = 0
-                pa = pb = 0
-                for i in combo:
-                    mask |= 1 << i
-                    pa += self.goods[i][1]
-                    pb += self.goods[i][2]
-                packs[size].append((combo, mask, pa, pb))
+        # Sets of a size are packed the first time a size pair needs them:
+        # most calls succeed on singletons, so the 2- and 3-sets (C(g,3) of
+        # them) are built only once every smaller pair has failed.
+        packs: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {}
+
+        def sets(size: int) -> list[tuple[tuple[int, ...], int, int, int]]:
+            built = packs.get(size)
+            if built is None:
+                built = packs[size] = []
+                for combo in combinations(range(g), size):
+                    mask = pa = pb = 0
+                    for i in combo:
+                        mask |= 1 << i
+                        pa += goods[i][1]
+                        pb += goods[i][2]
+                    built.append((combo, mask, pa, pb))
+            return built
+
         if self.singleton_chain:
             size_pairs = ((1, 1), (2, 2), (3, 3))
         else:
             size_pairs = ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (2, 3), (3, 2), (3, 3))
         ga, gb = self.guard_a, self.guard_b
         for sa, sb in size_pairs:
-            for combo1, mask1, a1, b1 in packs[sa]:
-                for combo2, mask2, a2, b2 in packs[sb]:
+            firsts, seconds = sets(sa), sets(sb)
+            for combo1, mask1, a1, b1 in firsts:
+                for combo2, mask2, a2, b2 in seconds:
                     if mask1 & mask2:
                         continue
                     if ((a1 | ga) - a2) & ga != ga:
@@ -256,27 +265,36 @@ def preprocess(inst: Instance) -> tuple[tuple[int, int], Instance, ReductionTrac
 def replay_trace(inst: Instance, trace: ReductionTrace) -> tuple[int, int]:
     """Re-apply a trace's moves on the original instance.
 
-    Verifies that every good is moved or left exactly once and that each
-    perturbation targets a good the agent actually desired at that point;
-    returns the partial masks in instance group order.
+    Verifies that every id names an agent or good of the instance, that
+    every good is moved or left exactly once and that each perturbation
+    targets a good the agent actually desired at that point; returns the
+    partial masks in instance group order.
     """
+
+    def good(g: int) -> int:
+        if not 0 <= g < inst.m:
+            raise ValueError(f"good {g} is not a good of the instance (0..{inst.m - 1})")
+        return g
+
     first = second = 0
     desires = [list(v.values) for v in inst.agents]
     for step in trace.steps:
-        for g in step.to_first:
+        for g in map(good, step.to_first):
             if (first | second) & (1 << g):
                 raise ValueError(f"good {g} moved twice")
             first |= 1 << g
-        for g in step.to_second:
+        for g in map(good, step.to_second):
             if (first | second) & (1 << g):
                 raise ValueError(f"good {g} moved twice")
             second |= 1 << g
         for aid, g in step.undesired:
-            if not desires[aid][g]:
+            if not 0 <= aid < inst.n:
+                raise ValueError(f"agent {aid} is not an agent of the instance (0..{inst.n - 1})")
+            if not desires[aid][good(g)]:
                 raise ValueError(f"agent {aid} never desired good {g}")
             desires[aid][g] = 0
     moved = first | second
-    for g in trace.remaining_goods:
+    for g in map(good, trace.remaining_goods):
         if moved & (1 << g):
             raise ValueError(f"good {g} both moved and remaining")
         moved |= 1 << g

@@ -1,6 +1,7 @@
 """Reduction rules and the two-group binary EF1 solver."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,8 @@ from groupfair import (
     replay_trace,
     solve_ef1_binary,
 )
-from groupfair.binary_solver import ReductionTrace, TraceStep, reducible_shape
+from groupfair import binary_solver
+from groupfair.binary_solver import ReductionTrace, TraceStep, _State, reducible_shape
 from groupfair.fairness import fair_toward
 from groupfair.model import Allocation, allocation_violations
 
@@ -133,6 +135,22 @@ def test_replay_trace_rejects_tampering():
     bogus = ReductionTrace((TraceStep("P4", undesired=((0, 1),)),), tuple(range(2)))
     with pytest.raises(ValueError):
         replay_trace(inst, bogus)
+    # ids outside the instance, negative ones included, are named
+    two = bin_inst(2, [[0, 1], [0, 1]], [[0], [1]])
+    for step, remaining, bad in [
+        (TraceStep("P4", undesired=((1, -1),)), (0, 1), "good -1"),
+        (TraceStep("P4", undesired=((-1, 1),)), (0, 1), "agent -1"),
+        (TraceStep("P4", undesired=((1, 2),)), (0, 1), "good 2"),
+        (TraceStep("P4", undesired=((2, 1),)), (0, 1), "agent 2"),
+        (TraceStep("P1", to_first=(-1,)), (0, 1), "good -1"),
+        (TraceStep("P1", to_first=(2,)), (0, 1), "good 2"),
+        (TraceStep("P1", to_second=(-2,)), (0, 1), "good -2"),
+        (TraceStep("P1", to_second=(5,)), (0, 1), "good 5"),
+        (TraceStep("P1", to_first=(0,)), (1, -1), "good -1"),
+        (TraceStep("P1", to_first=(0,)), (1, 2), "good 2"),
+    ]:
+        with pytest.raises(ValueError, match=f"{bad} is not"):
+            replay_trace(two, ReductionTrace((step,), remaining))
 
 
 def test_trace_serialization():
@@ -206,8 +224,6 @@ def test_solve_certifies_nonexistence():
     # every 2-subset of the goods has a desirer in the large group, so its
     # bundle must hit all pairs; that leaves at most one good for the
     # singleton, who wants two of her four
-    from itertools import combinations
-
     desired = [list(p) for p in combinations(range(4), 2)] + [[0, 1, 2, 3]]
     inst = bin_inst(4, desired, [[0, 1, 2, 3, 4, 5], [6]])
     with pytest.raises(FairAllocationNotFound) as err:
@@ -236,3 +252,101 @@ def test_solver_is_deterministic():
         desired = [rng.sample(range(m), rng.randrange(0, m + 1)) for _ in range(6)]
         inst = bin_inst(m, desired, [[0, 1, 2, 3, 4], [5]])
         assert solve_ef1_binary(inst) == solve_ef1_binary(inst)
+
+
+def _eager_dominance(self):
+    """The dominance rule with every 1-, 2- and 3-set packed up front."""
+    g = len(self.goods)
+    if g < 2:
+        return False
+    packs = {1: [], 2: [], 3: []}
+    for i, (_, s, t) in enumerate(self.goods):
+        packs[1].append(((i,), 1 << i, s, t))
+    for size in (2, 3):
+        for combo in combinations(range(g), size):
+            mask = pa = pb = 0
+            for i in combo:
+                mask |= 1 << i
+                pa += self.goods[i][1]
+                pb += self.goods[i][2]
+            packs[size].append((combo, mask, pa, pb))
+    if self.singleton_chain:
+        size_pairs = ((1, 1), (2, 2), (3, 3))
+    else:
+        size_pairs = ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (2, 3), (3, 2), (3, 3))
+    ga, gb = self.guard_a, self.guard_b
+    for sa, sb in size_pairs:
+        for combo1, mask1, a1, b1 in packs[sa]:
+            for combo2, mask2, a2, b2 in packs[sb]:
+                if mask1 & mask2:
+                    continue
+                if ((a1 | ga) - a2) & ga != ga:
+                    continue
+                if ((b2 | gb) - b1) & gb != gb:
+                    continue
+                if sa == 1 and sb == 1:
+                    rule = "P3-pair"
+                elif sa == sb:
+                    rule = "P3-sets"
+                else:
+                    rule = "dominance-AB"
+                self._take(list(combo1), list(combo2), rule)
+                return True
+    return False
+
+
+def test_dominance_matches_eager_reference(monkeypatch):
+    # uniform desires rarely reach the set rules, so most agents desire
+    # 2-4 of 4-8 goods; the rest are uniform up to 14 goods
+    rng = random.Random(18)
+    shapes = [(a, b) for a in range(6) for b in range(6) if a + b and reducible_shape(a, b)]
+    cases = []
+    for n1, n2 in shapes:
+        n = n1 + n2
+        for _ in range(80):
+            if rng.random() < 0.8:
+                m = rng.randrange(4, 9)
+                desired = [rng.sample(range(m), rng.randrange(2, 5)) for _ in range(n)]
+            else:
+                m = rng.randrange(0, 15)
+                desired = [[g for g in range(m) if rng.random() < 0.5] for _ in range(n)]
+            cases.append(bin_inst(m, desired, [list(range(n1)), list(range(n1, n))]))
+    # the large group's 2-set against the small group's 3-set is too rare
+    # to count on in a random sample: one such instance, in both group orders
+    desired = [[1, 2, 3, 4], [0, 4], [0, 2], [0, 2, 3, 4], [0, 1, 2, 4]]
+    cases.append(bin_inst(5, desired, [[0, 1, 2], [3, 4]]))
+    cases.append(bin_inst(5, desired, [[3, 4], [0, 1, 2]]))
+    lazy = [preprocess(inst) for inst in cases]
+    monkeypatch.setattr(_State, "rule_dominance", _eager_dominance)
+    seen = set()
+    for inst, (partial, _, trace) in zip(cases, lazy):
+        ref_partial, _, ref_trace = preprocess(inst)
+        assert partial == ref_partial
+        assert trace.to_dict() == ref_trace.to_dict()
+        seen.update((s.rule, len(s.to_first), len(s.to_second)) for s in trace.steps)
+    # set sizes as the trace gives them, in instance group order
+    for tag in [
+        ("P3-pair", 1, 1),
+        ("P3-sets", 2, 2),
+        ("dominance-AB", 1, 2),
+        ("dominance-AB", 2, 1),
+        ("dominance-AB", 2, 3),
+        ("dominance-AB", 3, 2),
+    ]:
+        assert tag in seen
+
+
+def test_singleton_pair_builds_no_larger_sets(monkeypatch):
+    # a P3-pair applies on the first scan, so no 2- or 3-set is packed
+    asked = []
+
+    def recording(pool, size):
+        asked.append(size)
+        return combinations(pool, size)
+
+    monkeypatch.setattr(binary_solver, "combinations", recording)
+    inst = bin_inst(30, [list(range(30))] * 5, [[0, 1, 2], [3, 4]])
+    state = _State(inst, inst.groups.members)
+    assert state.rule_dominance()
+    assert state.steps[-1].rule == "P3-pair"
+    assert 2 not in asked and 3 not in asked
