@@ -114,13 +114,13 @@ def cut_and_choose_ef1(
     agents: Sequence[Valuation],
     n1: int,
     n2: int,
-    line_order: Sequence[int] | None = None,
 ) -> tuple[AgentPartition, Allocation]:
     """EF1 allocation for two groups of chosen sizes, any monotonic agents.
 
-    Goods are laid on a line and a prefix grows until at least ``n1`` agents
-    find it EF1 against the complement. Group one takes the prefix: all
-    agents satisfied before the last added good, topped up with the newly
+    Goods are laid on a line in index order (relabel the goods to use
+    another order) and a prefix grows until at least ``n1`` agents find it
+    EF1 against the complement. Group one takes the prefix: all agents
+    satisfied before the last added good, topped up with the newly
     satisfied ones in id order. Satisfaction is monotone along the prefix,
     so everyone left for group two strictly prefers the complement, which
     makes it EF1 for them as well.
@@ -133,10 +133,6 @@ def cut_and_choose_ef1(
     m = agents[0].m
     if any(v.m != m for v in agents):
         raise ValueError("all agents must value the same goods")
-    if line_order is None:
-        line_order = tuple(range(m))
-    if sorted(line_order) != list(range(m)):
-        raise ValueError("line_order must be a permutation of the goods")
     full = full_mask(m)
 
     def satisfied(prefix: int) -> list[int]:
@@ -148,7 +144,7 @@ def cut_and_choose_ef1(
     sat = satisfied(prefix)
     length = 0
     while len(sat) < n1:
-        prefix |= 1 << line_order[length]
+        prefix |= 1 << length
         length += 1
         sat_prev = sat
         sat = satisfied(prefix)
@@ -162,20 +158,17 @@ def cut_and_choose_ef1(
     return AgentPartition(assignment, 2), Allocation((prefix, full & ~prefix))
 
 
-def rotating_knife(
-    agents: Sequence[Valuation],
-    circle_order: Sequence[int] | None = None,
-) -> tuple[AgentPartition, Allocation]:
+def rotating_knife(agents: Sequence[Valuation]) -> tuple[AgentPartition, Allocation]:
     """Balanced EF1 allocation into two variable groups, monotonic agents.
 
-    Goods sit on a circle and a diameter sweeps over at most t+1 cut
-    positions (2t goods on the circle). At every cut each agent accepts at
-    least one arc, since her weakly preferred arc is envy-free for her; the
-    first cut where the agents forced to either side fit into half the
-    (padded) population is kept. Odd numbers of agents and goods are padded
-    with an all-zeros agent and a phantom worthless good, both stripped
-    from the result, leaving group sizes and bundle sizes that differ by at
-    most one.
+    Goods sit on a circle in index order (relabel the goods to use another
+    order) and a diameter sweeps over at most t+1 cut positions (2t goods
+    on the circle). At every cut each agent accepts at least one arc, since
+    her weakly preferred arc is envy-free for her; the first cut where the
+    agents forced to either side fit into half the (padded) population is
+    kept. Odd numbers of agents and goods are padded with an all-zeros
+    agent and a phantom worthless good, both stripped from the result,
+    leaving group sizes and bundle sizes that differ by at most one.
     """
     n = len(agents)
     if n == 0:
@@ -183,16 +176,10 @@ def rotating_knife(
     m = agents[0].m
     if any(v.m != m for v in agents):
         raise ValueError("all agents must value the same goods")
-    if circle_order is None:
-        circle_order = tuple(range(m))
-    if sorted(circle_order) != list(range(m)):
-        raise ValueError("circle_order must be a permutation of the goods")
     vals = list(agents)
-    circle = list(circle_order)
     pad_good = m % 2 == 1
     if pad_good:
         vals = [v.with_zero_good() for v in vals]
-        circle.append(m)
     mm = m + 1 if pad_good else m
     pad_agent = len(vals) % 2 == 1
     if pad_agent:
@@ -204,7 +191,7 @@ def rotating_knife(
 
     chosen = None
     for cut in range(t + 1):
-        first = mask_of(circle[(cut + i) % mm] for i in range(t)) if t else 0
+        first = full_mask(t) << cut  # goods cut..cut+t-1; cut <= t, so no wrap
         second = full & ~first
         forced1: list[int] = []
         forced2: list[int] = []
@@ -239,15 +226,15 @@ def rotating_knife(
 def proportional_k_groups(
     agents: Sequence[Valuation],
     sizes: Sequence[int],
-    line_order: Sequence[int] | None = None,
 ) -> tuple[AgentPartition, Allocation]:
     """Give every agent a near-proportional share in k groups of set sizes.
 
     Guarantee, checked exactly by cross-multiplication: for each agent j in
     her group's bundle B, k*u_j(B) >= u_j(G) - (k-1)*max_g u_j(g). Additive
-    valuations only. Groups are filled one by one from a line of goods:
-    the prefix grows until enough agents clear their threshold, and the
-    earliest-satisfied agents (ties to lower ids) take the prefix.
+    valuations only. Groups are filled one by one from a line of goods in
+    index order (relabel the goods to use another order): the prefix grows
+    until enough agents clear their threshold, and the earliest-satisfied
+    agents (ties to lower ids) take the prefix.
     """
     n = len(agents)
     k = len(sizes)
@@ -258,10 +245,6 @@ def proportional_k_groups(
     m = agents[0].m if n else 0
     if any(v.m != m for v in agents):
         raise ValueError("all agents must value the same goods")
-    if line_order is None:
-        line_order = tuple(range(m))
-    if sorted(line_order) != list(range(m)):
-        raise ValueError("line_order must be a permutation of the goods")
 
     # threshold check: k*u(B) >= total - (k-1)*umax, all integers
     totals = [v.value(full_mask(m)) for v in agents]
@@ -286,27 +269,22 @@ def proportional_k_groups(
         while len(first_sat) < need:
             if pos >= m:
                 raise AssertionError("ran out of goods before filling a group")
-            g = line_order[pos]
-            pos += 1
-            bundle |= 1 << g
+            bundle |= 1 << pos
             step += 1
             for a in remaining:
                 if a in first_sat:
                     continue
-                bundle_vals[a] += agents[a].values[g]
+                bundle_vals[a] += agents[a].values[pos]
                 if clears(a, bundle_vals[a]):
                     first_sat[a] = step
+            pos += 1
         members = sorted(first_sat, key=lambda a: (first_sat[a], a))[:need]
         for a in members:
             assignment[a] = gi
         bundles[gi] = bundle
         taken = set(members)
         remaining = [a for a in remaining if a not in taken]
-    leftover = 0
-    while pos < m:
-        leftover |= 1 << line_order[pos]
-        pos += 1
-    bundles[k - 1] = leftover
+    bundles[k - 1] = full_mask(m) & ~full_mask(pos)
     for a in remaining:
         assignment[a] = k - 1
     return AgentPartition(tuple(assignment), k), Allocation(tuple(bundles))

@@ -113,7 +113,15 @@ def _parse_id_groups(text: str) -> list[list[int]]:
 
 
 def _parse_allocation(text: str, inst: Instance) -> Allocation:
-    alloc = Allocation.of(_parse_id_groups(text))
+    bundles = _parse_id_groups(text)
+    seen: set[int] = set()
+    for g in (g for bundle in bundles for g in bundle):
+        if g < 0:
+            raise ValueError(f"good {g} is not a good id")
+        if g in seen:
+            raise ValueError(f"good {g} is listed twice")
+        seen.add(g)
+    alloc = Allocation.of(bundles)
     if alloc.k != inst.k:
         raise ValueError(f"allocation has {alloc.k} bundles, instance has {inst.k} groups")
     return alloc
@@ -126,19 +134,9 @@ def _parse_split(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _jobs(text: str) -> int:
-    """``--jobs``: a process count, at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
-
-
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, where the platform says."""
+    """The CPUs this process may run on, where the platform says: the
+    worker count of ``search`` and ``solve --method binary``."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -190,7 +188,7 @@ def _solve_dispatch(args, inst: Instance):
     methods that report no notion verify their own guarantee here."""
     method = args.method
     if method == "binary":
-        return {}, solve_ef1_binary(inst, jobs=args.jobs), None, EF1
+        return {}, solve_ef1_binary(inst, jobs=_usable_cpus()), None, EF1
     if method == "two-one":
         return {}, algorithms.ef1_two_one(inst), None, EF1
     if method == "exact1":
@@ -198,7 +196,7 @@ def _solve_dispatch(args, inst: Instance):
             raise ValueError("exact1 needs exactly two agents")
         alloc = Allocation(algorithms.exact1_partition(inst.agents[0], inst.agents[1]))
         if not all(is_exact1(v, alloc.bundles) for v in inst.agents):
-            raise AssertionError(f"result failed {EF1} re-verification")
+            raise AssertionError("result failed exact1 re-verification")
         return {"exact1": True}, alloc, None, None
     if method == "roundrobin":
         alloc = algorithms.round_robin(inst.agents)
@@ -221,10 +219,11 @@ def _solve_dispatch(args, inst: Instance):
     if method == "prop":
         part, alloc = algorithms.proportional_k_groups(inst.agents, sizes)
         # The guarantee is proportionality up to k-1 goods, not exact Prop.
+        guarantee = "prop up to k-1 goods"
         for a, gi in enumerate(part.assignment):
             if not meets_prop_up_to_goods(inst.agents[a], alloc.bundles[gi], inst.k):
-                raise AssertionError("proportional_k_groups output missed its threshold")
-        return {"guarantee": "prop up to k-1 goods"}, alloc, part, None
+                raise AssertionError(f"result failed {guarantee} re-verification")
+        return {"guarantee": guarantee}, alloc, part, None
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -263,7 +262,7 @@ def _cmd_search(args) -> int:
         balanced_partition=args.balanced_agents,
     )
     t0 = time.perf_counter()
-    cert = oracle.find_fair(inst, cons, jobs=args.jobs)
+    cert = oracle.find_fair(inst, cons, jobs=_usable_cpus())
     elapsed = time.perf_counter() - t0
     fairness = None
     if cert.found:
@@ -292,7 +291,7 @@ def _cmd_corpus(args) -> int:
     if args.run and args.run not in by_name:
         raise ValueError(f"unknown corpus entry {args.run!r}")
     t0 = time.perf_counter()
-    results = [oracle.run_corpus_entry(by_name[n], jobs=args.jobs) for n in names]
+    results = [oracle.run_corpus_entry(by_name[n]) for n in names]
     elapsed = time.perf_counter() - t0
     if args.format == "table":
         for r in results:
@@ -421,7 +420,6 @@ def _build_parser() -> _Parser:
         required=True,
         choices=("binary", "two-one", "exact1", "roundrobin", "cutchoose", "knife", "prop"),
     )
-    p.add_argument("--jobs", type=_jobs, default=_usable_cpus())
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("search", parents=[common], help="exhaustive existence search")
@@ -429,14 +427,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--notion", default="ef1")
     p.add_argument("--balanced-goods", action="store_true", help="bundle sizes within one")
     p.add_argument("--balanced-agents", action="store_true", help="group sizes within one")
-    p.add_argument("--jobs", type=_jobs, default=_usable_cpus())
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("corpus", parents=[common], help="run the built-in impossibility corpus")
     p.add_argument("--run", metavar="NAME", help="run a single entry")
     p.add_argument("--list", action="store_true", help="list entries")
     p.add_argument("--export", metavar="DIR", help="write the instances as JSON files")
-    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(fn=_cmd_corpus)
 
     p = sub.add_parser("kneser", parents=[common], help="generalized Kneser graph toolkit")

@@ -959,10 +959,10 @@ def corpus() -> list[CorpusEntry]:
     return entries
 
 
-def run_corpus_entry(entry: CorpusEntry, jobs: int = 1) -> CorpusResult:
-    """Run one corpus entry and compare against its expected outcome."""
+def run_corpus_entry(entry: CorpusEntry) -> CorpusResult:
+    """Run one corpus entry in-process and compare against its expected outcome."""
     t0 = time.perf_counter()
-    cert = find_fair(entry.instance, entry.constraints, jobs=jobs)
+    cert = find_fair(entry.instance, entry.constraints)
     problems = []
     if cert.found != entry.expect_found:
         problems.append(

@@ -132,15 +132,6 @@ def test_cut_and_choose_no_agents():
     assert part.assignment == () and alloc.bundles == (0, 0)
 
 
-def test_cut_and_choose_line_order():
-    agents = [Valuation.additive([0, 0, 9]), Valuation.additive([9, 0, 0])]
-    part, alloc = cut_and_choose_ef1(agents, 1, 1, line_order=[2, 1, 0])
-    inst = Instance.fixed(3, agents, part.groups_lists())
-    assert is_fair(inst, alloc, EF1).overall
-    with pytest.raises(ValueError):
-        cut_and_choose_ef1(agents, 1, 1, line_order=[0, 0, 1])
-
-
 def test_cut_and_choose_size_errors():
     agents = [Valuation.additive([1])]
     with pytest.raises(GroupShapeError):
@@ -174,14 +165,6 @@ def test_rotating_knife_balanced_and_fair():
         assert is_balanced(alloc)
         inst = Instance.fixed(m, agents, part.groups_lists())
         assert is_fair(inst, alloc, EF1).overall
-
-
-def test_rotating_knife_circle_order():
-    agents = [Valuation.additive([1, 2, 3, 4])]
-    part, alloc = rotating_knife(agents, circle_order=[3, 1, 2, 0])
-    assert is_balanced(alloc)
-    with pytest.raises(ValueError):
-        rotating_knife(agents, circle_order=[0, 1])
     with pytest.raises(ValueError):
         rotating_knife([])
 

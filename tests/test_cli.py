@@ -12,7 +12,8 @@ import pytest
 
 from groupfair import build_kneser, chromatic_number, instance_from_json, tightness_instance
 from groupfair.cli import _build_parser, main
-from groupfair.model import instance_to_dict
+from groupfair.model import AgentPartition, Allocation, instance_to_dict
+from groupfair.oracle import Certificate
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -108,6 +109,21 @@ def test_check_usage_errors(two_one, capsys):
     assert code == 1
     code, _, _ = run_cli(["check", two_one, "--allocation", "0,1;2"], capsys)
     assert code == 1  # good 3 unallocated
+
+
+@pytest.mark.parametrize(
+    "allocation, message",
+    [
+        ("0,-1;2,3", "good -1 is not a good id"),
+        ("0,1,1;2,3", "good 1 is listed twice"),
+        ("0,1;1,2,3", "good 1 is listed twice"),
+    ],
+)
+def test_check_rejects_bad_good_ids(two_one, capsys, allocation, message):
+    # a negative id used to fail with "negative shift count", and a good
+    # repeated within a bundle was merged away and the allocation judged
+    code, out, err = run_cli(["check", two_one, "--allocation", allocation], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_check_variable_instance_partition(variable_inst, capsys):
@@ -209,32 +225,95 @@ def test_solve_requires_known_method(two_one, capsys):
     code, _, err = run_cli(["solve", two_one], capsys)
     assert code == 1
     assert err.endswith("groupfair solve: error: the following arguments are required: --method\n")
-    code, _, err = run_cli(["search", two_one, "--jobs", "x"], capsys)
-    assert code == 1
-    assert err.endswith("groupfair search: error: argument --jobs: invalid int value: 'x'\n")
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("command", ["solve", "search", "corpus"])
-def test_jobs_must_be_positive(two_one, capsys, command, value):
-    # a count below one used to run serially without a word
+def test_jobs_is_not_an_option(two_one, capsys, command):
+    # the worker count comes from the CPUs the process may run on
     argv = {
         "solve": ["solve", two_one, "--method", "binary"],
         "search": ["search", two_one],
         "corpus": ["corpus"],
     }[command]
-    code, out, err = run_cli([*argv, "--jobs", value], capsys)
+    code, out, err = run_cli([*argv, "--jobs", "2"], capsys)
     assert (code, out) == (1, "")
-    message = f"argument --jobs: must be at least 1, got {value}"
-    assert err.endswith(f"groupfair {command}: error: {message}\n")
+    assert err.endswith("groupfair: error: unrecognized arguments: --jobs 2\n")
 
 
-def test_jobs_default_is_usable_cpus(two_one):
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parser = _build_parser()
-    assert parser.parse_args(["search", two_one]).jobs == usable
-    assert parser.parse_args(["solve", two_one, "--method", "binary"]).jobs == usable
-    assert parser.parse_args(["corpus"]).jobs == 1
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_search_workers_follow_cpu_affinity(tmp_path, cpus):
+    usable = sorted(os.sched_getaffinity(0))
+    if len(usable) < cpus:
+        pytest.skip(f"needs {cpus} CPUs")
+    # every subset of these goods has a sum of its own, so the failure memo
+    # never cuts and the 2^16-leaf scan reaches the pool's hand-off; the odd
+    # total leaves no EF split for 2+2 equal agents
+    values = [2**20 + 2**g for g in range(16)]
+    doc = {
+        "m": 16,
+        "agents": [{"id": a, "kind": "additive", "values": values} for a in range(4)],
+        "groups": {"fixed": [[0, 1], [2, 3]]},
+    }
+    path = tmp_path / "distinct16.json"
+    path.write_text(json.dumps(doc))
+    code = (
+        "import contextlib, io, json, os, groupfair.cli\n"
+        f"os.sched_setaffinity(0, {usable[:cpus]!r})\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    exit_code = groupfair.cli.main(['search', {str(path)!r}, '--notion', 'ef'])\n"
+        "print(exit_code, json.loads(out.getvalue())['result']['stats']['workers'])\n"
+    )
+    root = CORPUS_DIR.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", str(cpus)]
+
+
+_ALL_TO_FIRST = Allocation((0b111, 0))
+_ALL_TO_GROUP_ONE = (AgentPartition((0, 0, 1, 1), 2), Allocation((0b11111, 0)))
+# method: the name the CLI calls, an answer that breaks the guarantee, the guarantee
+_BROKEN = {
+    "binary": ("solve_ef1_binary", _ALL_TO_FIRST, "ef1"),
+    "two-one": ("algorithms.ef1_two_one", _ALL_TO_FIRST, "ef1"),
+    "exact1": ("algorithms.exact1_partition", _ALL_TO_FIRST.bundles, "exact1"),
+    "roundrobin": ("algorithms.round_robin", _ALL_TO_FIRST, "ef1"),
+    "cutchoose": ("algorithms.cut_and_choose_ef1", _ALL_TO_GROUP_ONE, "ef1"),
+    "knife": ("algorithms.rotating_knife", _ALL_TO_GROUP_ONE, "ef1"),
+    "prop": ("algorithms.proportional_k_groups", _ALL_TO_GROUP_ONE, "prop up to k-1 goods"),
+    "search": ("oracle.find_fair", Certificate(True, _ALL_TO_FIRST), "ef1"),
+}
+
+
+@pytest.mark.parametrize("method", list(_BROKEN))
+def test_broken_result_is_never_printed(variable_inst, tmp_path, capsys, monkeypatch, method):
+    # every allocation the CLI prints is re-verified first; one that breaks
+    # the method's guarantee must raise before anything reaches stdout
+    target, answer, guarantee = _BROKEN[method]
+    pair = tmp_path / "pair.json"
+    pair.write_text(
+        json.dumps(
+            {
+                "m": 3,
+                "agents": [{"id": a, "kind": "binary", "values": [1, 1, 1]} for a in range(2)],
+                "groups": {"fixed": [[0], [1]]},
+            }
+        )
+    )
+    monkeypatch.setattr(f"groupfair.cli.{target}", lambda *args, **kwargs: answer)
+    if method == "search":
+        argv = ["search", str(pair)]
+    else:
+        inst = variable_inst if method in ("cutchoose", "knife", "prop") else str(pair)
+        argv = ["solve", inst, "--method", method]
+    expected = f"^result failed {re.escape(guarantee)} re-verification$"
+    with pytest.raises(AssertionError, match=expected):
+        main(argv)
+    assert capsys.readouterr().out == ""
 
 
 def test_search_found_and_exhausted(two_one, tmp_path, capsys):
@@ -265,8 +344,7 @@ def test_search_found_and_exhausted(two_one, tmp_path, capsys):
 
 def test_search_balance_flags(variable_inst, capsys):
     code, out, _ = run_cli(
-        ["search", variable_inst, "--balanced-goods", "--balanced-agents", "--jobs", "1"],
-        capsys,
+        ["search", variable_inst, "--balanced-goods", "--balanced-agents"], capsys
     )
     assert code in (0, 2)
     doc = json.loads(out)
@@ -525,8 +603,8 @@ def test_cached_parser_keeps_no_state(two_one, variable_inst, capsys):
         # a usage error must not leave anything behind either
         ["solve", two_one],
         ["solve", two_one, "--method", "two-one"],
-        ["search", two_one, "--jobs", "x"],
-        ["search", two_one, "--jobs", "1"],
+        ["search", two_one, "--format", "xml"],
+        ["search", two_one, "--balanced-agents"],
         ["solve", two_one, "--method", "two-one", "--format", "table"],
         ["solve", two_one, "--method", "two-one"],
     ]
@@ -557,12 +635,15 @@ def test_cached_parser_keeps_no_state(two_one, variable_inst, capsys):
 
 
 def test_import_leaves_pool_and_fuzz_unloaded():
-    # neither the import nor a serial search needs multiprocessing or the suites
+    # neither the import nor a search that ends in-process needs
+    # multiprocessing or the suites, even with two CPUs to hand
     code = (
-        "import sys, groupfair.cli\n"
+        "import os, sys, groupfair.cli\n"
+        "if hasattr(os, 'sched_setaffinity'):\n"
+        "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
         "lazy = ('concurrent.futures.process', 'multiprocessing', 'groupfair.fuzz')\n"
         "print(sorted(m for m in lazy if m in sys.modules))\n"
-        "groupfair.cli.main(['search', 'corpus/efx0-2-1.json', '--jobs', '2'])\n"
+        "groupfair.cli.main(['search', 'corpus/efx0-2-1.json'])\n"
         "print(sorted(m for m in lazy if m in sys.modules))\n"
     )
     root = CORPUS_DIR.parent
@@ -576,8 +657,9 @@ def test_import_leaves_pool_and_fuzz_unloaded():
 
 
 def test_memo_cut_search_starts_no_pool(tmp_path):
-    # the m=18 parity scan is one the failure memo finishes in-process, so the
-    # default --jobs must neither hand it off nor load the process pool
+    # the m=18 parity scan is one the failure memo finishes in-process, so
+    # however many CPUs the process may use, it must neither hand the scan
+    # off nor load the process pool
     rng = random.Random(18)
     values = [rng.randint(1, 9) for _ in range(18)]
     values[0] += sum(values) % 2 == 0  # an odd total: no EF split for 2+2 equal agents
