@@ -165,6 +165,14 @@ def test_rotating_knife_balanced_and_fair():
         assert is_balanced(alloc)
         inst = Instance.fixed(m, agents, part.groups_lists())
         assert is_fair(inst, alloc, EF1).overall
+
+
+def test_rotating_knife_circle_order():
+    # goods sit on the circle in index order, so the first cut splits 0,1 | 2,3
+    agents = [Valuation.additive([1, 2, 3, 4])]
+    part, alloc = rotating_knife(agents)
+    assert is_balanced(alloc)
+    assert sorted(alloc.bundles) == [0b0011, 0b1100]
     with pytest.raises(ValueError):
         rotating_knife([])
 

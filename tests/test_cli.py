@@ -227,17 +227,20 @@ def test_solve_requires_known_method(two_one, capsys):
     assert err.endswith("groupfair solve: error: the following arguments are required: --method\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "2"])
 @pytest.mark.parametrize("command", ["solve", "search", "corpus"])
-def test_jobs_is_not_an_option(two_one, capsys, command):
-    # the worker count comes from the CPUs the process may run on
+def test_jobs_must_be_positive(two_one, capsys, command, value):
+    # a count below one used to run serially without a word; now --jobs takes
+    # no count at all, since the worker count comes from the CPUs the process
+    # may run on
     argv = {
         "solve": ["solve", two_one, "--method", "binary"],
         "search": ["search", two_one],
         "corpus": ["corpus"],
     }[command]
-    code, out, err = run_cli([*argv, "--jobs", "2"], capsys)
+    code, out, err = run_cli([*argv, "--jobs", value], capsys)
     assert (code, out) == (1, "")
-    assert err.endswith("groupfair: error: unrecognized arguments: --jobs 2\n")
+    assert err.endswith(f"groupfair: error: unrecognized arguments: --jobs {value}\n")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
