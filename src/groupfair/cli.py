@@ -91,47 +91,41 @@ def _digest(inst: Instance) -> dict:
     return {"m": inst.m, "n": inst.n, "groups": shape}
 
 
-def _load_instance(path: str) -> Instance:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    inst = instance_from_json(text)
+
+
+def _load_instance(path: str) -> Instance:
+    inst = instance_from_json(_read_text(path))
     problems = validate(inst)
     if problems:
         raise ValueError(f"invalid instance {path}: " + "; ".join(problems))
     return inst
 
 
-def _parse_id_groups(text: str) -> list[list[int]]:
+def _int_token(token: str, option: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{option}: {token.strip()!r} is not an integer") from None
+
+
+def _parse_id_groups(text: str, option: str) -> list[list[int]]:
     groups = []
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        groups.append([int(x) for x in chunk.split(",") if x.strip()] if chunk else [])
+        groups.append([_int_token(x, option) for x in chunk.split(",") if x.strip()])
     return groups
-
-
-def _parse_allocation(text: str, inst: Instance) -> Allocation:
-    bundles = _parse_id_groups(text)
-    seen: set[int] = set()
-    for g in (g for bundle in bundles for g in bundle):
-        if g < 0:
-            raise ValueError(f"good {g} is not a good id")
-        if g in seen:
-            raise ValueError(f"good {g} is listed twice")
-        seen.add(g)
-    alloc = Allocation.of(bundles)
-    if alloc.k != inst.k:
-        raise ValueError(f"allocation has {alloc.k} bundles, instance has {inst.k} groups")
-    return alloc
 
 
 def _parse_split(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected two comma-separated sizes, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    return _int_token(parts[0], "--split"), _int_token(parts[1], "--split")
 
 
 def _usable_cpus() -> int:
@@ -153,10 +147,12 @@ def _emit(report: RunReport, fmt: str) -> None:
 def _cmd_check(args) -> int:
     inst = _load_instance(args.instance)
     notion = parse_notion(args.notion)
-    alloc = _parse_allocation(args.allocation, inst)
+    alloc = Allocation.of(_parse_id_groups(args.allocation, "--allocation"))
+    if alloc.k != inst.k:
+        raise ValueError(f"allocation has {alloc.k} bundles, instance has {inst.k} groups")
     partition = None
     if args.partition:  # is_fair checks it against the instance and allocation
-        partition = AgentPartition.from_groups(_parse_id_groups(args.partition))
+        partition = AgentPartition.from_groups(_parse_id_groups(args.partition, "--partition"))
     t0 = time.perf_counter()
     report = is_fair(inst, alloc, notion, partition=partition)
     run = RunReport(
@@ -329,9 +325,10 @@ def _cmd_kneser(args) -> int:
     if args.tightness:
         if args.split is None:
             raise ValueError("--tightness needs --split n1,n2")
+        split = _parse_split(args.split)
         if coloring is None:
             _, _, coloring = kneser.chromatic_number(g, mode="exact")
-        inst = kneser.tightness_instance(g, coloring, _parse_split(args.split))
+        inst = kneser.tightness_instance(g, coloring, split)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(instance_to_json(inst) + "\n")
@@ -344,12 +341,7 @@ def _cmd_kneser(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    try:
-        with open(args.formula, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.formula}: {exc}") from None
-    f = reduction.parse_dimacs_cnf(text)
+    f = reduction.parse_dimacs_cnf(_read_text(args.formula))
     inst = reduction.formula_to_instance(f)
     result: dict = {
         "variables": f.num_vars,
@@ -466,10 +458,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GroupFairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except (ValueError, OSError) as exc:
+    except (GroupFairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

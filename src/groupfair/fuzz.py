@@ -43,6 +43,10 @@ from .reduction import (
 )
 
 MAX_EXAMPLES = 3
+TOP_VALUE = 9  # random additive values and table entries are drawn from 0..TOP_VALUE
+FORMULA_MAX_VARS = 10
+FORMULA_MAX_CLAUSES = 12
+BINARY_MAX_GOODS = 10  # goods per instance in the binary-shape suites
 
 
 @dataclass
@@ -77,21 +81,21 @@ class SuiteResult:
 # generators
 
 
-def random_additive(rng: random.Random, m: int, top: int = 9) -> Valuation:
-    return Valuation.additive([rng.randint(0, top) for _ in range(m)])
+def random_additive(rng: random.Random, m: int) -> Valuation:
+    return Valuation.additive([rng.randint(0, TOP_VALUE) for _ in range(m)])
 
 
 def random_binary(rng: random.Random, m: int) -> Valuation:
     return Valuation.binary([rng.randint(0, 1) for _ in range(m)])
 
 
-def random_monotone_table(rng: random.Random, m: int, top: int = 9) -> Valuation:
+def random_monotone_table(rng: random.Random, m: int) -> Valuation:
     """Random monotone normalized table: draw base values, then push each
     subset up to the maximum of its one-smaller subsets."""
     table = [0]
     for mask in range(1, 1 << m):
         floor = max(table[mask & ~(1 << g)] for g in iter_bits(mask))
-        table.append(max(rng.randint(0, top), floor))
+        table.append(max(rng.randint(0, TOP_VALUE), floor))
     return Valuation(TABLE, m, table=tuple(table))
 
 
@@ -138,13 +142,13 @@ def _timed(fn):
     return wrapped
 
 
-def _binary_shape_suite(name: str, n1: int, n2: int, max_m: int = 10):
+def _binary_shape_suite(name: str, n1: int, n2: int):
     @_timed
     def run(seed: int, runs: int) -> SuiteResult:
         rng = random.Random(seed)
         result = SuiteResult(name, runs)
         for i in range(runs):
-            m = rng.randint(0, max_m)
+            m = rng.randint(0, BINARY_MAX_GOODS)
             agents = [random_binary(rng, m) for _ in range(n1 + n2)]
             inst = Instance.fixed(
                 m, agents, [list(range(n1)), list(range(n1, n1 + n2))]
@@ -289,9 +293,9 @@ def _balanced_tables_suite(seed: int, runs: int) -> SuiteResult:
     return result
 
 
-def random_monotone_formula(rng: random.Random, max_vars: int = 10, max_clauses: int = 12) -> MonotoneFormula:
-    v = rng.randint(3, max_vars)
-    ncl = rng.randint(0, max_clauses)
+def random_monotone_formula(rng: random.Random) -> MonotoneFormula:
+    v = rng.randint(3, FORMULA_MAX_VARS)
+    ncl = rng.randint(0, FORMULA_MAX_CLAUSES)
     clauses = []
     for _ in range(ncl):
         variables = tuple(sorted(rng.sample(range(v), 3)))

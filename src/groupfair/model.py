@@ -18,13 +18,15 @@ JSON object keys are rejected. Variable-group
 instances carry ``{"variable": [n1, n2, ...]}`` instead of fixed members.
 
 The shape of a valuation is fixed at construction: a value vector holds m
-entries, a table holds all 2^m, stored as a tuple indexed by bundle mask.
-So is the structure of an instance: there is at least one group, every
-valuation covers its m goods, fixed groups partition the agents 0..n-1 and
-variable group sizes are non-negative and sum to n. Constructors and the
-loader raise ValueError on anything else, so ``validate`` only judges
-content (integers, binary range, normalisation, monotonicity, the table
-cap). Valuations and instances are hashable.
+plain non-negative ints (0 or 1 when binary), a table all 2^m entries over
+at most MAX_TABLE_GOODS goods, as a tuple indexed by bundle mask. So is the
+structure of an instance: at least one group, every valuation over its m
+goods, fixed groups that partition the agents 0..n-1, variable sizes that
+are non-negative and sum to n; and so are good-id lists (no negative or
+repeated id) and agent partitions (groups 0..k-1). Constructors and the
+loader raise ValueError on anything else, so ``validate`` judges only table
+content (integers, normalisation, monotonicity). Valuations and instances
+are hashable.
 """
 
 from __future__ import annotations
@@ -89,15 +91,15 @@ class Valuation:
     every bundle as a tuple of 2^m values indexed by bundle bitmask.
     Binary is a restriction of additive (values in {0, 1}); both are
     additive over disjoint bundles. Tables can encode any monotonic
-    function with u(empty) = 0. Construction enforces the shape; the
-    validator checks the values.
+    function with u(empty) = 0. Construction enforces the shape and the
+    vector values; the validator checks table values.
     """
 
     kind: str
     m: int
     values: tuple[int, ...] | None = None
     table: tuple[int, ...] | None = None
-    # Cache of the desired-good mask for binary valuations; derived, not
+    # Cache of the desired-good mask (binary valuations only); derived, not
     # part of identity.
     _dmask: int = field(default=-1, compare=False, repr=False)
 
@@ -106,6 +108,8 @@ class Valuation:
             raise ValueError(f"unknown valuation kind {self.kind!r}")
         if self.m < 0:
             raise ValueError(f"negative good count {self.m}")
+        if self.kind == TABLE and self.m > MAX_TABLE_GOODS:
+            raise ValueError(f"table over {self.m} goods exceeds the cap of {MAX_TABLE_GOODS}")
         name, shape, need = (
             ("table entries", self.table, 1 << self.m)
             if self.kind == TABLE
@@ -116,12 +120,20 @@ class Valuation:
             raise ValueError(
                 f"{self.kind} valuation over {self.m} goods needs a tuple of {need} {name}, got {got}"
             )
-        if self.kind == BINARY:
-            dm = 0
-            for g, v in enumerate(self.values):
-                if v:
-                    dm |= 1 << g
-            object.__setattr__(self, "_dmask", dm)
+        if self.kind == TABLE:
+            return
+        binary = self.kind == BINARY
+        dm = 0
+        for g, val in enumerate(self.values):
+            if type(val) is not int:
+                raise ValueError(f"value of good {g} is not an integer")
+            if val < 0:
+                raise ValueError(f"negative value {val} for good {g}")
+            if binary and val:
+                if val != 1:
+                    raise ValueError(f"binary value {val} for good {g} outside {{0,1}}")
+                dm |= 1 << g
+        object.__setattr__(self, "_dmask", dm)
 
     # -- constructors -------------------------------------------------
 
@@ -136,6 +148,8 @@ class Valuation:
     @staticmethod
     def binary_from_desired(m: int, goods: Iterable[int]) -> "Valuation":
         desired = set(goods)
+        if not desired <= set(range(m)):
+            raise ValueError(f"desired goods {sorted(desired - set(range(m)))} outside 0..{m - 1}")
         return Valuation(BINARY, m, values=tuple(1 if g in desired else 0 for g in range(m)))
 
     @staticmethod
@@ -228,6 +242,22 @@ class VariableGroups:
 Groups = Union[FixedGroups, VariableGroups]
 
 
+def _group_of_each(members: Sequence[Iterable[int]], n: int) -> tuple[int, ...]:
+    """Group index of each agent 0..n-1 under member lists that partition them."""
+    gof = [-1] * n
+    for gi, group in enumerate(members):
+        for a in group:
+            if type(a) is not int or not 0 <= a < n:
+                raise ValueError(f"group {gi}: unknown agent id {a!r}")
+            if gof[a] != -1:
+                raise ValueError(f"group {gi}: agent {a} appears in more than one group")
+            gof[a] = gi
+    if -1 in gof:
+        missing = [a for a in range(n) if gof[a] == -1]
+        raise ValueError(f"agents {missing} belong to no group")
+    return tuple(gof)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A fair-division instance: goods 0..m-1, agents, and group structure.
@@ -258,18 +288,7 @@ class Instance:
         n = len(self.agents)
         gof = None
         if isinstance(self.groups, FixedGroups):
-            gof = [-1] * n
-            for gi, members in enumerate(self.groups.members):
-                for a in members:
-                    if not 0 <= a < n:
-                        raise ValueError(f"group {gi}: unknown agent id {a}")
-                    if gof[a] != -1:
-                        raise ValueError(f"group {gi}: agent {a} appears in more than one group")
-                    gof[a] = gi
-            if -1 in gof:
-                missing = [a for a in range(n) if gof[a] == -1]
-                raise ValueError(f"agents {missing} belong to no group")
-            gof = tuple(gof)
+            gof = _group_of_each(self.groups.members, n)
         else:
             sizes = self.groups.sizes
             if any(s < 0 for s in sizes):
@@ -319,7 +338,16 @@ class Allocation:
 
     @staticmethod
     def of(goods_lists: Sequence[Iterable[int]]) -> "Allocation":
-        return Allocation(tuple(mask_of(g) for g in goods_lists))
+        """Bundles from good-id lists, no id negative or listed twice."""
+        lists = [tuple(goods) for goods in goods_lists]
+        seen: set[int] = set()
+        for g in (g for goods in lists for g in goods):
+            if type(g) is not int or g < 0:
+                raise ValueError(f"good {g!r} is not a good id")
+            if g in seen:
+                raise ValueError(f"good {g} is listed twice")
+            seen.add(g)
+        return Allocation(tuple(map(mask_of, lists)))
 
 
 @dataclass(frozen=True)
@@ -328,6 +356,11 @@ class AgentPartition:
 
     assignment: tuple[int, ...]
     k: int
+
+    def __post_init__(self):
+        for a, g in enumerate(self.assignment):
+            if type(g) is not int or not 0 <= g < self.k:
+                raise ValueError(f"agent {a}: group {g!r} outside 0..{self.k - 1}")
 
     def sizes(self) -> tuple[int, ...]:
         counts = [0] * self.k
@@ -343,13 +376,9 @@ class AgentPartition:
 
     @staticmethod
     def from_groups(groups: Sequence[Iterable[int]]) -> "AgentPartition":
-        pairs = [(a, g) for g, members in enumerate(groups) for a in members]
-        assignment = [-1] * len(pairs)
-        for a, g in pairs:
-            if a < 0 or a >= len(assignment) or assignment[a] != -1:
-                raise ValueError("groups must partition agents 0..n-1")
-            assignment[a] = g
-        return AgentPartition(tuple(assignment), len(groups))
+        """Group g holds ``groups[g]``; the n ids listed must be 0..n-1."""
+        lists = [tuple(members) for members in groups]
+        return AgentPartition(_group_of_each(lists, sum(map(len, lists))), len(lists))
 
 
 # ---------------------------------------------------------------------------
@@ -385,55 +414,34 @@ def _is_clean_table(vals: tuple, m: int) -> bool:
     return True
 
 
-def _valuation_violations(agent: int, v: Valuation) -> list[str]:
-    out = []
-    if v.kind in (BINARY, ADDITIVE):
-        for g, val in enumerate(v.values):
-            if not isinstance(val, int) or isinstance(val, bool):
-                out.append(f"agent {agent}: value of good {g} is not an integer")
-            elif val < 0:
-                out.append(f"agent {agent}: negative value {val} for good {g}")
-            elif v.kind == BINARY and val not in (0, 1):
-                out.append(f"agent {agent}: binary value {val} for good {g} outside {{0,1}}")
-        return out
-    # table
-    m = v.m
-    if m > MAX_TABLE_GOODS:
-        out.append(f"agent {agent}: table over {m} goods exceeds the cap of {MAX_TABLE_GOODS}")
-        return out
-    table = v.table
-    if _is_clean_table(table, m):
-        return out
-    if table[0] != 0:
-        out.append(f"agent {agent}: normalization violated, empty bundle worth {table[0]}")
-    for mask, val in enumerate(table):
-        if not isinstance(val, int) or isinstance(val, bool):
-            out.append(f"agent {agent}: table value at mask {mask} is not an integer")
-            continue
-        if val < 0:
-            out.append(f"agent {agent}: negative table value {val} at mask {mask}")
-        for g in iter_bits(mask):
-            below = table[mask & ~(1 << g)]
-            if below > val:
-                out.append(
-                    f"agent {agent}: monotonicity violated at subset {set(bits_of(mask))}"
-                    f" after dropping good {g} ({below} > {val})"
-                )
-    return out
-
-
 def validate(inst: Instance) -> list[str]:
-    """Collect content violations as human-readable strings.
+    """Collect table content violations as human-readable strings.
 
-    An empty report means every utility is a nonnegative integer, binary
-    values lie in {0, 1}, and tables are normalized, monotonic and within
-    the cap of MAX_TABLE_GOODS goods. The shape of each valuation and the
-    structure of the instance (goods count, groups) are enforced at
-    construction, so only values are judged here.
+    An empty report means every table is normalized, monotone and holds
+    non-negative ints; all else is enforced at construction. Tables are
+    judged here, not when built, as that costs a pass over 2^m entries and
+    no table reader assumes more than the stored values.
     """
     out = []
     for agent, v in enumerate(inst.agents):
-        out.extend(_valuation_violations(agent, v))
+        table = v.table
+        if v.kind != TABLE or _is_clean_table(table, v.m):
+            continue
+        if table[0] != 0:
+            out.append(f"agent {agent}: normalization violated, empty bundle worth {table[0]}")
+        for mask, val in enumerate(table):
+            if not isinstance(val, int) or isinstance(val, bool):
+                out.append(f"agent {agent}: table value at mask {mask} is not an integer")
+                continue
+            if val < 0:
+                out.append(f"agent {agent}: negative table value {val} at mask {mask}")
+            for g in iter_bits(mask):
+                below = table[mask & ~(1 << g)]
+                if below > val:
+                    out.append(
+                        f"agent {agent}: monotonicity violated at subset {set(bits_of(mask))}"
+                        f" after dropping good {g} ({below} > {val})"
+                    )
     return out
 
 

@@ -89,7 +89,6 @@ from .fairness import (
     table_accepts,
 )
 from .model import (
-    BINARY,
     MAX_TABLE_GOODS,
     TABLE,
     AgentPartition,
@@ -292,8 +291,7 @@ def _checkers(inst: Instance, gof: Sequence[int]) -> tuple[list[int], list[tuple
         if v.kind == TABLE:
             tables.append((v, gof[a]))
         else:
-            worth = tuple(1 if x else 0 for x in v.values) if v.kind == BINARY else v.values
-            seen.setdefault((worth, gof[a]), None)
+            seen.setdefault((v.values, gof[a]), None)
     return [own for _w, own in seen], [w for w, _own in seen], tables
 
 

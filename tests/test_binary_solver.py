@@ -1,5 +1,6 @@
 """Reduction rules and the two-group binary EF1 solver."""
 
+import logging
 import random
 from itertools import combinations
 
@@ -17,7 +18,7 @@ from groupfair import (
     replay_trace,
     solve_ef1_binary,
 )
-from groupfair import binary_solver
+from groupfair import Certificate, SearchConstraints, binary_solver, find_fair, oracle
 from groupfair.binary_solver import ReductionTrace, TraceStep, _State, reducible_shape
 from groupfair.fairness import fair_toward
 from groupfair.model import Allocation, allocation_violations
@@ -350,3 +351,36 @@ def test_singleton_pair_builds_no_larger_sets(monkeypatch):
     assert state.rule_dominance()
     assert state.steps[-1].rule == "P3-pair"
     assert 2 not in asked and 3 not in asked
+
+
+# a (3,2) instance on five goods, for the solver's fault paths
+_THREE_TWO = bin_inst(5, [[0, 1, 2], [2, 3, 4], [0, 4], [1, 2], [3]], [[0, 1, 2], [3, 4]])
+
+
+def test_stalled_reduction_falls_back_to_search(monkeypatch, caplog):
+    monkeypatch.setattr(_State, "run", lambda self: None)
+    with caplog.at_level(logging.WARNING, logger="groupfair.binary_solver"):
+        alloc = solve_ef1_binary(_THREE_TWO)
+    assert caplog.messages == [
+        "reduction stalled on shape (3,2) with 5 goods left; falling back to search"
+    ]
+    assert alloc == find_fair(_THREE_TWO, SearchConstraints(EF1)).allocation
+    assert is_fair(_THREE_TWO, alloc, EF1).overall
+
+
+def test_reducible_shape_without_a_hit_is_a_fault(monkeypatch):
+    monkeypatch.setattr(_State, "run", lambda self: None)
+    monkeypatch.setattr(oracle, "find_fair", lambda inst, cons, jobs=1: Certificate(False, examined=0))
+    with pytest.raises(AssertionError, match=r"^shape \(3,2\) must admit EF1 but search found none$"):
+        solve_ef1_binary(_THREE_TWO)
+
+
+def test_non_ef1_reduction_is_a_fault(monkeypatch):
+    # every good to the first group, none left: agent 3 finds two of hers across
+    emptied = Instance.fixed(0, [Valuation.binary([])] * 5, [[0, 1, 2], [3, 4]])
+    partial = ((1 << 5) - 1, 0)
+    monkeypatch.setattr(
+        binary_solver, "preprocess", lambda inst: (partial, emptied, ReductionTrace((), ()))
+    )
+    with pytest.raises(AssertionError, match="^reduction produced a non-EF1 allocation$"):
+        solve_ef1_binary(_THREE_TWO)

@@ -591,6 +591,76 @@ def test_no_groups_exit_one(tmp_path, capsys, groups):
         assert err == "error: instance has no groups\n"
 
 
+@pytest.fixture
+def flawed_files(tmp_path, two_one, variable_inst):
+    """Paths by name: two good instances, one with three variable groups,
+    and documents that fail the loader or validate, one flaw each."""
+    docs = {
+        "@three": '{"m": 3, "agents": [%s], "groups": {"variable": [1, 1, 1]}}'
+        % ", ".join('{"id": %d, "kind": "additive", "values": [1, 2, 3]}' % a for a in range(3)),
+        "@nonmonotone": '{"m": 2, "agents": [{"id": 0, "kind": "table", "table":'
+        ' {"0": 0, "1": 2, "2": 1, "3": 1}}], "groups": {"fixed": [[0]]}}',
+        "@values": '{"m": 2, "agents": [{"id": 0, "kind": "binary", "values": [1, 2]},'
+        ' {"id": 1, "kind": "additive", "values": [-1, 0]}], "groups": {"fixed": [[0], [1]]}}',
+        "@notable": '{"m": 1, "agents": [{"id": 0, "kind": "table", "table": [0, 1]}],'
+        ' "groups": {"fixed": [[0]]}}',
+        "@novalues": '{"m": 1, "agents": [{"id": 0, "kind": "binary", "values": "1"}],'
+        ' "groups": {"fixed": [[0]]}}',
+        "@noagents": '{"m": 1, "agents": {}, "groups": {"fixed": []}}',
+        "@twiceid": '{"m": 1, "agents": [{"id": 0, "kind": "binary", "values": [1]},'
+        ' {"id": 0, "kind": "binary", "values": [0]}], "groups": {"fixed": [[0]]}}',
+    }
+    files = {"@fixed": two_one, "@variable": variable_inst, "@missing": str(tmp_path / "missing")}
+    for name, text in docs.items():
+        path = tmp_path / (name[1:] + ".json")
+        path.write_text(text)
+        files[name] = str(path)
+    return files
+
+
+_SPLIT = ["kneser", "--b", "6", "--r", "3", "--s", "2", "--tightness", "--split"]
+_CHECK_VARIABLE = ["check", "@variable", "--allocation", "0,1,2;3,4", "--partition"]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # after construction, only table content can fail validate
+        (["check", "@nonmonotone", "--allocation", "0,1;"],
+         "invalid instance @nonmonotone: agent 0: monotonicity violated at subset {0, 1}"
+         " after dropping good 1 (2 > 1)"),
+        # bad vector values: the first flaw, named where the valuation is built
+        (["search", "@values"], "agent 0: binary value 2 for good 1 outside {0,1}"),
+        (["check", "@fixed", "--allocation", "0,1;2;3"], "allocation has 3 bundles, instance has 2 groups"),
+        (["check", "@fixed", "--allocation", "0,x;1"], "--allocation: 'x' is not an integer"),
+        (_CHECK_VARIABLE + ["0, y;1,2"], "--partition: 'y' is not an integer"),
+        (_CHECK_VARIABLE + ["0,1;0,2"], "group 1: agent 0 appears in more than one group"),
+        (_CHECK_VARIABLE + ["0;3"], "group 1: unknown agent id 3"),
+        (_CHECK_VARIABLE + ["0,1;2"], "partition covers the wrong number of agents"),
+        (_CHECK_VARIABLE + ["0,1;2,3;"], "partition and allocation disagree on the number of groups"),
+        (_SPLIT + ["a,b"], "--split: 'a' is not an integer"),
+        (_SPLIT + ["3, b"], "--split: 'b' is not an integer"),
+        (["solve", "@fixed", "--method", "cutchoose"],
+         "method cutchoose chooses the partition; use variable groups"),
+        (["solve", "@three", "--method", "cutchoose"], "cutchoose needs exactly two groups"),
+        (["solve", "@three", "--method", "knife"], "knife needs exactly two groups"),
+        (["search", "@missing"],
+         "cannot read @missing: [Errno 2] No such file or directory: '@missing'"),
+        (["reduce", "--formula", "@missing"],
+         "cannot read @missing: [Errno 2] No such file or directory: '@missing'"),
+        (["search", "@notable"], "agent 0: table kind needs a 'table' object"),
+        (["search", "@novalues"], "agent 0: binary kind needs a 'values' array"),
+        (["search", "@noagents"], "instance needs an 'agents' array"),
+        (["search", "@twiceid"], "duplicate agent id 0"),
+    ],
+)
+def test_error_lines(flawed_files, capsys, argv, line):
+    code, out, err = run_cli([flawed_files.get(a, a) for a in argv], capsys)
+    for name, path in flawed_files.items():
+        line = line.replace(name, path)
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+
+
 def _mask_elapsed(text):
     text = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', text)
     return re.sub(r"elapsed: [0-9.]+s", "elapsed: 0s", text)

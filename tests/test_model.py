@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -17,7 +18,6 @@ from groupfair import (
     validate,
 )
 from groupfair.model import (
-    _valuation_violations,
     bits_of,
     dumps_indented,
     full_mask,
@@ -126,13 +126,107 @@ def test_allocation_and_partition_shapes():
         AgentPartition.from_groups([[0], [0]])
 
 
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        # the instance's wording, with n the total length of the lists
+        ([[0], [0]], "group 1: agent 0 appears in more than one group"),
+        ([[0, 1], [1]], "group 1: agent 1 appears in more than one group"),
+        ([[0], [2]], "group 1: unknown agent id 2"),
+        ([[-1], [0]], "group 0: unknown agent id -1"),
+    ],
+)
+def test_from_groups_names_the_flaw(groups, message):
+    # it used to say only "groups must partition agents 0..n-1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AgentPartition.from_groups(groups)
+    assert AgentPartition.from_groups([[], [1, 0], iter([2])]).assignment == (1, 1, 2)
+
+
 def test_validate_flags_bad_data():
-    # negative value, out-of-range binary; a wrong vector length cannot be
-    # built (test_shape_errors_raise_on_construction)
-    bad = Instance.fixed(2, [Valuation.additive([1, -2])], [[0]])
-    assert any("negative" in s for s in validate(bad))
-    bad = Instance.fixed(2, [Valuation.binary([0, 2])], [[0]])
-    assert any("outside" in s for s in validate(bad))
+    # a negative or out-of-range binary value is flagged where the valuation
+    # is built, and the loader names the agent, so validate never sees one;
+    # a wrong vector length cannot be built either
+    # (test_shape_errors_raise_on_construction)
+    with pytest.raises(ValueError, match="^negative value -2 for good 1$"):
+        Valuation.additive([1, -2])
+    with pytest.raises(ValueError, match=r"^binary value 2 for good 1 outside \{0,1\}$"):
+        Valuation.binary([0, 2])
+    doc = _doc([{"kind": "binary", "values": [1, 2]}, {"kind": "additive", "values": [-1, 0]}],
+               {"fixed": [[0], [1]]}, m=2)
+    # only the first flaw is named, as for structural flaws
+    with pytest.raises(ValueError, match=r"^agent 0: binary value 2 for good 1 outside \{0,1\}$"):
+        instance_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Valuation.binary([0, 2]), r"binary value 2 for good 1 outside \{0,1\}"),
+        (lambda: Valuation.binary([True, False]), "value of good 0 is not an integer"),
+        (lambda: Valuation.additive([1, -2]), "negative value -2 for good 1"),
+        (lambda: Valuation.additive([0.5, 1]), "value of good 0 is not an integer"),
+        (lambda: Valuation.additive([3, 1.0]), "value of good 1 is not an integer"),
+        # it used to drop the ids outside 0..m-1 and return (1, 0, 0)
+        (lambda: Valuation.binary_from_desired(3, [5]), r"desired goods \[5\] outside 0\.\.2"),
+        (lambda: Valuation.binary_from_desired(3, [0, 5, -1]), r"desired goods \[-1, 5\] outside 0\.\.2"),
+        # is_fair judged agent 1 against the last bundle, or raised IndexError
+        (lambda: AgentPartition((1, -1), 2), r"agent 1: group -1 outside 0\.\.1"),
+        (lambda: AgentPartition((0, 5), 2), r"agent 1: group 5 outside 0\.\.1"),
+        # a float index passed and is_fair then failed with TypeError
+        (lambda: AgentPartition((0, 1.0), 2), r"agent 1: group 1\.0 outside 0\.\.1"),
+        (lambda: AgentPartition.from_groups([[True], [0]]), "group 0: unknown agent id True"),
+        (lambda: Instance.fixed(0, [Valuation.binary([])] * 2, [[0], [1.0]]),
+         r"group 1: unknown agent id 1\.0"),
+        # the repeat was merged away; a negative id failed with "negative shift count"
+        (lambda: Allocation.of([[0, 0, 1], []]), "good 0 is listed twice"),
+        (lambda: Allocation.of([[0, 1], [2, 1]]), "good 1 is listed twice"),
+        (lambda: Allocation.of([[-1], [0]]), "good -1 is not a good id"),
+        (lambda: Allocation.of([[0], [1.0]]), r"good 1\.0 is not a good id"),
+        # the cap comes before the shape, so no 2^m count is built for a huge m
+        (lambda: Valuation("table", 25, table=()), "table over 25 goods exceeds the cap of 24"),
+        (lambda: Valuation("table", 10**9, table=()), "table over 1000000000 goods exceeds the cap of 24"),
+    ],
+)
+def test_invalid_values_cannot_be_built(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def _reference_vector_violations(agent, kind, values):
+    # validate's per-good loop from before vector values were checked at
+    # construction, kept as the reference: same messages, same order
+    out = []
+    for g, val in enumerate(values):
+        if not isinstance(val, int) or isinstance(val, bool):
+            out.append(f"agent {agent}: value of good {g} is not an integer")
+        elif val < 0:
+            out.append(f"agent {agent}: negative value {val} for good {g}")
+        elif kind == "binary" and val not in (0, 1):
+            out.append(f"agent {agent}: binary value {val} for good {g} outside {{0,1}}")
+    return out
+
+
+@pytest.mark.parametrize("kind", ["binary", "additive"])
+def test_vector_checks_match_reference(kind):
+    rng = random.Random(f"vector-{kind}")
+    odd = [-2, -1, 2, 3, True, False, 0.0, 1.0, 0.5]
+    raised = 0
+    for _ in range(2000):
+        m = rng.randrange(0, 7)
+        values = tuple(
+            rng.choice(odd) if rng.random() < 0.15 else rng.randrange(2 if kind == "binary" else 4)
+            for _ in range(m)
+        )
+        expect = _reference_vector_violations(0, kind, values)
+        if not expect:
+            assert Valuation(kind, m, values=values).values == values
+            continue
+        with pytest.raises(ValueError) as err:
+            Valuation(kind, m, values=values)
+        assert f"agent 0: {err.value}" == expect[0]
+        raised += 1
+    assert 400 < raised < 1600
 
 
 def test_validate_table_monotonicity():
@@ -225,8 +319,8 @@ def test_table_violations_match_reference(flaw):
             reports += 1
             continue
         v = Valuation.table_of(m, table)
-        expect = _reference_table_violations(3, v, m)
-        assert _valuation_violations(3, v) == expect
+        expect = _reference_table_violations(0, v, m)
+        assert validate(Instance.fixed(m, [v], [[0]])) == expect
         reports += bool(expect)
     if flaw == "monotone":
         assert reports == 0

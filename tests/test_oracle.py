@@ -1,5 +1,6 @@
 """Exhaustive existence oracle and the built-in impossibility corpus."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -709,3 +710,41 @@ def test_certificate_to_dict():
             "workers": 1,
         },
     }
+
+
+def _entry(name, **changes):
+    entry = next(e for e in corpus() if e.name == name)
+    return dataclasses.replace(entry, **changes)
+
+
+_TWO_EQUAL = Instance.fixed(4, [Valuation.additive([1, 1, 1, 1])] * 2, [[0], [1]])
+
+
+@pytest.mark.parametrize(
+    "entry, unfair, detail",
+    [
+        (_entry("binary-6-1", expect_found=True), False, "expected found, got exhausted-none"),
+        (_entry("binary-balanced-5-1-free", expect_found=False), False,
+         "expected exhausted-none, got found"),
+        (_entry("binary-6-1", expected_examined=17), False, "examined 16, expected 17"),
+        (_entry("binary-6-1", expect_found=True, expected_examined=15), False,
+         "expected found, got exhausted-none; examined 16, expected 15"),
+        (_entry("binary-6-1", extra_check=lambda inst: f"{inst.n} agents flagged"), False,
+         "7 agents flagged"),
+        # the singleton check's two failures: an EFX allocation of two
+        # pairs, and an instance with no EFX allocation at all
+        (_entry("efx-balanced-individual-m3", instance=_TWO_EQUAL), False,
+         "EFX allocation ((2, 3), (0, 1)) has no singleton bundle"),
+        (_entry("additive-efx-2-1", extra_check=oracle._singleton_bundle_check), False,
+         "no EFX allocation exists at all"),
+        (_entry("binary-balanced-5-1-free"), True, "found allocation fails re-verification"),
+    ],
+)
+def test_corpus_entry_failures(monkeypatch, entry, unfair, detail):
+    if unfair:  # every good to the group of five: the lone agent envies
+        found = Certificate(True, allocation=Allocation.of([[0, 1, 2, 3], []]))
+        monkeypatch.setattr(oracle, "find_fair", lambda inst, cons: found)
+    result = run_corpus_entry(entry)
+    assert result.passed is False
+    assert result.detail == detail
+    assert result.to_dict()["passed"] is False
