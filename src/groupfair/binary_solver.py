@@ -309,7 +309,7 @@ def reducible_shape(n1: int, n2: int) -> bool:
     return (small <= 1 and big <= 5) or (small <= 2 and big <= 3)
 
 
-def solve_ef1_binary(inst: Instance, jobs: int = 1) -> Allocation:
+def solve_ef1_binary(inst: Instance) -> Allocation:
     """EF1 allocation for a two-group binary instance.
 
     Reducible shapes (up to (5,1) or (3,2), either group order) are solved
@@ -336,7 +336,7 @@ def solve_ef1_binary(inst: Instance, jobs: int = 1) -> Allocation:
         )
     else:
         _check_two_group_binary(inst)
-    cert = find_fair(inst, SearchConstraints(EF1), jobs=jobs)
+    cert = find_fair(inst, SearchConstraints(EF1))
     if cert.found:
         return cert.allocation
     if reducible:

@@ -128,14 +128,6 @@ def _parse_split(text: str) -> tuple[int, int]:
     return _int_token(parts[0], "--split"), _int_token(parts[1], "--split")
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, where the platform says: the
-    worker count of ``search`` and ``solve --method binary``."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _emit(report: RunReport, fmt: str) -> None:
     print(report.render(fmt))
 
@@ -184,7 +176,7 @@ def _solve_dispatch(args, inst: Instance):
     methods that report no notion verify their own guarantee here."""
     method = args.method
     if method == "binary":
-        return {}, solve_ef1_binary(inst, jobs=_usable_cpus()), None, EF1
+        return {}, solve_ef1_binary(inst), None, EF1
     if method == "two-one":
         return {}, algorithms.ef1_two_one(inst), None, EF1
     if method == "exact1":
@@ -258,7 +250,7 @@ def _cmd_search(args) -> int:
         balanced_partition=args.balanced_agents,
     )
     t0 = time.perf_counter()
-    cert = oracle.find_fair(inst, cons, jobs=_usable_cpus())
+    cert = oracle.find_fair(inst, cons)
     elapsed = time.perf_counter() - t0
     fairness = None
     if cert.found:
@@ -341,6 +333,7 @@ def _cmd_kneser(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    t0 = time.perf_counter()
     f = reduction.parse_dimacs_cnf(_read_text(args.formula))
     inst = reduction.formula_to_instance(f)
     result: dict = {
@@ -354,7 +347,7 @@ def _cmd_reduce(args) -> int:
         result["instance"] = args.out
     else:
         result["instance"] = instance_to_rows(inst)
-    run = RunReport("reduce", _digest(inst), result, None, 0.0)
+    run = RunReport("reduce", _digest(inst), result, None, time.perf_counter() - t0)
     _emit(run, args.format)
     return OK
 

@@ -10,14 +10,13 @@ Candidates are ordered deterministically. Allocations are base-k counters
 over the goods with good 0 as the least significant digit, so candidate
 index i puts good g into bundle (i // k**g) % k. Partitions are ordered by
 their sorted member lists, group 0 first. The first satisfying candidate
-in this order is returned, regardless of how many workers scanned.
+in this order is returned.
 
 The scan walks the allocation tree depth first: level g places good g,
 good m-1 first and good 0 last, trying bundle 0 first, so leaves come in
-index order and a node spans the leaves [base, base + k**(g+1)). A scan of
-[start, end) descends only into nodes that meet that range. In balanced
-mode a good only goes where every bundle can still end with floor(m/k) or
-ceil(m/k) goods, so only balanced candidates are generated.
+index order and a node spans the leaves [base, base + k**(g+1)). In
+balanced mode a good only goes where every bundle can still end with
+floor(m/k) or ceil(m/k) goods, so only balanced candidates are generated.
 
 Additive and binary agents with the same values and group are one
 checker. Each keeps running numbers as goods are placed and taken back:
@@ -45,27 +44,17 @@ into one int that is updated as goods come and go; a later node that
 reaches the same numbers is cut like a bound cut. A checker whose valued
 goods are all placed leaves the key: it passed at that node and nothing
 below moves it. A table agent's verdict depends on the whole bundle masks,
-so scans with table agents record nothing. The memo lives for one scan of
-[start, end). It works only on nodes
-with at least two goods unplaced (smaller subtrees are walked faster than
-looked up), and each level of the tree records at most k**ceil(m/2) nodes,
-one int each: at most about m * sqrt(k**m) ints for k**m leaves (some
-41,000 for 2**22). A full level still looks up, unless it filled without a
-single recall: the lowest such levels, which hold most of the nodes, stop
-building keys, so a scan the memo cannot shorten runs close to the speed
-of one without it. ``SearchStats.memo_pruned`` counts its cuts, which are
-part of ``pruned``; their candidates count in ``candidates_pruned``, so
-``examined`` and the first hit do not change.
-
-With ``jobs`` > 1, every partition's scan still starts in-process, where
-one memo serves the whole scan. Only once the memo has stopped cutting
-(its lowest level filled without a recall; from the start in a scan with
-no memo) and more than ``_POOL_LEAVES`` leaves lie ahead does the scan stop
-at the next subtree boundary x that is a multiple of the pool's chunk and
-hand [x, span) to a process pool as whole chunks, each scanned with a memo
-of its own. The pool opens once per call, on the first hand-off. Hits
-before x come first, then the lowest chunk's; ``examined`` and the counts
-are those of the one scan.
+so scans with table agents record nothing. The memo lives for one scan.
+It works only on nodes with at least two goods unplaced (smaller subtrees
+are walked faster than looked up), and each level of the tree records at
+most k**ceil(m/2) nodes, one int each: at most about m * sqrt(k**m) ints
+for k**m leaves (some 41,000 for 2**22). A full level still looks up,
+unless it filled without a single recall: the lowest such levels, which
+hold most of the nodes, stop building keys, so a scan the memo cannot
+shorten runs close to the speed of one without it.
+``SearchStats.memo_pruned`` counts its cuts, which are part of ``pruned``;
+their candidates count in ``candidates_pruned``, so ``examined`` and the
+first hit do not change.
 """
 
 from __future__ import annotations
@@ -74,7 +63,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, compress, permutations
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import SearchSpaceTooLargeError, UnsupportedNotionError
 from .fairness import (
@@ -99,18 +88,8 @@ from .model import (
     VariableGroups,
 )
 
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
-
 # Upper bound on partitions x allocation counters walked in one call.
 SCAN_GUARD = 10**8
-# A scan hands its rest to the pool only when more than this many leaves lie
-# ahead. Handed off as soon as the memo stopped, scans it cannot shorten
-# (four identical additive agents, distinct values, EF, no allocation) ran
-# on 2 workers at 0.60x the serial speed with 14,336 leaves ahead (k=2),
-# 0.78x with 13,122 (k=3), 1.09x with 28,672 (k=2), 1.29x with 52,488 (k=3)
-# and 1.47x with 61,440 (k=2); medians of 5 on 2 cores.
-_POOL_LEAVES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -140,8 +119,7 @@ class SearchStats:
     failure memo recognised as refuted before; they are part of
     ``pruned``. On an exhausted search ``leaves_rejected +
     candidates_pruned == examined`` still holds. ``partitions`` counts the
-    agent partitions walked. ``workers`` is 1 when every scan ran to its end
-    in-process, and the pool's size, ``jobs``, once a scan was handed to it.
+    agent partitions walked.
     """
 
     nodes: int = 0
@@ -150,7 +128,6 @@ class SearchStats:
     candidates_pruned: int = 0
     leaves_rejected: int = 0
     partitions: int = 0
-    workers: int = 1
 
     def count(
         self, nodes: int, pruned: int, memo_pruned: int, candidates_pruned: int, leaves_rejected: int
@@ -160,15 +137,6 @@ class SearchStats:
         self.memo_pruned += memo_pruned
         self.candidates_pruned += candidates_pruned
         self.leaves_rejected += leaves_rejected
-
-    def add(self, other: "SearchStats") -> None:
-        self.count(
-            other.nodes,
-            other.pruned,
-            other.memo_pruned,
-            other.candidates_pruned,
-            other.leaves_rejected,
-        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -295,29 +263,16 @@ def _checkers(inst: Instance, gof: Sequence[int]) -> tuple[list[int], list[tuple
     return [own for _w, own in seen], [w for w, _own in seen], tables
 
 
-def _leaves_in(
-    sizes: list[int], free: int, lo: int, start: int, end: int, balanced: bool, counts: dict
-) -> int:
-    """Admissible leaves with index in [start, end) under the node whose
-    bundles have ``sizes``, whose goods 0..free-1 are unplaced and whose
-    first leaf is ``lo``."""
-    k = len(sizes)
-    width = k**free
-    if lo >= end or lo + width <= start:
-        return 0
-    if start <= lo and lo + width <= end:
-        if not balanced:
-            return width
-        key = tuple(sizes)
-        if key not in counts:
-            counts[key] = _balanced_completions(key, free)
-        return counts[key]
-    total = 0
-    for b in range(k):
-        sizes[b] += 1
-        total += _leaves_in(sizes, free - 1, lo + b * width // k, start, end, balanced, counts)
-        sizes[b] -= 1
-    return total
+def _leaves_in(sizes: list[int], free: int, balanced: bool, counts: dict) -> int:
+    """Admissible leaves under the node whose bundles have ``sizes`` and
+    whose goods 0..free-1 are unplaced; balanced counts are cached in
+    ``counts`` by sizes."""
+    if not balanced:
+        return len(sizes) ** free
+    key = tuple(sizes)
+    if key not in counts:
+        counts[key] = _balanced_completions(key, free)
+    return counts[key]
 
 
 def _tables_reject(tables: list, leaf: tuple[int, ...], notion: Notion) -> bool:
@@ -369,20 +324,12 @@ def _hits(
     gof: Sequence[int],
     notion: Notion,
     balanced: bool,
-    start: int,
-    end: int,
     stats: SearchStats,
-    chunk: int = 0,
-) -> Iterator[tuple[int, tuple[int, ...] | None]]:
-    """Satisfying ``(index, bundles)`` with index in [start, end), in order.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Satisfying ``(index, bundles)`` of the partition ``gof``, in order.
 
     Walks the allocation tree depth first (see the module docstring); the
-    node, pruning and leaf counts are added to ``stats``. With ``chunk``, a
-    power of k, the scan may end early for the pool: once the memo has
-    stopped cutting and more than ``_POOL_LEAVES`` leaves lie ahead, it
-    stops at the next multiple x of ``chunk`` that ends a subtree (at
-    ``start`` in a scan with no memo) and yields ``(x, None)`` last; every
-    leaf before x has been walked.
+    node, pruning and leaf counts are added to ``stats``.
     """
     m, k = inst.m, inst.k
     kind = notion.kind
@@ -392,12 +339,11 @@ def _hits(
     if tables and k > 1 and kind in ("efx", "efx0"):
         raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
     if m == 0:
-        if start <= 0 < end:
-            leaf = (0,) * k
-            if _tables_reject(tables, leaf, notion):
-                stats.leaves_rejected += 1
-            else:
-                yield 0, leaf
+        leaf = (0,) * k
+        if _tables_reject(tables, leaf, notion):
+            stats.leaves_rejected += 1
+        else:
+            yield 0, leaf
         return
     # Running numbers of checker c: avail[c] is its own bundle plus every
     # unplaced good, needs[c][j] what bundle j is worth to it after the
@@ -488,16 +434,6 @@ def _hits(
     # memo cannot shorten soon builds keys only on the few upper nodes.
     # Below a table agent's verdict the key says nothing, so a scan with
     # table agents records none.
-    #
-    # due is the lowest level whose subtree close may end the scan for the
-    # pool: a node at level g >= log_k(chunk) ends on a multiple of chunk.
-    # It stays m (never) while the memo may still cut, that is until low
-    # first moves up, and from the start in a scan with no memo.
-    handoff = width.index(chunk) if chunk else m
-    due = handoff if tables else m
-    if due < m and end - start > _POOL_LEAVES:
-        yield start, None
-        return
     above = [0] * m
     above[m - 1] = level * m
     marks = [0] * m
@@ -505,17 +441,17 @@ def _hits(
     room = [0] * m if tables else [0, 0] + [k ** ((m + 1) // 2)] * (m - 2)
     recalled_at = [False] * m
     low = m if tables else 2
-    floor = start - 1  # no recorded subtree may hold a leaf at or before this
+    floor = -1  # the last hit: no recorded subtree may hold a leaf at or before it
     turn = 0  # what removal states add to the key; 0 for the other notions
     nodes = pruned = recalled = cut = rejected = 0
     g, b, base = m - 1, 0, 0
     while True:
-        if b < k and base + b * width[g] < end:
-            lo = base + b * width[g]
+        if b < k:
             s = sizes[b]
-            if lo + width[g] <= start or (balanced and (s >= tallest or (s >= q and owed > g))):
+            if balanced and (s >= tallest or (s >= q and owed > g)):
                 b += 1
                 continue
+            lo = base + b * width[g]
             nodes += 1
             bundles[b] |= 1 << g
             sizes[b] = s + 1
@@ -550,7 +486,7 @@ def _hits(
                         pruned += 1
                         recalled += 1
                         recalled_at[g] = True
-                        cut += _leaves_in(sizes, g, lo, start, end, balanced, counts)
+                        cut += _leaves_in(sizes, g, balanced, counts)
                         ok = False
                     else:
                         marks[g] = mark
@@ -572,29 +508,19 @@ def _hits(
                     yield lo, leaf
             elif g:
                 pruned += 1
-                cut += _leaves_in(sizes, g, lo, start, end, balanced, counts)
+                cut += _leaves_in(sizes, g, balanced, counts)
             else:
                 rejected += 1
         else:
             g += 1
             if g == m:
                 break
-            # the node that placed good g is done and base is its first leaf;
-            # one reaching past end is the last node walked, so no later
-            # node can mistake it for refuted
+            # the node that placed good g is done and base is its first leaf
             if room[g] and floor < base:
                 refuted.add(marks[g])
                 room[g] -= 1
                 while low < m and not room[low] and not recalled_at[low]:
                     low += 1
-                    due = handoff
-            if g >= due:
-                x = base + width[g]
-                if end - x > _POOL_LEAVES:
-                    stats.count(nodes, pruned, recalled, cut, rejected)
-                    yield x, None
-                    return
-                due = m  # what is left only shrinks
             b = path[g]
             base -= b * width[g]
         # take good g back out of bundle b
@@ -616,52 +542,6 @@ def _hits(
     stats.count(nodes, pruned, recalled, cut, rejected)
 
 
-def _scan_range(
-    inst: Instance,
-    gof: Sequence[int],
-    notion: Notion,
-    balanced: bool,
-    start: int,
-    end: int,
-) -> tuple[tuple[int, tuple[int, ...]] | None, SearchStats]:
-    """First satisfying ``(index, bundles)`` in [start, end), or None, with
-    the scan's counts."""
-    stats = SearchStats()
-    hit = next(_hits(inst, gof, notion, balanced, start, end, stats), None)
-    return hit, stats
-
-
-def _scan_parallel(
-    pool: ProcessPoolExecutor,
-    inst: Instance,
-    gof: Sequence[int],
-    notion: Notion,
-    balanced: bool,
-    start: int,
-    end: int,
-    chunk: int,
-    stats: SearchStats,
-) -> tuple[int, tuple[int, ...]] | None:
-    """The first hit in [start, end), scanned by the pool in chunks of whole
-    subtrees; the chunks still pending are cancelled once the lowest hit is
-    known."""
-    futures = [
-        pool.submit(_scan_range, inst, tuple(gof), notion, balanced, lo, lo + chunk)
-        for lo in range(start, end, chunk)
-    ]
-    try:
-        # chunks are disjoint and ordered, so the first hit is the minimum
-        for fut in futures:
-            hit, chunk_stats = fut.result()
-            stats.add(chunk_stats)
-            if hit is not None:
-                return hit
-    finally:
-        for fut in futures:
-            fut.cancel()
-    return None
-
-
 def _guard(inst: Instance, partitions: int) -> int:
     if inst.m > MAX_TABLE_GOODS:
         raise SearchSpaceTooLargeError(
@@ -675,51 +555,27 @@ def _guard(inst: Instance, partitions: int) -> int:
     return inst.k ** inst.m
 
 
-def _pool_chunk(k: int, span: int, jobs: int) -> int:
-    """The pool's unit of work, a power of k: scans hand off only at its
-    multiples. 0 for one job, which never hands off."""
-    if jobs <= 1:
-        return 0
-    chunk = 1
-    while chunk * jobs * 8 < span:
-        chunk *= k
-    return chunk
-
-
 def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certificate:
     """Decide existence by walking every admissible candidate.
 
     Returns the first satisfying (partition, allocation) in canonical order,
     or a certified exhaustion whose ``examined`` equals the number of
     admissible candidates. Raises :class:`SearchSpaceTooLargeError` when the
-    scan would exceed the guard.
+    scan would exceed the guard. ``jobs`` is accepted and ignored: every
+    scan runs in this process.
     """
     num_parts, assignments, with_partition = _partition_plan(inst, cons)
     span = _guard(inst, num_parts)
     per_partition = (
         balanced_allocation_count(inst.m, inst.k) if cons.balanced_allocation else span
     )
-    notion, balanced = cons.notion, cons.balanced_allocation
-    chunk = _pool_chunk(inst.k, span, jobs)
     stats = SearchStats()
-    pool = None
-    try:
-        for gof in assignments:
-            stats.partitions += 1
-            hit = next(_hits(inst, gof, notion, balanced, 0, span, stats, chunk), None)
-            if hit is not None and hit[1] is None:  # the memo stopped cutting: pool the rest
-                if pool is None:  # multiprocessing loads only for scans that use it
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    pool = ProcessPoolExecutor(max_workers=jobs)
-                    stats.workers = jobs
-                hit = _scan_parallel(pool, inst, gof, notion, balanced, hit[0], span, chunk, stats)
-            if hit is not None:
-                part = AgentPartition(tuple(gof), inst.k) if with_partition else None
-                return Certificate(True, allocation=Allocation(hit[1]), partition=part, stats=stats)
-    finally:
-        if pool is not None:  # chunks still running past a hit are not waited for
-            pool.shutdown(wait=hit is None, cancel_futures=True)
+    for gof in assignments:
+        stats.partitions += 1
+        hit = next(_hits(inst, gof, cons.notion, cons.balanced_allocation, stats), None)
+        if hit is not None:
+            part = AgentPartition(tuple(gof), inst.k) if with_partition else None
+            return Certificate(True, allocation=Allocation(hit[1]), partition=part, stats=stats)
     return Certificate(False, examined=num_parts * per_partition, stats=stats)
 
 
@@ -728,10 +584,10 @@ def enumerate_fair(
 ) -> Iterator[tuple[AgentPartition | None, Allocation]]:
     """Yield every admissible satisfying (partition, allocation) in order."""
     num_parts, assignments, with_partition = _partition_plan(inst, cons)
-    span = _guard(inst, num_parts)
+    _guard(inst, num_parts)
     for gof in assignments:
         part = AgentPartition(tuple(gof), inst.k) if with_partition else None
-        hits = _hits(inst, gof, cons.notion, cons.balanced_allocation, 0, span, SearchStats())
+        hits = _hits(inst, gof, cons.notion, cons.balanced_allocation, SearchStats())
         for _idx, bundles in hits:
             yield part, Allocation(bundles)
 

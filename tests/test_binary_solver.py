@@ -370,7 +370,7 @@ def test_stalled_reduction_falls_back_to_search(monkeypatch, caplog):
 
 def test_reducible_shape_without_a_hit_is_a_fault(monkeypatch):
     monkeypatch.setattr(_State, "run", lambda self: None)
-    monkeypatch.setattr(oracle, "find_fair", lambda inst, cons, jobs=1: Certificate(False, examined=0))
+    monkeypatch.setattr(oracle, "find_fair", lambda inst, cons: Certificate(False, examined=0))
     with pytest.raises(AssertionError, match=r"^shape \(3,2\) must admit EF1 but search found none$"):
         solve_ef1_binary(_THREE_TWO)
 

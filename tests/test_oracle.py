@@ -42,12 +42,12 @@ from groupfair.oracle import (
 )
 
 
-def _reference_hits(inst, gof, notion, balanced, start, end):
+def _reference_hits(inst, gof, notion, balanced):
     """The per-index scanner the depth-first kernel replaced: rebuild each
     candidate's bundles from its index, then ask every agent. Yields the
     satisfying ``(index, bundles)`` and returns nothing else."""
     m, k = inst.m, inst.k
-    for idx in range(start, end):
+    for idx in range(k**m):
         bundles = [0] * k
         rest = idx
         for g in range(m):
@@ -79,12 +79,12 @@ def _reference_rejects(v, bundles, own, notion):
     return False
 
 
-def _admissible(m, k, balanced, start, end):
-    """Candidates in [start, end), balanced ones only when asked."""
+def _admissible(m, k, balanced):
+    """Candidates, balanced ones only when asked."""
     if not balanced:
-        return end - start
+        return k**m
     count = 0
-    for idx in range(start, end):
+    for idx in range(k**m):
         sizes = [0] * k
         for _ in range(m):
             sizes[idx % k] += 1
@@ -265,153 +265,6 @@ def test_invalid_fixed_groups_are_rejected(n, members):
         Instance.fixed(2, [Valuation.binary([1, 1])] * n, members)
 
 
-def _memo_miss(m, seed, k=2):
-    """Additive values, distinct up to 10**6, whose total k does not divide:
-    identical agents never have EF, and the failure memo finds nothing to cut."""
-    values = random.Random(seed).sample(range(1, 10**6), m)
-    while sum(values) % k == 0:
-        values[0] += 1
-    return values
-
-
-def _split_at(values, index):
-    """The values with one good raised so that candidate ``index`` (k=2)
-    splits them exactly in half."""
-    values = list(values)
-    ones = [g for g in range(len(values)) if index >> g & 1]
-    zeros = [g for g in range(len(values)) if not index >> g & 1]
-    excess = sum(values[g] for g in ones) - sum(values[g] for g in zeros)
-    values[(zeros if excess > 0 else ones)[0]] += abs(excess)
-    return values
-
-
-def _table_of(values):
-    m = len(values)
-    return Valuation.table_of(
-        m, {mask: sum(v for g, v in enumerate(values) if mask >> g & 1) for mask in range(2**m)}
-    )
-
-
-def _four(valuation, members=([0, 1], [2, 3])):
-    """Four agents with one valuation, in fixed groups."""
-    return Instance.fixed(valuation.m, [valuation] * 4, list(members))
-
-
-def _first_in_process(inst, cons, jobs):
-    """What each partition's in-process scan ends on under ``jobs``: its
-    first hit or the ``(x, None)`` that hands [x, span) to the pool."""
-    span = inst.k**inst.m
-    chunk = oracle._pool_chunk(inst.k, span, jobs)
-    notion, balanced = cons.notion, cons.balanced_allocation
-    return [
-        next(_hits(inst, gof, notion, balanced, 0, span, SearchStats(), chunk), None)
-        for gof in _partition_plan(inst, cons)[1]
-    ]
-
-
-def _assert_pool_matches_serial(inst, cons, handed_off, jobs=2):
-    serial = find_fair(inst, cons, jobs=1)
-    pooled = find_fair(inst, cons, jobs=jobs)
-    assert pooled == serial
-    for cert in (serial, pooled):
-        s = cert.stats
-        assert s.partitions == serial.stats.partitions
-        if not cert.found:
-            assert s.leaves_rejected + s.candidates_pruned == cert.examined
-    assert serial.stats.workers == 1
-    assert pooled.stats.workers == (jobs if handed_off else 1)
-    return pooled
-
-
-def test_parallel_scan_matches_serial():
-    # at the shipped threshold: the memo-miss scan of 2^16 candidates hands
-    # more than _POOL_LEAVES leaves to the pool, the scan the memo cuts none
-    rng = random.Random(16)
-    parity = [rng.randrange(1, 10) for _ in range(16)]
-    parity[0] += sum(parity) % 2 == 0
-    for values, handed_off in ((_memo_miss(16, 0), True), (parity, False)):
-        inst = _four(Valuation.additive(values))
-        cert = _assert_pool_matches_serial(inst, SearchConstraints(EF), handed_off)
-        assert not cert.found and cert.examined == 2**16
-    assert 2**16 - 2**12 > oracle._POOL_LEAVES
-
-
-@pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
-@pytest.mark.parametrize("m,found", [(8, True), (9, False)], ids=["found", "exhausted"])
-def test_pool_path_matches_serial(monkeypatch, m, found, balanced):
-    # a low threshold hands a small memo-miss scan to the pool, in chunks of
-    # 2^4 (m=8) or 2^5 (m=9) leaves; the planted split at index 113 lies past
-    # the hand-off, which comes at 80 (free) or 96 (balanced)
-    monkeypatch.setattr(oracle, "_POOL_LEAVES", 2**4)
-    values = _split_at(_memo_miss(m, 0), 113) if found else _memo_miss(m, 0)
-    inst = _four(Valuation.additive(values))
-    cons = SearchConstraints(EF, balanced_allocation=balanced)
-    assert _first_in_process(inst, cons, 2)[0][1] is None
-    cert = _assert_pool_matches_serial(inst, cons, handed_off=True)
-    assert cert.found == found
-    if found:
-        assert cert.allocation.bundles == (255 ^ 113, 113)
-
-
-@pytest.mark.parametrize(
-    "where,seed,index,boundary",
-    [("before", 0, 190, 192), ("at", 9, 448, 448), ("after", 0, 193, 192)],
-    ids=["before", "at", "after"],
-)
-def test_handoff_boundary(monkeypatch, where, seed, index, boundary):
-    # a memo-miss scan of 2^10 candidates, chunks of 2^6, with one exact
-    # split planted next to the chunk boundary where the scan hands off:
-    # one before it is found in-process, one at or after it by the pool
-    monkeypatch.setattr(oracle, "_POOL_LEAVES", 2**4)
-    inst = _four(Valuation.additive(_split_at(_memo_miss(10, seed), index)))
-    cons = SearchConstraints(EF)
-    span, chunk = 2**10, oracle._pool_chunk(2, 2**10, 2)
-    walked = list(_hits(inst, inst.assignment, EF, False, 0, span, SearchStats(), chunk))
-    if where == "before":  # the scan goes on past the hit to hand off next
-        assert [i for i, _b in walked] == [index, boundary] and walked[1][1] is None
-    else:
-        assert walked == [(boundary, None)]
-    cert = _assert_pool_matches_serial(inst, cons, handed_off=where != "before")
-    assert cert.found and cert.allocation.bundles == (1023 ^ index, index)
-
-
-_MISS8 = [Valuation.additive(_memo_miss(8, 0))] * 4
-_HANDOFF_CASES = {  # instance, constraints, whether the scans hand off
-    "k3": (
-        _four(Valuation.additive(_memo_miss(6, 0, 3)), ([0, 1], [2], [3])),
-        SearchConstraints(EF),
-        True,
-    ),
-    "balanced-goods": (
-        _four(Valuation.additive(_memo_miss(10, 0))),
-        SearchConstraints(EF, balanced_allocation=True),
-        True,
-    ),
-    "variable": (Instance.variable(8, _MISS8, [2, 2]), SearchConstraints(EF), True),
-    "balanced-agents": (
-        Instance.variable(8, _MISS8, [2, 2]),
-        SearchConstraints(EF, balanced_partition=True),
-        True,
-    ),
-    "tables": (_four(_table_of(_memo_miss(8, 0))), SearchConstraints(EF), True),
-    "memo-cuts": (_four(Valuation.additive([1] * 9)), SearchConstraints(EF), False),
-}
-
-
-@pytest.mark.parametrize("case", list(_HANDOFF_CASES))
-def test_handoff_matches_serial(monkeypatch, case):
-    # below the shipped threshold every memo-miss shape hands off; a table
-    # scan keeps no memo and hands off at once; a scan the memo cuts never
-    inst, cons, handed_off = _HANDOFF_CASES[case]
-    monkeypatch.setattr(oracle, "_POOL_LEAVES", 2**4)
-    first = _first_in_process(inst, cons, 2)
-    assert [f is not None and f[1] is None for f in first] == [handed_off] * len(first)
-    if inst.agents[0].kind == "table":
-        assert first == [(0, None)]
-    _assert_pool_matches_serial(inst, cons, handed_off)
-    _assert_pool_matches_serial(inst, cons, handed_off, jobs=3)
-
-
 _KERNEL_CASES = [
     (notion, kind)
     for notion in (EF, EF1, EF2, EFX, EFX0, PROP)
@@ -458,20 +311,16 @@ def test_kernel_matches_reference_scanner(notion, kind, k, balanced):
         non_monotone += any("monotonicity" in p for p in validate(inst))
         mixed += len({v.kind == "table" for v in agents}) == 2
         cons = SearchConstraints(notion, balanced_allocation=balanced)
-        span = k**m
         expected = []
         for gof in _partition_plan(inst, cons)[1]:
-            full = list(_reference_hits(inst, gof, notion, balanced, 0, span))
+            full = list(_reference_hits(inst, gof, notion, balanced))
             expected += [a for _i, a in full]
-            start = rng.randrange(0, span + 1)
-            end = rng.randrange(start, span + 1)
-            for lo, hi in ((0, span), (start, end)):
-                stats = SearchStats()
-                got = list(_hits(inst, gof, notion, balanced, lo, hi, stats))
-                assert got == [h for h in full if lo <= h[0] < hi]
-                # every admissible candidate in range is a hit, pruned or rejected
-                checked = stats.leaves_rejected + stats.candidates_pruned + len(got)
-                assert checked == _admissible(m, k, balanced, lo, hi)
+            stats = SearchStats()
+            got = list(_hits(inst, gof, notion, balanced, stats))
+            assert got == full
+            # every admissible candidate is a hit, pruned or rejected
+            checked = stats.leaves_rejected + stats.candidates_pruned + len(got)
+            assert checked == _admissible(m, k, balanced)
         got = [a.bundles for _p, a in enumerate_fair(inst, cons)]
         assert got == expected  # same hits in the same canonical order
         cert = find_fair(inst, cons)
@@ -532,31 +381,26 @@ def _memo_instance(rng, k, notion):
 @pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("notion", [EF, EF1, EF2, EFX, EFX0, PROP], ids=str)
-def test_memo_matches_reference_scanner(monkeypatch, notion, k, balanced):
+def test_memo_matches_reference_scanner(notion, k, balanced):
     # the failure memo cuts subtrees whose running numbers were refuted
     # before: hits, their order, the counts and the first hit must not move
     rng = random.Random(f"memo-{notion}-{k}-{balanced}")
     recalled = 0
-    pooled = None
     for _ in range(20):
         inst = _memo_instance(rng, k, notion)
         m = inst.m
         cons = SearchConstraints(notion, balanced_allocation=balanced)
-        span = k**m
         expected = []
         for gof in _partition_plan(inst, cons)[1]:
-            full = list(_reference_hits(inst, gof, notion, balanced, 0, span))
+            full = list(_reference_hits(inst, gof, notion, balanced))
             expected += [a for _i, a in full]
-            start = rng.randrange(0, span + 1)
-            end = rng.randrange(start, span + 1)
-            for lo, hi in ((0, span), (start, end)):
-                stats = SearchStats()
-                got = list(_hits(inst, gof, notion, balanced, lo, hi, stats))
-                assert got == [h for h in full if lo <= h[0] < hi]
-                checked = stats.leaves_rejected + stats.candidates_pruned + len(got)
-                assert checked == _admissible(m, k, balanced, lo, hi)
-                assert stats.memo_pruned <= stats.pruned
-                recalled += stats.memo_pruned
+            stats = SearchStats()
+            got = list(_hits(inst, gof, notion, balanced, stats))
+            assert got == full
+            checked = stats.leaves_rejected + stats.candidates_pruned + len(got)
+            assert checked == _admissible(m, k, balanced)
+            assert stats.memo_pruned <= stats.pruned
+            recalled += stats.memo_pruned
         # enumerate_fair resumes the scan after every yield
         assert [a.bundles for _p, a in enumerate_fair(inst, cons)] == expected
         cert = find_fair(inst, cons)
@@ -565,22 +409,10 @@ def test_memo_matches_reference_scanner(monkeypatch, notion, k, balanced):
             assert cert.allocation.bundles == expected[0]
         else:
             assert cert.stats.leaves_rejected + cert.stats.candidates_pruned == cert.examined
-        if pooled is None and span > 2**5:
-            pooled = (inst, cons, cert)
     # the memo works at levels g >= 2, where k=3 bundles of at most 6 goods
     # leave EF2 nothing to refute: a bundle needs 3 goods to fail it, and
     # then the bound cuts (balanced bundles of at most two always pass)
     assert recalled > 0 or (notion == EF2 and k == 3)
-    # jobs=2 below the shipped threshold: a scan the memo shortens stays
-    # in-process, one it cannot hands off and every pool chunk keeps its own
-    monkeypatch.setattr(oracle, "_POOL_LEAVES", 2**4)
-    inst, cons, serial = pooled
-    cert = find_fair(inst, cons, jobs=2)
-    walked = _first_in_process(inst, cons, 2)[: serial.stats.partitions]
-    handed_off = any(f is not None and f[1] is None for f in walked)
-    assert cert == serial and cert.stats.workers == (2 if handed_off else 1)
-    if not cert.found:
-        assert cert.stats.leaves_rejected + cert.stats.candidates_pruned == cert.examined
 
 
 def test_table_agents_have_no_efx():
@@ -593,19 +425,27 @@ def test_table_agents_have_no_efx():
 
 @pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
 def test_exhausted_stats_add_up(balanced):
-    # four identical agents in 2+2 with an odd total: never EF
+    # four identical agents in 2+2 with an odd total: never EF. The parity
+    # values repeat, so the memo cuts; the m=16 values 2^20 + 2^g give every
+    # subset a sum of its own, so it cuts nothing and the whole scan is
+    # walked without it
     rng = random.Random(31)
+    cases = []
     for m in (7, 10, 12):
         values = [rng.randrange(1, 9) for _ in range(m)]
         values[0] += 1 - sum(values) % 2
+        cases.append((values, True))
+    cases.append(([2**20 + 2**g for g in range(16)], False))
+    for values, memo_cuts in cases:
+        m = len(values)
         inst = Instance.fixed(m, [Valuation.additive(values)] * 4, [[0, 1], [2, 3]])
         cert = find_fair(inst, SearchConstraints(EF, balanced_allocation=balanced))
         s = cert.stats
         assert not cert.found
         assert s.leaves_rejected + s.candidates_pruned == cert.examined
         assert s.pruned > 0 and s.nodes < 2 * 2**m
-        assert (s.partitions, s.workers) == (1, 1)
-        assert 0 < s.memo_pruned <= s.pruned
+        assert s.partitions == 1
+        assert (s.memo_pruned > 0) == memo_cuts and s.memo_pruned <= s.pruned
         assert cert.to_dict()["stats"] == s.to_dict()
         assert list(s.to_dict()) == [
             "nodes",
@@ -614,7 +454,6 @@ def test_exhausted_stats_add_up(balanced):
             "candidates_pruned",
             "leaves_rejected",
             "partitions",
-            "workers",
         ]
 
 
@@ -707,7 +546,6 @@ def test_certificate_to_dict():
             "candidates_pruned": 5,
             "leaves_rejected": 1,
             "partitions": 0,
-            "workers": 1,
         },
     }
 

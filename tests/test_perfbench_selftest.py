@@ -27,3 +27,17 @@ def test_perfbench_micro_imports():
     # the micro-timings are only loaded by traced runs, which the self-test skips
     proc = _run("-c", "from perfbench import run; run.import_program(); import perfbench.micro")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_micro_runs_clean():
+    # a traced run takes these timings; each checks the answer it times, so
+    # an API change the traced run trips over leaves a problem or a traceback
+    proc = _run(
+        "-c",
+        "from perfbench import run; run.import_program(); import perfbench.micro\n"
+        "problems = []\n"
+        "perfbench.micro.run(1, problems)\n"
+        "print(problems)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
