@@ -41,7 +41,7 @@ from itertools import combinations
 
 from .errors import FairAllocationNotFound, GroupShapeError, UnsupportedValuationError
 from .fairness import EF1, is_fair
-from .model import BINARY, Allocation, FixedGroups, Instance, Valuation
+from .model import BINARY, Allocation, FixedGroups, Instance, Valuation, iter_bits
 
 log = logging.getLogger(__name__)
 
@@ -116,11 +116,13 @@ class _State:
         self.b_ids = members[1 - self.a_side]
         self.singleton_chain = len(self.b_ids) <= 1
 
-        def desirers(ids: tuple[int, ...], g: int) -> int:
-            return sum(_lane(i) for i, aid in enumerate(ids) if inst.agents[aid].values[g])
-
         # each good is [gid, S, T]; rules index S and T as columns 1 and 2
-        self.goods = [[g, desirers(self.a_ids, g), desirers(self.b_ids, g)] for g in range(inst.m)]
+        self.goods = [[g, 0, 0] for g in range(inst.m)]
+        for col, ids in ((1, self.a_ids), (2, self.b_ids)):
+            for i, aid in enumerate(ids):
+                lane = _lane(i)
+                for g in iter_bits(inst.agents[aid].desired_mask):
+                    self.goods[g][col] |= lane
         self.guard_a = _lane_guard(len(self.a_ids))
         self.guard_b = _lane_guard(len(self.b_ids))
         self.to_side = [0, 0]  # masks over original goods, instance group order
@@ -235,6 +237,9 @@ class _State:
             return
 
 
+_NO_GOODS = Valuation(BINARY, 0, values=())
+
+
 def _reduced_instance(state: _State) -> Instance:
     inst = state.inst
     lanes = {aid: (1, _lane(i)) for i, aid in enumerate(state.a_ids)}
@@ -242,7 +247,7 @@ def _reduced_instance(state: _State) -> Instance:
     agents = []
     for aid in range(inst.n):
         col, bit = lanes[aid]
-        vals = tuple(1 if good[col] & bit else 0 for good in state.goods)
+        vals = tuple([1 if good[col] & bit else 0 for good in state.goods])
         agents.append(Valuation(BINARY, len(state.goods), values=vals))
     return Instance(len(state.goods), tuple(agents), inst.groups)
 
@@ -258,8 +263,11 @@ def preprocess(inst: Instance) -> tuple[tuple[int, int], Instance, ReductionTrac
     state = _State(inst, _check_two_group_binary(inst))
     state.run()
     partial = (state.to_side[0], state.to_side[1])
-    trace = ReductionTrace(tuple(state.steps), tuple(g[0] for g in state.goods))
-    return partial, _reduced_instance(state), trace
+    trace = ReductionTrace(tuple(state.steps), tuple([g[0] for g in state.goods]))
+    if state.goods:
+        return partial, _reduced_instance(state), trace
+    # the fixpoint placed every good, as it does on reducible shapes
+    return partial, Instance(0, (_NO_GOODS,) * inst.n, inst.groups), trace
 
 
 def replay_trace(inst: Instance, trace: ReductionTrace) -> tuple[int, int]:

@@ -71,7 +71,11 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def bits_of(mask: int) -> tuple[int, ...]:
     """Set bit positions of ``mask`` as a sorted tuple."""
-    return tuple(iter_bits(mask))
+    # Tuples of data-dependent length are built from lists: tuple() of a
+    # generator allocates 10 slots and resizes, so the tuple skips the free
+    # list of its final length on the way in but joins it on the way out,
+    # and those free lists fill up question after question.
+    return tuple([*iter_bits(mask)])
 
 
 def mask_of(goods: Iterable[int]) -> int:
@@ -369,7 +373,7 @@ class AgentPartition:
         return tuple(counts)
 
     def members(self, group: int) -> tuple[int, ...]:
-        return tuple(a for a, g in enumerate(self.assignment) if g == group)
+        return tuple([a for a, g in enumerate(self.assignment) if g == group])
 
     def groups_lists(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.members(g) for g in range(self.k))
@@ -507,7 +511,7 @@ def _json_int(x, what: str) -> int:
 def _json_ints(raw, what: str) -> tuple[int, ...]:
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         raise ValueError(f"{what}s must be given as an array, got {raw!r}")
-    return tuple(_json_int(x, what) for x in raw)
+    return tuple([_json_int(x, what) for x in raw])
 
 
 def _table_keys(raw: Mapping) -> list[int]:
@@ -584,7 +588,7 @@ def instance_from_dict(d: Mapping) -> Instance:
     n = len(by_id)
     if sorted(by_id) != list(range(n)):
         raise ValueError("agent ids must be dense 0..n-1")
-    agents = tuple(by_id[i] for i in range(n))
+    agents = tuple([by_id[i] for i in range(n)])
     groups_raw = d.get("groups")
     if not isinstance(groups_raw, Mapping):
         raise ValueError("instance needs a 'groups' object")
@@ -592,7 +596,7 @@ def instance_from_dict(d: Mapping) -> Instance:
         fixed = groups_raw["fixed"]
         if not isinstance(fixed, Sequence) or isinstance(fixed, (str, bytes)):
             raise ValueError("'fixed' groups must be an array of member arrays")
-        groups: Groups = FixedGroups(tuple(_json_ints(grp, "group member") for grp in fixed))
+        groups: Groups = FixedGroups(tuple([_json_ints(grp, "group member") for grp in fixed]))
     elif "variable" in groups_raw:
         groups = VariableGroups(_json_ints(groups_raw["variable"], "group size"))
     else:

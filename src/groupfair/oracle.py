@@ -34,6 +34,26 @@ rule :func:`fairness.table_accepts` (PROP through
 :func:`fairness.rejected_bundle`), which stops at the first removal set
 that ends the envy.
 
+The walk stops at level L and decides the last L goods of every node
+there in one step, a leaf block (meet in the middle: Horowitz and Sahni,
+JACM 1974; Schroeppel and Shamir, SIAM J. Comput. 1981). The k**L
+placements of goods 0..L-1 are the same under every such node, and
+placement x is leaf ``base + x``. Once per ``find_fair`` or
+``enumerate_fair`` call, shared by its partitions, a table per checker key
+sorts the placements by the key (for EF the checker's block value of its
+own bundle less that of a rival) and keeps, per distinct value, the mask of
+the placements at or above it. At a block node each rule turns the
+checker's running numbers into one threshold: one bisection, one mask. The
+masks of all checkers, ANDed with the placements that keep balanced
+bundles in balanced mode, hold exactly the block's hits, so the lowest set
+bit is the first hit in canonical order and the popcount of the rest gives
+the rejected leaves; a block where one checker's threshold admits no
+admissible placement counts as a cut. The rules, each proved in
+:func:`_block_rules`, cover EF, PROP and EF1 for k bundles; EFc with c >= 2,
+EFX, EFX0 and scans with table agents take L = 0, which is the walk to the
+leaves. :func:`_block_goods` picks L. ``SearchStats.blocks`` counts the
+blocks decided.
+
 The scan also keeps a failure memo, the transposition table of game-tree
 search. Every verdict below a node is a function of the checkers' running
 numbers for the bundles other than their own (``avail`` follows from them,
@@ -45,23 +65,24 @@ reaches the same numbers is cut like a bound cut. A checker whose valued
 goods are all placed leaves the key: it passed at that node and nothing
 below moves it. A table agent's verdict depends on the whole bundle masks,
 so scans with table agents record nothing. The memo lives for one scan.
-It works only on nodes with at least two goods unplaced (smaller subtrees
-are walked faster than looked up), and each level of the tree records at
-most k**ceil(m/2) nodes, one int each: at most about m * sqrt(k**m) ints
-for k**m leaves (some 41,000 for 2**22). A full level still looks up,
-unless it filled without a single recall: the lowest such levels, which
-hold most of the nodes, stop building keys, so a scan the memo cannot
-shorten runs close to the speed of one without it.
-``SearchStats.memo_pruned`` counts its cuts, which are part of ``pruned``;
-their candidates count in ``candidates_pruned``, so ``examined`` and the
-first hit do not change.
+It works only on the levels at or above L, and never on nodes with fewer
+than two goods unplaced (smaller subtrees are walked faster than looked
+up); each level of the tree records at most k**ceil(m/2) nodes, one int
+each: at most about m * sqrt(k**m) ints for k**m leaves (some 41,000 for
+2**22). A full level still looks up, unless it filled without a single
+recall: the lowest such levels, which hold most of the nodes, stop
+building keys, so a scan the memo cannot shorten runs close to the speed
+of one without it. ``SearchStats.memo_pruned`` counts its cuts, which are
+part of ``pruned``; their candidates count in ``candidates_pruned``, so
+``examined`` and the first hit do not change.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from itertools import combinations, compress, permutations
 from typing import Callable, Iterator, Sequence
 
@@ -117,7 +138,10 @@ class SearchStats:
     candidates inside them, ``leaves_rejected`` the candidates checked in
     full and rejected. ``memo_pruned`` counts the cut subtrees that the
     failure memo recognised as refuted before; they are part of
-    ``pruned``. On an exhausted search ``leaves_rejected +
+    ``pruned``. ``blocks`` counts the leaf blocks decided in one step; their
+    leaves count as rejected, or as cut when one checker admits none, and
+    the nodes below them are not visited, so a scan with ``blocks`` > 0
+    took the block path. On an exhausted search ``leaves_rejected +
     candidates_pruned == examined`` still holds. ``partitions`` counts the
     agent partitions walked.
     """
@@ -127,19 +151,27 @@ class SearchStats:
     memo_pruned: int = 0
     candidates_pruned: int = 0
     leaves_rejected: int = 0
+    blocks: int = 0
     partitions: int = 0
 
     def count(
-        self, nodes: int, pruned: int, memo_pruned: int, candidates_pruned: int, leaves_rejected: int
+        self,
+        nodes: int,
+        pruned: int,
+        memo_pruned: int,
+        candidates_pruned: int,
+        leaves_rejected: int,
+        blocks: int,
     ) -> None:
         self.nodes += nodes
         self.pruned += pruned
         self.memo_pruned += memo_pruned
         self.candidates_pruned += candidates_pruned
         self.leaves_rejected += leaves_rejected
+        self.blocks += blocks
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -221,7 +253,7 @@ def _assignments(ids: tuple[int, ...], sizes: Sequence[int], n: int) -> Iterator
         for chosen in combinations(pool, sizes[gi]):
             for a in chosen:
                 gof[a] = gi
-            rest = tuple(a for a in pool if a not in chosen)
+            rest = tuple([a for a in pool if a not in chosen])
             yield from rec(rest, gi + 1)
 
     yield from rec(ids, 0)
@@ -319,17 +351,237 @@ class _Removals:
         return t
 
 
+# What the leaf-block tables of one call may hold, in mask bits (1 MB), and
+# the grouping steps building them may take: 0.1 to 0.8 ms, less than the
+# scans they shorten take. Below that the exhaust plans slow down.
+_BLOCK_BITS = 1 << 23
+_BLOCK_STEPS = 1 << 11
+
+
+def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, bool]], scans: int) -> int:
+    """How many of the lowest goods a scan decides per leaf block (0: none),
+    when ``scans`` scans of k**m candidates share the tables of ``keys``.
+
+    At most 2**10 candidates in all are walked faster than tables are built,
+    so they take no block. Otherwise the block leaves the fewest goods above
+    it that still make 16 or more block nodes in all, so that every table
+    serves many blocks, and shrinks until building the tables takes at most
+    ``_BLOCK_STEPS`` steps and they hold at most ``_BLOCK_BITS`` bits. A key
+    ``(values, scale, topped)`` takes at most scale * T + 1 distinct values
+    over goods whose values sum to T, times g + 1 when it also records the
+    largest of the g goods (``topped``), and never more than its k**g
+    placements; building its table over L goods steps k times through the
+    values of each shorter prefix, and each value keeps a mask of k**L bits.
+    """
+    if scans * k**m <= 1 << 10:
+        return 0
+    goods = m - 1
+    while scans * k ** (m - goods) < 16:
+        goods -= 1
+    steps = [0] * (goods + 1)
+    bits = [0] * (goods + 1)
+    for values, scale, topped in keys:
+        states, spent, total = 1, 0, 0
+        for g in range(1, goods + 1):
+            spent += k * states
+            total += values[g - 1]
+            states = min(k * states, (scale * total + 1) * (g + 1 if topped else 1))
+            steps[g] += spent
+            bits[g] += states * k**g
+    while goods and (steps[goods] > _BLOCK_STEPS or bits[goods] > _BLOCK_BITS):
+        goods -= 1
+    return goods
+
+
+class _Blocks:
+    """The leaf-block tables of one ``find_fair`` or ``enumerate_fair`` call,
+    shared by the scans of its partitions.
+
+    A table orders the k**L placements of goods 0..L-1 by a key: ``vals``
+    holds the distinct key values in ascending order and ``above[i]`` the
+    mask of the placements whose key is at least ``vals[i]`` (``above`` ends
+    with 0). Bit x stands for placement x, which puts good g in bundle
+    ``x // k**g % k``. Once the tables hold more than ``_BLOCK_BITS`` bits
+    the cache starts over; a scan keeps the tables it took. ``scans`` is
+    the number of partitions whose scans share the tables.
+    """
+
+    def __init__(self, k: int, scans: int):
+        self.k = k
+        self.scans = scans
+        self.tables: dict = {}
+        self.bits = 0
+
+    def _table(self, key: tuple, groups: dict) -> tuple[list[int], list[int]]:
+        vals = sorted(groups)
+        above = [0] * (len(vals) + 1)
+        for i in range(len(vals) - 1, -1, -1):
+            above[i] = above[i + 1] | groups[vals[i]]
+        bits = sum(a.bit_length() for a in above)
+        if self.bits + bits > _BLOCK_BITS:
+            self.tables.clear()
+            self.bits = 0
+        self.tables[key] = vals, above
+        self.bits += bits
+        return vals, above
+
+    def _sums(self, values: tuple[int, ...], coef: tuple[int, ...]) -> dict:
+        """Placement masks by the key sum over g of values[g] * coef[bundle
+        of g]: good by good, the placements with good g in bundle d are
+        those of the goods before it, shifted by d * k**g."""
+        groups = {0: 1}
+        for g, x in enumerate(values):
+            shift = self.k**g
+            grown: dict = {}
+            for d, c in enumerate(coef):
+                step = x * c
+                by = d * shift
+                for s, mask in groups.items():
+                    s += step
+                    grown[s] = grown.get(s, 0) | mask << by
+            groups = grown
+        return groups
+
+    def linear(self, values: tuple[int, ...], coef: tuple[int, ...]):
+        """The table of the key sum over g of values[g] * coef[bundle of g]."""
+        key = (values, coef)
+        if key not in self.tables:
+            return self._table(key, self._sums(values, coef))
+        return self.tables[key]
+
+    def envy_up_to_one(self, values: tuple[int, ...], own: int, rival: int):
+        """The table of S_own - S_rival plus the largest value in the
+        rival's share of the block (0 if none). Goods are added in ascending
+        value, so a good joining the rival's share is its largest so far."""
+        key = ("E", values, own, rival)
+        if key not in self.tables:
+            groups = {(0, 0): 1}
+            for g in sorted(range(len(values)), key=values.__getitem__):
+                x = values[g]
+                shift = self.k**g
+                grown: dict = {}
+                for (diff, top), mask in groups.items():
+                    for d in range(self.k):
+                        if d == own:
+                            state = diff + x, top
+                        else:
+                            state = (diff - x, x) if d == rival else (diff, top)
+                        grown[state] = grown.get(state, 0) | mask << d * shift
+                groups = grown
+            keys: dict = {}
+            for (diff, top), mask in groups.items():
+                keys[diff + top] = keys.get(diff + top, 0) | mask
+            return self._table(key, keys)
+        return self.tables[key]
+
+    def fits(self, goods: int, sizes: list[int], q: int, tallest: int) -> int:
+        """Mask of the placements after which every bundle holds q to
+        ``tallest`` goods, for a node with these bundle sizes."""
+        key = ("fits", goods, tuple(sizes))
+        mask = self.tables.get(key)
+        if mask is None:
+            k = self.k
+            counts = self.tables.get(("counts", goods))
+            if counts is None:
+                unit = (0, *((goods + 1) ** d for d in range(k - 1)))
+                counts = self.tables["counts", goods] = self._sums((1,) * goods, unit)
+            mask = 0
+            for code, group in counts.items():
+                placed = [(code // (goods + 1) ** d) % (goods + 1) for d in range(k - 1)]
+                ends = [sizes[0] + goods - sum(placed)] + [s + p for s, p in zip(sizes[1:], placed)]
+                if q <= min(ends) and max(ends) <= tallest:
+                    mask |= group
+            self.tables[key] = mask
+        return mask
+
+
+def _block_rules(
+    blocks: _Blocks,
+    block: int,
+    notion: Notion,
+    owns: list[int],
+    worths: list[tuple[int, ...]],
+    binary: list[bool],
+    needs: list[list[int]],
+    held: list[list[int]],
+    kept: list[list[int]],
+) -> list[tuple]:
+    """The rules that decide a leaf block of goods 0..L-1 (L = ``block``).
+
+    One rule per checker that values a block good and per rival bundle j
+    (its own bundle for PROP): ``(c, row, j, off, vals, above, mirror,
+    up_to_one)``. At a block node, placement x passes it when key(x) >= t,
+    t = row[j] - avail[c] + off, read in the sorted table (vals, above) as
+    ``above[bisect_left(vals, t)]``; a mirrored rule reads the table of the
+    rival against the checker, whose key must stay at most -t. Its checker
+    accepts every placement it passes, and only those, by these rules, where
+    a is the checker's own bundle without the block (a = avail - T), a_j its
+    value of bundle j, S_d(x) the value of the block goods x puts in bundle
+    d, T their total and D(x) = S_own(x) - S_j(x):
+
+    - EF: a + S_own(x) >= a_j + S_j(x) iff D(x) >= a_j - a, and
+      a_j - a = needs[c][j] - avail[c] + T.
+    - EF1, every value 0 or 1: the allowance of a bundle is 1 when it holds
+      a valued good. The rule D(x) >= a_j - a - 1 holds exactly when EF1
+      does: if bundle j ends with a valued good, EF1 reads a + S_own >=
+      a_j + S_j - 1; otherwise a_j = S_j = 0, EF1 holds and so does the
+      rule, D(x) = S_own(x) >= 0 > -a - 1. Here a_j = held[c][j].
+    - EF1, additive: the allowance is max(Ma, Mb(x)), Ma the largest value
+      of the goods of bundle j above the block (allowance[kept[c][j]]) and
+      Mb(x) the largest of the block goods x puts there (0 if none). So EF1
+      holds iff D(x) >= a_j - a - Ma or D(x) + Mb(x) >= a_j - a: the rule
+      reads the second key (``up_to_one``: kept[c] and its table) at t and
+      ORs in the D table at t - Ma.
+    - PROP: k * (a + S_own(x)) >= total iff S_own(x) >= ceil(total / k) - a,
+      and needs[c][j] holds ceil(total / k) for every j.
+
+    For k >= 3 the keys run over the k**L placements the same way. The D
+    table of a pair lo < hi holds S_lo - S_hi and serves the checkers of
+    both: one in hi needs -D(x) >= t, that is D(x) >= 1 - t fails. A
+    checker that values no block good is left out: with nothing unplaced
+    that it values, the bound check at the node decided it exactly.
+    """
+    k = blocks.k
+    kind = notion.kind
+    rules = []
+    for c, w in enumerate(worths):
+        values = w[:block]
+        if not any(values):
+            continue
+        own = owns[c]
+        off = sum(values)
+        if kind == "prop":
+            vals, above = blocks.linear(values, tuple(int(d == own) for d in range(k)))
+            rules.append((c, needs[c], own, off, vals, above, False, None))
+            continue
+        for j in range(k):
+            if j == own:
+                continue
+            lo, hi = min(own, j), max(own, j)
+            vals, above = blocks.linear(values, tuple(1 if d == lo else -1 if d == hi else 0 for d in range(k)))
+            if kind == "ef":
+                rules.append((c, needs[c], j, off, vals, above, own > j, None))
+            elif binary[c]:
+                rules.append((c, held[c], j, off - 1, vals, above, own > j, None))
+            else:
+                up_to_one = (kept[c], *blocks.envy_up_to_one(values, own, j))
+                rules.append((c, held[c], j, off, vals, above, own > j, up_to_one))
+    return rules
+
+
 def _hits(
     inst: Instance,
     gof: Sequence[int],
     notion: Notion,
     balanced: bool,
     stats: SearchStats,
+    blocks: _Blocks | None = None,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Satisfying ``(index, bundles)`` of the partition ``gof``, in order.
 
     Walks the allocation tree depth first (see the module docstring); the
-    node, pruning and leaf counts are added to ``stats``.
+    node, pruning and leaf counts are added to ``stats``. ``blocks`` holds
+    the leaf-block tables shared by the partitions of one call.
     """
     m, k = inst.m, inst.k
     kind = notion.kind
@@ -422,11 +674,33 @@ def _hits(
     path = [0] * m
     replaced: list = [None] * m
     counts: dict = {}
+    # Leaf blocks: the node that placed good `block` decides goods
+    # block-1..0 in one step (see _block_rules), building its rules on the
+    # first block it reaches.
+    block = 0
+    rules = None
+    if not tables and (kind in ("ef", "prop") or notion == EF1):
+        binary = [max(w, default=0) <= 1 for w in worths]
+        keys = {}  # the tables _block_rules will take, as _block_goods sizes them
+        for w, own, zero_one in zip(worths, owns, binary):
+            if kind == "prop":
+                keys[w, own] = w, 1, False
+                continue
+            for j in range(k):
+                if j != own:
+                    keys[w, min(own, j), max(own, j)] = w, 2, False
+                    if not (ef or zero_one):
+                        keys[w, own, j, "top"] = w, 2, True
+        if blocks is None:
+            blocks = _Blocks(k, 1)
+        block = _block_goods(m, k, list(keys.values()), blocks.scans)
+        everything = (1 << k**block) - 1
     # above[g] is the key of the node whose children place good g, and
     # marks[g] what the memo knows that node by. The memo works at levels
-    # g >= low, never below 2: a subtree of k leaves is walked faster than
-    # looked up. A node whose subtree was walked from its first leaf on and
-    # held no hit goes into refuted while room[g] lasts: each level records
+    # g >= low, never below 2 (a subtree of k leaves is walked faster than
+    # looked up) nor below the block level. A node whose subtree was walked
+    # from its first leaf on and held no hit goes into refuted while
+    # room[g] lasts: each level records
     # at most k**ceil(m/2) keys, as many as the middle level of the tree has
     # nodes, and only looks up once full. When level low has filled up
     # without a single recall (recalled_at), it is not looked up either and
@@ -438,12 +712,12 @@ def _hits(
     above[m - 1] = level * m
     marks = [0] * m
     refuted: set[int] = set()
-    room = [0] * m if tables else [0, 0] + [k ** ((m + 1) // 2)] * (m - 2)
+    low = m if tables else max(2, block)
+    room = [0] * low + [k ** ((m + 1) // 2)] * (m - low)
     recalled_at = [False] * m
-    low = m if tables else 2
     floor = -1  # the last hit: no recorded subtree may hold a leaf at or before it
     turn = 0  # what removal states add to the key; 0 for the other notions
-    nodes = pruned = recalled = cut = rejected = 0
+    nodes = pruned = recalled = cut = rejected = decided = 0
     g, b, base = m - 1, 0, 0
     while True:
         if b < k:
@@ -496,14 +770,60 @@ def _hits(
                     base = lo
                     g -= 1
                     b = 0
+                    if g >= block:
+                        continue
+                    # decide the leaf block [lo, lo + k**block) and return
+                    decided += 1
+                    b = k
+                    if rules is None:
+                        rules = _block_rules(blocks, block, notion, owns, worths, binary, needs, held, kept)
+                    admissible = blocks.fits(block, sizes, q, tallest) if balanced else everything
+                    mask = admissible
+                    for c, row, j, off, vals, ups, mirror, up_to_one in rules:
+                        t = row[j] - avail[c] + off
+                        if up_to_one is not None:
+                            kept_c, e_vals, e_ups = up_to_one
+                            accepts = e_ups[bisect_left(e_vals, t)]
+                            t -= allowance[kept_c[j]]
+                        else:
+                            accepts = 0
+                        if mirror:
+                            accepts |= everything ^ ups[bisect_left(vals, 1 - t)]
+                        else:
+                            accepts |= ups[bisect_left(vals, t)]
+                        mask &= accepts
+                        if not mask:
+                            break
+                    if not mask:
+                        if accepts & admissible:
+                            rejected += admissible.bit_count()
+                        else:  # one checker admits no admissible placement
+                            pruned += 1
+                            cut += admissible.bit_count()
+                        continue
+                    rest = admissible ^ mask
+                    while mask:
+                        x = (mask & -mask).bit_length() - 1
+                        mask ^= 1 << x
+                        before = rest & ((1 << x) - 1)
+                        rest ^= before
+                        rejected += before.bit_count()
+                        stats.count(nodes, pruned, recalled, cut, rejected, decided)
+                        nodes = pruned = recalled = cut = rejected = decided = 0
+                        floor = lo + x
+                        leaf = bundles[:]
+                        for h in range(block):
+                            leaf[x // width[h] % k] |= 1 << h
+                        yield lo + x, tuple(leaf)
+                    rejected += rest.bit_count()
                     continue
             elif ok:
                 leaf = tuple(bundles)
                 if tables and _tables_reject(tables, leaf, notion):
                     rejected += 1
                 else:
-                    stats.count(nodes, pruned, recalled, cut, rejected)
-                    nodes = pruned = recalled = cut = rejected = 0
+                    stats.count(nodes, pruned, recalled, cut, rejected, decided)
+                    nodes = pruned = recalled = cut = rejected = decided = 0
                     floor = lo
                     yield lo, leaf
             elif g:
@@ -539,7 +859,7 @@ def _hits(
                 kept_c[b] = was
                 need[b] = held_c[b] - allowance[was]
         b += 1
-    stats.count(nodes, pruned, recalled, cut, rejected)
+    stats.count(nodes, pruned, recalled, cut, rejected, decided)
 
 
 def _guard(inst: Instance, partitions: int) -> int:
@@ -570,9 +890,10 @@ def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certifi
         balanced_allocation_count(inst.m, inst.k) if cons.balanced_allocation else span
     )
     stats = SearchStats()
+    blocks = _Blocks(inst.k, num_parts)
     for gof in assignments:
         stats.partitions += 1
-        hit = next(_hits(inst, gof, cons.notion, cons.balanced_allocation, stats), None)
+        hit = next(_hits(inst, gof, cons.notion, cons.balanced_allocation, stats, blocks), None)
         if hit is not None:
             part = AgentPartition(tuple(gof), inst.k) if with_partition else None
             return Certificate(True, allocation=Allocation(hit[1]), partition=part, stats=stats)
@@ -585,9 +906,10 @@ def enumerate_fair(
     """Yield every admissible satisfying (partition, allocation) in order."""
     num_parts, assignments, with_partition = _partition_plan(inst, cons)
     _guard(inst, num_parts)
+    blocks = _Blocks(inst.k, num_parts)
     for gof in assignments:
         part = AgentPartition(tuple(gof), inst.k) if with_partition else None
-        hits = _hits(inst, gof, cons.notion, cons.balanced_allocation, SearchStats())
+        hits = _hits(inst, gof, cons.notion, cons.balanced_allocation, SearchStats(), blocks)
         for _idx, bundles in hits:
             yield part, Allocation(bundles)
 

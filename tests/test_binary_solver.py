@@ -111,6 +111,21 @@ def test_preprocess_partial_is_ef1_when_empty():
             assert is_fair(inst, Allocation(partial), EF1).overall
 
 
+def test_emptied_reduction_builds_no_reduced_instance(monkeypatch):
+    # (5,1) shapes always empty: the solver must not rebuild one valuation
+    # per agent for the goods-free rest, and preprocess still returns it
+    inst = bin_inst(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]], [[0, 1, 2, 3, 4], [5]])
+    partial, reduced, trace = preprocess(inst)
+    assert reduced == Instance.fixed(0, [Valuation.binary([])] * 6, [[0, 1, 2, 3, 4], [5]])
+
+    def rebuild(state):
+        raise AssertionError("the reduced instance was rebuilt")
+
+    monkeypatch.setattr(binary_solver, "_reduced_instance", rebuild)
+    assert solve_ef1_binary(inst) == Allocation(partial)
+    assert preprocess(inst) == (partial, reduced, trace)
+
+
 def test_replay_trace_round_trip():
     rng = random.Random(12)
     for _ in range(300):

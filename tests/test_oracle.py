@@ -333,12 +333,13 @@ def test_kernel_matches_reference_scanner(notion, kind, k, balanced):
         assert mixed > 0
 
 
-def _memo_instance(rng, k, notion):
+def _memo_instance(rng, k, notion, core=False):
     """An instance whose running numbers repeat across the tree: few distinct
     valuations shared by several agents, small repeated values and goods
-    that are worthless to everyone."""
+    that are worthless to everyone; always a padded corpus core with
+    ``core``."""
     top = 10 if k == 2 else 7  # one more than the largest m
-    if rng.random() < 0.25:
+    if core or rng.random() < 0.25:
         # a corpus impossibility (for this notion if there is one) with its
         # goods spread among worthless ones; for k=3 the third group is a
         # copy of the first
@@ -428,7 +429,8 @@ def test_exhausted_stats_add_up(balanced):
     # four identical agents in 2+2 with an odd total: never EF. The parity
     # values repeat, so the memo cuts; the m=16 values 2^20 + 2^g give every
     # subset a sum of its own, so it cuts nothing and the whole scan is
-    # walked without it
+    # walked without it. There the bound cuts all fall below the leaf-block
+    # level, and the blocks reject every candidate instead
     rng = random.Random(31)
     cases = []
     for m in (7, 10, 12):
@@ -443,7 +445,7 @@ def test_exhausted_stats_add_up(balanced):
         s = cert.stats
         assert not cert.found
         assert s.leaves_rejected + s.candidates_pruned == cert.examined
-        assert s.pruned > 0 and s.nodes < 2 * 2**m
+        assert (s.pruned > 0 or s.blocks > 0) and s.nodes < 2 * 2**m
         assert s.partitions == 1
         assert (s.memo_pruned > 0) == memo_cuts and s.memo_pruned <= s.pruned
         assert cert.to_dict()["stats"] == s.to_dict()
@@ -453,28 +455,146 @@ def test_exhausted_stats_add_up(balanced):
             "memo_pruned",
             "candidates_pruned",
             "leaves_rejected",
+            "blocks",
             "partitions",
         ]
 
 
-def test_memo_memory_stays_bounded():
+def _memo_miss(m):
+    """Four identical additive agents in 2+2 whose values 2^20 + 2^g give
+    every subset a sum of its own and an odd total: never EF, and the
+    running numbers never repeat, so the memo cuts nothing."""
+    return Instance.fixed(m, [Valuation.additive([2**20 + 2**g for g in range(m)])] * 4, [[0, 1], [2, 3]])
+
+
+def test_memo_memory_stays_bounded(monkeypatch):
     # distinct values: the running numbers do not repeat, so the memo cuts
     # nothing and only holds keys. Each level records at most k**ceil(m/2)
     # of them; an unbounded memo held one per refuted node (about 3000 here,
-    # a 213 kB peak), and the bound allows 1408 at 100 bytes a key
+    # a 213 kB peak), and the bound allows 1408 at 100 bytes a key. The scan
+    # walks to the leaves (no leaf blocks), as it did before them
     m, k = 13, 2
     rng = random.Random(13)
     values = [rng.randrange(1, 10**6) for _ in range(m)]
     values[0] += sum(values) % 2 == 0  # an odd total: never EF for 2+2 equal agents
     inst = Instance.fixed(m, [Valuation.additive(values)] * 4, [[0, 1], [2, 3]])
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_block_goods", lambda m, k, keys, scans: 0)
+        tracemalloc.start()
+        try:
+            cert = find_fair(inst, SearchConstraints(EF))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert not cert.found and cert.stats.memo_pruned == 0 and cert.stats.blocks == 0
+    assert peak < 100 * (m - 2) * k ** ((m + 1) // 2)
+    # the leaf-block tables of one call keep at most _BLOCK_BITS bits (1 MB),
+    # and building one holds its placement groups next to them: on the m=20
+    # memo-miss scan, whose block sums are all distinct, the peak stays under
+    # twice that with the memo's keys, also when only the bits bound L
+    monkeypatch.setattr(oracle, "_BLOCK_STEPS", 1 << 30)
     tracemalloc.start()
     try:
-        cert = find_fair(inst, SearchConstraints(EF))
+        cert = find_fair(_memo_miss(20), SearchConstraints(EF))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not cert.found and cert.stats.memo_pruned == 0
-    assert peak < 100 * (m - 2) * k ** ((m + 1) // 2)
+    assert not cert.found and cert.stats.blocks > 0
+    assert peak < 2 * oracle._BLOCK_BITS // 8
+    # once the tables pass the budget the cache starts over, so a call over
+    # many partitions cannot pile them up
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", 1 << 12)
+    blocks = oracle._Blocks(2, 1)
+    for g in range(8):
+        blocks.linear(tuple(rng.randrange(1, 10**6) for _ in range(6)), (1, -1))
+        assert blocks.bits <= 1 << 12 or len(blocks.tables) == 1
+
+
+def test_leaf_blocks_cut_the_memo_miss_scan(monkeypatch):
+    # the block decides 2^L leaves in one step, so the scan visits at most
+    # the 2^(21-L) nodes above it (0.44-0.75 s before the blocks, a few ms now)
+    m = 20
+    chosen = []
+    pick = oracle._block_goods
+    monkeypatch.setattr(oracle, "_block_goods", lambda *args: chosen.append(pick(*args)) or chosen[-1])
+    for balanced in (False, True):
+        cert = find_fair(_memo_miss(m), SearchConstraints(EF, balanced_allocation=balanced))
+        s = cert.stats
+        assert not cert.found and cert.examined == (math.comb(m, m // 2) if balanced else 2**m)
+        assert chosen[-1] > 0 and s.blocks > 0 and s.nodes <= 2 ** (21 - chosen[-1])
+        assert s.leaves_rejected + s.candidates_pruned == cert.examined
+
+
+def _block_instance(rng, k, kind):
+    """A random instance of binary, additive, both (binary next to additive)
+    or mixed (with tables) agents, in fixed or variable groups."""
+    m = rng.randrange(0, 8 if k == 2 else 6)
+    n = rng.randrange(1, 5)
+    if kind == "both":
+        agents = [_random_agent(rng, rng.choice(("binary", "additive")), m) for _ in range(n)]
+    else:
+        agents = [_random_agent(rng, kind, m) for _ in range(n)]
+    if rng.random() < 0.5:
+        members = [[] for _ in range(k)]
+        for a in range(n):
+            members[rng.randrange(k)].append(a)
+        return Instance.fixed(m, agents, members)
+    cuts = sorted(rng.randrange(0, n + 1) for _ in range(k - 1))
+    return Instance.variable(m, agents, [b - a for a, b in zip([0, *cuts], [*cuts, n])])
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("notion", [EF, EF1, EF2, EFX, EFX0, PROP], ids=str)
+def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
+    # every block size L from 0 to m-1 must give the reference's hits in
+    # order, the same first hit and examined count, and candidates that add
+    # up; EFc with c >= 2, EFX, EFX0 and tables take no block at any L
+    rng = random.Random(f"blocks-{notion}-{k}-{balanced}")
+    forced = [0]
+    monkeypatch.setattr(oracle, "_block_goods", lambda m, k, keys, scans: forced[0])
+    kinds = ("binary", "additive", "both") if notion in (EFX, EFX0) else ("binary", "additive", "both", "mixed")
+    # the negative side: corpus cores, and one group of the six
+    # pair-desirers of four goods per bundle, which has no EF1, EF or PROP
+    # allocation
+    pairs = [Valuation.binary_from_desired(4, c) for c in combinations(range(4), 2)]
+    crowded = Instance.fixed(4, pairs * k, [list(range(6 * g, 6 * g + 6)) for g in range(k)])
+    decided = hit_in_block = none = 0
+    for i in range(25):
+        if i == 24:
+            inst = crowded
+        elif i % 3 == 2:
+            inst = _memo_instance(rng, k, notion, core=True)
+        else:
+            inst = _block_instance(rng, k, kinds[i % len(kinds)])
+        m = inst.m
+        cons = SearchConstraints(notion, balanced_allocation=balanced)
+        count, assignments, with_partition = _partition_plan(inst, cons)
+        parts = list(assignments)
+        full = [list(_reference_hits(inst, gof, notion, balanced)) for gof in parts]
+        expected = [(gof if with_partition else None, b) for gof, hits in zip(parts, full) for _i, b in hits]
+        none += not expected
+        for block in range(max(m, 1)):
+            forced[0] = block
+            for gof, hits in zip(parts, full):
+                stats = SearchStats()
+                assert list(_hits(inst, gof, notion, balanced, stats)) == hits
+                assert stats.leaves_rejected + stats.candidates_pruned + len(hits) == _admissible(m, k, balanced)
+                decided += stats.blocks
+                hit_in_block += bool(stats.blocks and hits)
+            got = [(p and p.assignment, a.bundles) for p, a in enumerate_fair(inst, cons)]
+            assert got == expected
+            cert = find_fair(inst, cons)
+            assert cert.found == bool(expected)
+            if expected:
+                assert (cert.partition and cert.partition.assignment, cert.allocation.bundles) == expected[0]
+            else:
+                assert cert.examined == count * _admissible(m, k, balanced)
+                assert cert.stats.leaves_rejected + cert.stats.candidates_pruned == cert.examined
+    if notion in (EF, EF1, PROP):
+        assert decided > 0 and hit_in_block > 0 and none > 0
+    else:
+        assert decided == 0
 
 
 @pytest.mark.parametrize("m,goods", [(3, 4), (4, 3)], ids=["4-goods-in-3", "3-goods-in-4"])
@@ -545,6 +665,7 @@ def test_certificate_to_dict():
             "memo_pruned": 3,
             "candidates_pruned": 5,
             "leaves_rejected": 1,
+            "blocks": 0,
             "partitions": 0,
         },
     }

@@ -1,0 +1,47 @@
+"""tools/same_output.py: the output comparison between two checkouts."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "same_output.py")
+
+_spec = importlib.util.spec_from_file_location("same_output", TOOL)
+same_output = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_output)
+
+
+def test_checkout_matches_itself_on_the_exhaust_plan():
+    proc = subprocess.run(
+        [sys.executable, TOOL, ROOT, ROOT, "--seeds", "1", "--plans", "exhaust"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith(" 0 differences")
+
+
+def _record(code=2, elapsed=0.5, nodes=7, examined=16, table=False, stderr=""):
+    if table:
+        stdout = f"examined: {examined}\nstats: {{'nodes': {nodes}, 'partitions': 1}}\nelapsed: {elapsed:.3f}s"
+    else:
+        doc = {"result": {"examined": examined, "stats": {"nodes": nodes, "partitions": 1}}, "elapsed": elapsed}
+        stdout = json.dumps(doc, indent=2)
+    return {"id": "q", "argv": ["search", "x.json"], "code": code, "stdout": stdout, "stderr": stderr}
+
+
+def test_compare_masks_timings_and_dropped_stats():
+    for table in (False, True):
+        same = same_output.compare([_record(table=table)], [_record(elapsed=9.25, table=table)], set())
+        assert same == []
+        nodes = [_record(table=table)], [_record(nodes=8, table=table)]
+        assert same_output.compare(*nodes, set()) == ["q search x.json: stdout differs"]
+        assert same_output.compare(*nodes, {"nodes"}) == []
+        examined = [_record(table=table)], [_record(examined=17, table=table)]
+        assert same_output.compare(*examined, {"nodes"}) == ["q search x.json: stdout differs"]
+    assert same_output.compare([_record()], [_record(code=0)], set()) == ["q search x.json: code differs"]
+    assert same_output.compare([_record()], [_record(stderr="warning")], set()) == [
+        "q search x.json: stderr differs"
+    ]

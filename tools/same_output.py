@@ -1,0 +1,170 @@
+"""Check that two checkouts of this repository answer the same CLI questions alike.
+
+    python3 tools/same_output.py PARENT_DIR CHANGE_DIR --seeds 1 2 \\
+        [--plans exhaust solve-stream kneser-chain] [--drop-stats nodes pruned ...]
+
+For each seed, every question of the chosen perfbench plans is asked, in
+plan order, then ``corpus`` in json and table format and ``search`` on every
+``corpus/*.json`` of CHANGE_DIR. Each checkout answers in a process of its
+own that imports ``groupfair`` from that checkout's ``src``; the plans come
+from the ``perfbench`` next to this script, which is only imported. Inputs
+are written under one temporary directory, the same path for both sides.
+
+Exit code, stdout and stderr are compared question by question, with every
+``elapsed`` value masked and the ``stats`` keys named by ``--drop-stats``
+removed (in JSON and in the table format's ``stats:`` line). One line is
+printed per difference, then a summary; the exit code is 0 when nothing
+differs and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import glob
+import io
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PLANS = ("exhaust", "solve-stream", "kneser-chain")
+
+
+def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[str], ask) -> list:
+    """(id, argv) of every question, in the order they are asked."""
+    from perfbench import run as bench
+
+    out = []
+    for seed in seeds:
+        for plan_name in plans:
+            plan = bench.build(plan_name, seed, os.path.join(workdir, f"{plan_name}-{seed}"), ask)
+            out += [(f"{plan_name}/{seed}/{i}", q.argv) for i, q in enumerate(plan.questions)]
+    out += [("corpus/json", ["corpus"]), ("corpus/table", ["corpus", "--format", "table"])]
+    out += [(f"search/{os.path.basename(path)}", ["search", path]) for path in corpus]
+    return out
+
+
+def _answer(main, argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _side(checkout: str, plans: list[str], seeds: list[int], workdir: str, corpus: list[str]) -> None:
+    """Answer every question with the checkout's package; one JSON list on stdout."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    sys.path[:0] = [src, ROOT]
+    import groupfair.cli
+    from perfbench import run as bench
+
+    if not os.path.abspath(groupfair.cli.__file__).startswith(src + os.sep):
+        raise SystemExit(f"same_output: groupfair imported from {groupfair.cli.__file__}, not {src}")
+    main = groupfair.cli.main
+    records = []
+    for qid, argv in _questions(plans, seeds, workdir, corpus, bench.Asker(main)):
+        records.append({"id": qid, "argv": argv, **_answer(main, argv)})
+    json.dump(records, sys.stdout)
+
+
+def _strip(obj, drop: set[str]):
+    if isinstance(obj, dict):
+        out = {}
+        for key, value in obj.items():
+            if key == "elapsed":
+                value = "*"
+            elif key == "stats" and isinstance(value, dict):
+                value = {k: v for k, v in value.items() if k not in drop}
+            out[key] = _strip(value, drop)
+        return out
+    if isinstance(obj, list):
+        return [_strip(x, drop) for x in obj]
+    return obj
+
+
+_SECONDS = re.compile(r"\d+\.\d+s\b")
+
+
+def normalise(text: str, drop: set[str]) -> str:
+    """Output with its timings masked and the dropped stats keys removed."""
+    try:
+        return json.dumps(_strip(json.loads(text), drop), indent=1)
+    except ValueError:
+        pass
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("stats: {"):
+            stats = ast.literal_eval(line[len("stats: "):])
+            line = f"stats: { {k: v for k, v in stats.items() if k not in drop} }"
+        lines.append(_SECONDS.sub("*s", line))
+    return "\n".join(lines)
+
+
+def compare(old: list[dict], new: list[dict], drop: set[str]) -> list[str]:
+    """One line per question whose code, stdout or stderr differ."""
+    problems = []
+    if [r["id"] for r in old] != [r["id"] for r in new]:
+        return ["the two sides asked different questions"]
+    for a, b in zip(old, new):
+        for part in ("code", "stdout", "stderr"):
+            x, y = a[part], b[part]
+            if part != "code":
+                x, y = normalise(x, drop), normalise(y, drop)
+            if x != y:
+                problems.append(f"{a['id']} {' '.join(a['argv'])}: {part} differs")
+    return problems
+
+
+def _run_side(checkout: str, args, workdir: str, corpus: list[str]) -> list[dict]:
+    cmd = [sys.executable, os.path.abspath(__file__), "--side", os.path.abspath(checkout),
+           "--workdir", workdir, "--seeds", *map(str, args.seeds), "--plans", *args.plans,
+           "--corpus", *corpus]
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
+    shutil.rmtree(workdir, ignore_errors=True)
+    if proc.returncode:
+        raise SystemExit(f"same_output: {checkout} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkouts", nargs="*", metavar="DIR", help="PARENT_DIR CHANGE_DIR")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--plans", nargs="+", choices=PLANS, default=list(PLANS))
+    parser.add_argument("--drop-stats", nargs="*", default=[], metavar="KEY")
+    parser.add_argument("--side", help=argparse.SUPPRESS)
+    parser.add_argument("--workdir", help=argparse.SUPPRESS)
+    parser.add_argument("--corpus", nargs="*", default=[], help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.side:
+        _side(args.side, args.plans, args.seeds, args.workdir, args.corpus)
+        return 0
+    if len(args.checkouts) != 2:
+        parser.error("give PARENT_DIR and CHANGE_DIR")
+    parent, change = args.checkouts
+    corpus = sorted(glob.glob(os.path.join(os.path.abspath(change), "corpus", "*.json")))
+    scratch = tempfile.mkdtemp(prefix="same-output-")
+    try:
+        workdir = os.path.join(scratch, "questions")
+        old = _run_side(parent, args, workdir, corpus)
+        new = _run_side(change, args, workdir, corpus)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    problems = compare(old, new, set(args.drop_stats))
+    for line in problems:
+        print(line)
+    print(f"same_output: {len(old)} questions, {len(problems)} differences")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
