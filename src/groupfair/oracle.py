@@ -75,6 +75,27 @@ building keys, so a scan the memo cannot shorten runs close to the speed
 of one without it. ``SearchStats.memo_pruned`` counts its cuts, which are
 part of ``pruned``; their candidates count in ``candidates_pruned``, so
 ``examined`` and the first hit do not change.
+
+With variable groups the search also ranges over agent partitions, and
+many of them repeat a question already answered. Lemma: the hits of a
+partition depend only on the set of (valuation, group) pairs it makes,
+besides the notion, k and the balance flags, because every agent of a
+group judges the same bundles and equal pairs judge them alike (which is
+why :func:`_checkers` merges them). Relabelling the groups by a
+permutation p and moving bundle j to p(j) with them maps one partition's
+candidates one to one onto those of the relabelled partition, hits onto
+hits; bundle sizes are only permuted, so balanced candidates stay
+balanced. So a partition's orbit key, per group the set of its members'
+valuations, sorted so that relabelling does not change it, decides
+whether it has a hit; with declared sizes each set is paired with its
+group's size, so that only groups of equal size trade places, as in the
+declared plan. A partition whose key an earlier scan refuted is not
+walked: it counts as one cut of all its candidates (``pruned``,
+``candidates_pruned``), so ``examined`` stays partitions times the
+candidates of one. The first hit does not move, since every key before it
+was refuted, and ``enumerate_fair`` walks every partition whose key had a
+hit in full, so it yields the same pairs. ``SearchStats.scans`` counts the
+partitions walked (orbit pruning: McKay, J. Algorithms 1998).
 """
 
 from __future__ import annotations
@@ -83,7 +104,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations, compress, permutations
+from itertools import chain, combinations, compress, permutations
 from typing import Callable, Iterator, Sequence
 
 from .errors import SearchSpaceTooLargeError, UnsupportedNotionError
@@ -143,7 +164,8 @@ class SearchStats:
     the nodes below them are not visited, so a scan with ``blocks`` > 0
     took the block path. On an exhausted search ``leaves_rejected +
     candidates_pruned == examined`` still holds. ``partitions`` counts the
-    agent partitions walked.
+    agent partitions covered and ``scans`` those walked; the others shared
+    the orbit key of a partition refuted before and count as one cut each.
     """
 
     nodes: int = 0
@@ -153,6 +175,7 @@ class SearchStats:
     leaves_rejected: int = 0
     blocks: int = 0
     partitions: int = 0
+    scans: int = 0
 
     def count(
         self,
@@ -243,20 +266,26 @@ def _multinomial(n: int, sizes: Sequence[int]) -> int:
 
 def _assignments(ids: tuple[int, ...], sizes: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:
     """Assignment tuples (agent -> group) for all partitions with the given
-    sizes, ordered by the groups' sorted member lists."""
-    gof = [0] * n
+    sizes, ordered by the groups' sorted member lists. The last group takes
+    whoever is left, so agents wait there until an earlier group takes them."""
+    last = len(sizes) - 1
+    gof = [last] * n
 
     def rec(pool: tuple[int, ...], gi: int) -> Iterator[tuple[int, ...]]:
-        if gi == len(sizes):
-            yield tuple(gof)
-            return
         for chosen in combinations(pool, sizes[gi]):
             for a in chosen:
                 gof[a] = gi
-            rest = tuple([a for a in pool if a not in chosen])
-            yield from rec(rest, gi + 1)
+            if gi == last - 1:
+                yield tuple(gof)
+            else:
+                yield from rec(tuple([a for a in pool if a not in chosen]), gi + 1)
+            for a in chosen:
+                gof[a] = last
 
-    yield from rec(ids, 0)
+    if last:
+        yield from rec(ids, 0)
+    else:
+        yield tuple(gof)
 
 
 def _partition_plan(inst: Instance, cons: SearchConstraints) -> tuple[int, Iterator, bool]:
@@ -274,12 +303,30 @@ def _partition_plan(inst: Instance, cons: SearchConstraints) -> tuple[int, Itera
         vectors = [groups.sizes]
     total = sum(_multinomial(n, vec) for vec in vectors)
     ids = tuple(range(n))
+    return total, chain.from_iterable(_assignments(ids, vec, n) for vec in vectors), True
 
-    def gen() -> Iterator[tuple[int, ...]]:
-        for vec in vectors:
-            yield from _assignments(ids, vec, n)
 
-    return total, gen(), True
+def _orbit_keys(inst: Instance, cons: SearchConstraints) -> list[tuple]:
+    """The orbit key of each partition of a variable-group plan, in plan
+    order (see the module docstring): per group the set of its members'
+    valuations as a mask of valuation ids, sorted, and paired with the
+    group's size under declared sizes. Equal keys are one object."""
+    ids: dict = {}
+    bits = []
+    for v in inst.agents:
+        key = (True, v.table) if v.kind == TABLE else (False, v.values)
+        bits.append(1 << ids.setdefault(key, len(ids)))
+    k = inst.k
+    sizes = None if cons.balanced_partition else inst.groups.sizes
+    keys: dict = {}
+    out = []
+    for gof in _partition_plan(inst, cons)[1]:
+        sets = [0] * k
+        for bit, g in zip(bits, gof):
+            sets[g] |= bit
+        key = tuple(sorted(sets if sizes is None else zip(sizes, sets)))
+        out.append(keys.setdefault(key, key))
+    return out
 
 
 def _checkers(inst: Instance, gof: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]], list]:
@@ -862,7 +909,7 @@ def _hits(
     stats.count(nodes, pruned, recalled, cut, rejected, decided)
 
 
-def _guard(inst: Instance, partitions: int) -> int:
+def _guard(inst: Instance, partitions: int) -> None:
     if inst.m > MAX_TABLE_GOODS:
         raise SearchSpaceTooLargeError(
             f"{inst.m} goods exceed the enumeration cap of {MAX_TABLE_GOODS}", bound=inst.m
@@ -872,7 +919,51 @@ def _guard(inst: Instance, partitions: int) -> int:
         raise SearchSpaceTooLargeError(
             f"search space of {span} candidates exceeds the guard of {SCAN_GUARD}", bound=span
         )
-    return inst.k ** inst.m
+
+
+def _per_partition(inst: Instance, cons: SearchConstraints) -> int:
+    """Admissible candidates of one partition."""
+    if cons.balanced_allocation:
+        return balanced_allocation_count(inst.m, inst.k)
+    return inst.k**inst.m
+
+
+def _plan_hits(
+    inst: Instance, cons: SearchConstraints, stats: SearchStats
+) -> Iterator[tuple[tuple[int, ...] | None, tuple[int, ...]]]:
+    """Satisfying ``(assignment, bundles)`` over the partitions of the plan,
+    in canonical order; the assignment is None for fixed groups. Raises
+    :class:`SearchSpaceTooLargeError` before scanning past the guard.
+
+    A partition whose orbit key an earlier scan refuted is not walked (see
+    the module docstring). The keys are computed up front, so the leaf-block
+    tables are sized for the scans that can run, not for every partition.
+    """
+    num_parts, assignments, with_partition = _partition_plan(inst, cons)
+    _guard(inst, num_parts)
+    notion, balanced = cons.notion, cons.balanced_allocation
+    if not with_partition:
+        stats.partitions = stats.scans = 1
+        for _idx, bundles in _hits(inst, inst.assignment, notion, balanced, stats):
+            yield None, bundles
+        return
+    keys = _orbit_keys(inst, cons)
+    blocks = _Blocks(inst.k, len(set(keys)))
+    per_partition = _per_partition(inst, cons)
+    refuted: set[tuple] = set()
+    for gof, key in zip(assignments, keys):
+        stats.partitions += 1
+        if key in refuted:
+            stats.pruned += 1
+            stats.candidates_pruned += per_partition
+            continue
+        stats.scans += 1
+        hit = False
+        for _idx, bundles in _hits(inst, gof, notion, balanced, stats, blocks):
+            hit = True
+            yield gof, bundles
+        if not hit:
+            refuted.add(key)
 
 
 def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certificate:
@@ -884,34 +975,21 @@ def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certifi
     scan would exceed the guard. ``jobs`` is accepted and ignored: every
     scan runs in this process.
     """
-    num_parts, assignments, with_partition = _partition_plan(inst, cons)
-    span = _guard(inst, num_parts)
-    per_partition = (
-        balanced_allocation_count(inst.m, inst.k) if cons.balanced_allocation else span
-    )
     stats = SearchStats()
-    blocks = _Blocks(inst.k, num_parts)
-    for gof in assignments:
-        stats.partitions += 1
-        hit = next(_hits(inst, gof, cons.notion, cons.balanced_allocation, stats, blocks), None)
-        if hit is not None:
-            part = AgentPartition(tuple(gof), inst.k) if with_partition else None
-            return Certificate(True, allocation=Allocation(hit[1]), partition=part, stats=stats)
-    return Certificate(False, examined=num_parts * per_partition, stats=stats)
+    hit = next(_plan_hits(inst, cons, stats), None)
+    if hit is None:
+        return Certificate(False, examined=stats.partitions * _per_partition(inst, cons), stats=stats)
+    gof, bundles = hit
+    part = None if gof is None else AgentPartition(gof, inst.k)
+    return Certificate(True, allocation=Allocation(bundles), partition=part, stats=stats)
 
 
 def enumerate_fair(
     inst: Instance, cons: SearchConstraints
 ) -> Iterator[tuple[AgentPartition | None, Allocation]]:
     """Yield every admissible satisfying (partition, allocation) in order."""
-    num_parts, assignments, with_partition = _partition_plan(inst, cons)
-    _guard(inst, num_parts)
-    blocks = _Blocks(inst.k, num_parts)
-    for gof in assignments:
-        part = AgentPartition(tuple(gof), inst.k) if with_partition else None
-        hits = _hits(inst, gof, cons.notion, cons.balanced_allocation, SearchStats(), blocks)
-        for _idx, bundles in hits:
-            yield part, Allocation(bundles)
+    for gof, bundles in _plan_hits(inst, cons, SearchStats()):
+        yield None if gof is None else AgentPartition(gof, inst.k), Allocation(bundles)
 
 
 # ---------------------------------------------------------------------------

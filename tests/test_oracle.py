@@ -113,6 +113,10 @@ def test_balanced_allocation_count_matches_enumeration(m, k):
 def test_assignments_order_and_count():
     got = list(_assignments((0, 1, 2), (1, 2), 3))
     assert got == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    # one group, empty groups and no agents at all
+    assert list(_assignments((0, 1), (2,), 2)) == [(0, 0)]
+    assert list(_assignments((0, 1), (0, 2, 0), 2)) == [(1, 1)]
+    assert list(_assignments((), (0, 0), 0)) == [()]
     got = list(_assignments(tuple(range(5)), (2, 2, 1), 5))
     assert len(got) == math.comb(5, 2) * math.comb(3, 2)
     assert len(set(got)) == len(got)
@@ -457,7 +461,19 @@ def test_exhausted_stats_add_up(balanced):
             "leaves_rejected",
             "blocks",
             "partitions",
+            "scans",
         ]
+    # over partitions: two agents value the goods as v and two as 2v (odd
+    # total, so never EF). In 2+2 the orbit keys {a}{b}, {a,b}{a,b} and
+    # {b}{a} (the relabelling of the first) leave two scans for six
+    # partitions, and the skipped four count as cut
+    values = [2**8 + 2**g for g in range(6)]
+    agents = [Valuation.additive(values)] * 2 + [Valuation.additive([2 * x for x in values])] * 2
+    cert = find_fair(Instance.variable(6, agents, [2, 2]), SearchConstraints(EF, balanced_allocation=balanced))
+    s = cert.stats
+    assert not cert.found and cert.examined == 6 * _admissible(6, 2, balanced)
+    assert s.leaves_rejected + s.candidates_pruned == cert.examined
+    assert s.partitions == 6 and s.scans == 2 and s.pruned >= 4
 
 
 def _memo_miss(m):
@@ -597,6 +613,72 @@ def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
         assert decided == 0
 
 
+def _reference_orbit(inst, gof, by_size):
+    """A partition's orbit key spelled out: per group the set of its
+    members' valuations (values, or the table for table agents), sorted,
+    each paired with its group's size when the sizes are declared."""
+    groups = []
+    for g in range(inst.k):
+        members = [v for v, own in zip(inst.agents, gof) if own == g]
+        kinds = tuple(sorted({("table", v.table) if v.kind == "table" else ("values", v.values) for v in members}))
+        groups.append((len(members), kinds) if by_size else kinds)
+    return tuple(sorted(groups))
+
+
+def _orbit_instance(rng, k):
+    """A variable-group instance whose agents repeat one to three
+    valuations, among them twins: equal values as another kind (binary
+    against additive) or an equal table in another object."""
+    m = rng.randrange(1, 5 if k == 2 else 4)
+    pool = [_random_agent(rng, "mixed", m) for _ in range(rng.randrange(1, 4))]
+    for v in pool[:]:
+        if rng.random() < 0.3:
+            if v.kind == "table":
+                pool.append(Valuation("table", m, table=tuple(list(v.table))))
+            else:
+                pool.append(Valuation.additive(v.values))
+    n = rng.randrange(2, 7 if k == 2 else 6)
+    agents = [rng.choice(pool) for _ in range(n)]
+    cuts = sorted(rng.randrange(0, n + 1) for _ in range(k - 1))
+    return Instance.variable(m, agents, [b - a for a, b in zip([0, *cuts], [*cuts, n])])
+
+
+@pytest.mark.parametrize("balanced_allocation", [False, True], ids=["free-goods", "balanced-goods"])
+@pytest.mark.parametrize("balanced_partition", [False, True], ids=["declared", "balanced-agents"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_partition_orbits_match_plain_loop(k, balanced_partition, balanced_allocation):
+    # against a plain loop that scans every partition with the reference
+    # scanner: the same enumerate_fair pairs, first (partition, allocation)
+    # and examined count, candidates that add up, and exactly one scan per
+    # orbit key met up to the first hit
+    rng = random.Random(f"orbits-{k}-{balanced_partition}-{balanced_allocation}")
+    skipped = found = none = 0
+    for _ in range(30):
+        inst = _orbit_instance(rng, k)
+        notion = rng.choice((EF, EF1, PROP))
+        cons = SearchConstraints(notion, balanced_allocation, balanced_partition)
+        count, assignments, _ = _partition_plan(inst, cons)
+        parts = list(assignments)
+        full = [[b for _i, b in _reference_hits(inst, gof, notion, balanced_allocation)] for gof in parts]
+        expected = [(gof, b) for gof, hits in zip(parts, full) for b in hits]
+        assert [(p.assignment, a.bundles) for p, a in enumerate_fair(inst, cons)] == expected
+        cert = find_fair(inst, cons)
+        s = cert.stats
+        first = next((i for i, hits in enumerate(full) if hits), None)
+        covered = count if first is None else first + 1
+        keys = {_reference_orbit(inst, gof, not balanced_partition) for gof in parts[:covered]}
+        assert s.partitions == covered and s.scans == len(keys)
+        if first is None:
+            assert not cert.found and cert.examined == count * _admissible(inst.m, k, balanced_allocation)
+            assert s.leaves_rejected + s.candidates_pruned == cert.examined
+            none += 1
+        else:
+            assert (cert.partition.assignment, cert.allocation.bundles) == (parts[first], full[first][0])
+            found += 1
+        skipped += s.partitions - s.scans
+    assert skipped > 0 and found > 0 and none > 0
+
+
 @pytest.mark.parametrize("m,goods", [(3, 4), (4, 3)], ids=["4-goods-in-3", "3-goods-in-4"])
 def test_valuation_goods_must_match_instance(m, goods):
     # at one time find_fair found an allocation for the first and leaked an
@@ -667,6 +749,7 @@ def test_certificate_to_dict():
             "leaves_rejected": 1,
             "blocks": 0,
             "partitions": 0,
+            "scans": 0,
         },
     }
 

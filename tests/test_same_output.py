@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -14,6 +15,16 @@ same_output = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_output)
 
 
+def test_variable_questions_are_fixed_per_seed(tmp_path):
+    one = same_output.variable_questions(1, str(tmp_path / "a"))
+    again = same_output.variable_questions(1, str(tmp_path / "b"))
+    assert [q[2:] for q in one] == [q[2:] for q in again]
+    docs = [pathlib.Path(q[1]).read_text() for q in one]
+    assert docs == [pathlib.Path(q[1]).read_text() for q in again]
+    assert all("variable" in json.loads(doc)["groups"] for doc in docs)
+    assert any("--balanced-agents" in q for q in one) and not all("--balanced-agents" in q for q in one)
+
+
 def test_checkout_matches_itself_on_the_exhaust_plan():
     proc = subprocess.run(
         [sys.executable, TOOL, ROOT, ROOT, "--seeds", "1", "--plans", "exhaust"],
@@ -23,11 +34,12 @@ def test_checkout_matches_itself_on_the_exhaust_plan():
     assert proc.stdout.splitlines()[-1].endswith(" 0 differences")
 
 
-def _record(code=2, elapsed=0.5, nodes=7, examined=16, table=False, stderr=""):
+def _record(code=2, elapsed=0.5, nodes=7, examined=16, table=False, stderr="", **more):
+    stats = {"nodes": nodes, "partitions": 1, **more}
     if table:
-        stdout = f"examined: {examined}\nstats: {{'nodes': {nodes}, 'partitions': 1}}\nelapsed: {elapsed:.3f}s"
+        stdout = f"examined: {examined}\nstats: {stats}\nelapsed: {elapsed:.3f}s"
     else:
-        doc = {"result": {"examined": examined, "stats": {"nodes": nodes, "partitions": 1}}, "elapsed": elapsed}
+        doc = {"result": {"examined": examined, "stats": stats}, "elapsed": elapsed}
         stdout = json.dumps(doc, indent=2)
     return {"id": "q", "argv": ["search", "x.json"], "code": code, "stdout": stdout, "stderr": stderr}
 
@@ -41,6 +53,10 @@ def test_compare_masks_timings_and_dropped_stats():
         assert same_output.compare(*nodes, {"nodes"}) == []
         examined = [_record(table=table)], [_record(examined=17, table=table)]
         assert same_output.compare(*examined, {"nodes"}) == ["q search x.json: stdout differs"]
+        # a key only the change reports is dropped from its side alone
+        scans = [_record(table=table)], [_record(table=table, scans=1)]
+        assert same_output.compare(*scans, set()) == ["q search x.json: stdout differs"]
+        assert same_output.compare(*scans, {"scans"}) == []
     assert same_output.compare([_record()], [_record(code=0)], set()) == ["q search x.json: code differs"]
     assert same_output.compare([_record()], [_record(stderr="warning")], set()) == [
         "q search x.json: stderr differs"

@@ -4,15 +4,18 @@
         [--plans exhaust solve-stream kneser-chain] [--drop-stats nodes pruned ...]
 
 For each seed, every question of the chosen perfbench plans is asked, in
-plan order, then ``corpus`` in json and table format and ``search`` on every
-``corpus/*.json`` of CHANGE_DIR. Each checkout answers in a process of its
-own that imports ``groupfair`` from that checkout's ``src``; the plans come
-from the ``perfbench`` next to this script, which is only imported. Inputs
-are written under one temporary directory, the same path for both sides.
+plan order, then a fixed set of seeded variable-group ``search`` questions
+(see :func:`variable_questions`), then ``corpus`` in json and table format
+and ``search`` on every ``corpus/*.json`` of CHANGE_DIR. Each checkout
+answers in a process of its own that imports ``groupfair`` from that
+checkout's ``src``; the plans come from the ``perfbench`` next to this
+script, which is only imported. Inputs are written under one temporary
+directory, the same path for both sides.
 
 Exit code, stdout and stderr are compared question by question, with every
 ``elapsed`` value masked and the ``stats`` keys named by ``--drop-stats``
-removed (in JSON and in the table format's ``stats:`` line). One line is
+removed (in JSON and in the table format's ``stats:`` line); a key only
+one side reports, such as a new ``scans``, can be dropped too. One line is
 printed per difference, then a summary; the exit code is 0 when nothing
 differs and 1 otherwise.
 """
@@ -26,6 +29,7 @@ import glob
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -34,6 +38,55 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PLANS = ("exhaust", "solve-stream", "kneser-chain")
+
+
+def _valuation(rng: random.Random, m: int, kind: str) -> dict:
+    if kind == "table":  # monotone: each mask adds 0..2 to its best subset
+        table = [0] * (1 << m)
+        for mask in range(1, 1 << m):
+            table[mask] = max(table[mask & ~(1 << g)] for g in range(m) if mask >> g & 1) + rng.randrange(3)
+        return {"kind": "table", "table": {str(mask): x for mask, x in enumerate(table)}}
+    top = 1 if kind == "binary" else 9
+    return {"kind": kind, "values": [rng.randint(0, top) for _ in range(m)]}
+
+
+def variable_questions(seed: int, workdir: str) -> list[list[str]]:
+    """Seeded ``search`` questions on variable groups whose agents repeat a
+    few valuations, so that many partitions share an orbit key: k = 2 and 3,
+    declared sizes and ``--balanced-agents``, with and without
+    ``--balanced-goods``. Every other instance holds multiples c * v of one
+    vector v whose total k does not divide, so EF fails in every partition
+    with no empty group and the search exhausts them all; the others mix
+    additive, binary and table agents and mostly find one. The instances are
+    written under ``workdir``."""
+    rng = random.Random(f"variable-{seed}")
+    os.makedirs(workdir, exist_ok=True)
+    out = []
+    for i in range(16):
+        k = 2 + i % 2
+        n = rng.randint(k + 1, 6)
+        if i % 4 < 2:
+            m = rng.randint(6, 10 if k == 2 else 7)
+            v = [rng.randint(1, 9) for _ in range(m)]
+            v[0] += 1 if sum(v) % k == 0 else 0
+            pool = [{"kind": "additive", "values": [c * x for x in v]} for c in range(1, rng.randint(1, 3) + 1)]
+            notion = "ef"
+        else:
+            m = rng.randint(3, 5)
+            kinds = [rng.choice(("additive", "binary", "table")) for _ in range(rng.randint(1, 3))]
+            pool = [_valuation(rng, m, kind) for kind in kinds]
+            notion = rng.choice(("ef", "ef1", "prop"))
+        agents = [{"id": a, **rng.choice(pool)} for a in range(n)]
+        cuts = sorted(rng.randint(1, n - 1) for _ in range(k - 1))
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+        path = os.path.join(workdir, f"variable-{seed}-{i}.json")
+        with open(path, "w") as fh:
+            json.dump({"m": m, "agents": agents, "groups": {"variable": sizes}}, fh)
+        flags = ["--balanced-agents"] if i % 8 >= 4 else []
+        flags += ["--balanced-goods"] if rng.random() < 0.3 else []
+        flags += ["--format", "table"] if i % 5 == 0 else []
+        out.append(["search", path, "--notion", notion, *flags])
+    return out
 
 
 def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[str], ask) -> list:
@@ -45,6 +98,8 @@ def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[st
         for plan_name in plans:
             plan = bench.build(plan_name, seed, os.path.join(workdir, f"{plan_name}-{seed}"), ask)
             out += [(f"{plan_name}/{seed}/{i}", q.argv) for i, q in enumerate(plan.questions)]
+        questions = variable_questions(seed, os.path.join(workdir, f"variable-{seed}"))
+        out += [(f"variable/{seed}/{i}", argv) for i, argv in enumerate(questions)]
     out += [("corpus/json", ["corpus"]), ("corpus/table", ["corpus", "--format", "table"])]
     out += [(f"search/{os.path.basename(path)}", ["search", path]) for path in corpus]
     return out
