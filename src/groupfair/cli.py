@@ -361,6 +361,8 @@ def _cmd_fuzz(args) -> int:
         return OK
     if not args.suite:
         raise ValueError("pick a suite with --suite or list them with --list")
+    if args.runs < 1:
+        raise ValueError(f"--runs: {args.runs} is not a positive number of runs")
     result = fuzz.run_suite(args.suite, args.seed, args.runs)
     if args.format == "table":
         flag = "PASS" if result.passed else "FAIL"

@@ -367,8 +367,11 @@ def _hierarchy_suite(seed: int, runs: int) -> SuiteResult:
 
 
 def run_suite(name: str, seed: int, runs: int) -> SuiteResult:
+    """Run ``runs`` cases (at least one) of the named suite from ``seed``."""
     try:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}") from None
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     return fn(seed, runs)

@@ -18,8 +18,8 @@ index order and a node spans the leaves [base, base + k**(g+1)). In
 balanced mode a good only goes where every bundle can still end with
 floor(m/k) or ceil(m/k) goods, so only balanced candidates are generated.
 
-Additive and binary agents with the same values and group are one
-checker. Each keeps running numbers as goods are placed and taken back:
+Agents with the same valuation (:func:`_sameness`) and group are one
+checker. An additive or binary checker keeps running numbers as goods are placed and taken back:
 ``avail``, its own bundle plus every unplaced good, and for each other
 bundle its value less the notion's removal allowance
 (:func:`fairness.removable_values`). A checker rejects a node when ``avail``
@@ -42,39 +42,17 @@ placement x is leaf ``base + x``. Once per ``find_fair`` or
 ``enumerate_fair`` call, shared by its partitions, a table per checker key
 sorts the placements by the key (for EF the checker's block value of its
 own bundle less that of a rival) and keeps, per distinct value, the mask of
-the placements at or above it. At a block node each rule turns the
+the placements at or above it. At a block node each test turns the
 checker's running numbers into one threshold: one bisection, one mask. The
 masks of all checkers, ANDed with the placements that keep balanced
 bundles in balanced mode, hold exactly the block's hits, so the lowest set
 bit is the first hit in canonical order and the popcount of the rest gives
-the rejected leaves; a block where one checker's threshold admits no
-admissible placement counts as a cut. The rules, each proved in
-:func:`_block_rules`, cover EF, PROP and EF1 for k bundles; EFc with c >= 2,
-EFX, EFX0 and scans with table agents take L = 0, which is the walk to the
-leaves. :func:`_block_goods` picks L. ``SearchStats.blocks`` counts the
-blocks decided.
-
-The scan also keeps a failure memo, the transposition table of game-tree
-search. Every verdict below a node is a function of the checkers' running
-numbers for the bundles other than their own (``avail`` follows from them,
-or is the number itself for PROP), of the bundle sizes in balanced mode
-and of the goods still unplaced. Once the subtree under a node has been
-walked from its first leaf with no hit, those numbers are recorded, packed
-into one int that is updated as goods come and go; a later node that
-reaches the same numbers is cut like a bound cut. A checker whose valued
-goods are all placed leaves the key: it passed at that node and nothing
-below moves it. A table agent's verdict depends on the whole bundle masks,
-so scans with table agents record nothing. The memo lives for one scan.
-It works only on the levels at or above L, and never on nodes with fewer
-than two goods unplaced (smaller subtrees are walked faster than looked
-up); each level of the tree records at most k**ceil(m/2) nodes, one int
-each: at most about m * sqrt(k**m) ints for k**m leaves (some 41,000 for
-2**22). A full level still looks up, unless it filled without a single
-recall: the lowest such levels, which hold most of the nodes, stop
-building keys, so a scan the memo cannot shorten runs close to the speed
-of one without it. ``SearchStats.memo_pruned`` counts its cuts, which are
-part of ``pruned``; their candidates count in ``candidates_pruned``, so
-``examined`` and the first hit do not change.
+the rejected leaves; a block where one rule admits no admissible placement
+counts as a cut. The rules, each proved in :func:`_block_rules`, cover
+every notion for additive and binary agents: EF, EFc for every c, EFX,
+EFX0 and PROP, for k bundles. Scans with table agents take L = 0, which is
+the walk to the leaves. :func:`_block_goods` picks L. ``SearchStats.blocks``
+counts the blocks decided.
 
 With variable groups the search also ranges over agent partitions, and
 many of them repeat a question already answered. Lemma: the hits of a
@@ -104,7 +82,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, permutations
+from itertools import chain, combinations, permutations
 from typing import Callable, Iterator, Sequence
 
 from .errors import SearchSpaceTooLargeError, UnsupportedNotionError
@@ -155,40 +133,29 @@ class SearchStats:
     """What a search did.
 
     ``nodes`` counts the tree nodes visited (a good placed in a bundle),
-    ``pruned`` the subtrees cut and ``candidates_pruned`` the admissible
-    candidates inside them, ``leaves_rejected`` the candidates checked in
-    full and rejected. ``memo_pruned`` counts the cut subtrees that the
-    failure memo recognised as refuted before; they are part of
-    ``pruned``. ``blocks`` counts the leaf blocks decided in one step; their
-    leaves count as rejected, or as cut when one checker admits none, and
-    the nodes below them are not visited, so a scan with ``blocks`` > 0
-    took the block path. On an exhausted search ``leaves_rejected +
-    candidates_pruned == examined`` still holds. ``partitions`` counts the
-    agent partitions covered and ``scans`` those walked; the others shared
-    the orbit key of a partition refuted before and count as one cut each.
+    ``pruned`` the subtrees cut by the bound check and ``candidates_pruned``
+    the admissible candidates inside them, ``leaves_rejected`` the
+    candidates checked in full and rejected. ``blocks`` counts the leaf
+    blocks decided in one step; their leaves count as rejected, or as one
+    cut when one rule admits none, and the nodes below them are not
+    visited, so a scan with ``blocks`` > 0 took the block path. On an
+    exhausted search ``leaves_rejected + candidates_pruned == examined``
+    still holds. ``partitions`` counts the agent partitions covered and
+    ``scans`` those walked; the others shared the orbit key of a partition
+    refuted before and count as one cut each.
     """
 
     nodes: int = 0
     pruned: int = 0
-    memo_pruned: int = 0
     candidates_pruned: int = 0
     leaves_rejected: int = 0
     blocks: int = 0
     partitions: int = 0
     scans: int = 0
 
-    def count(
-        self,
-        nodes: int,
-        pruned: int,
-        memo_pruned: int,
-        candidates_pruned: int,
-        leaves_rejected: int,
-        blocks: int,
-    ) -> None:
+    def count(self, nodes: int, pruned: int, candidates_pruned: int, leaves_rejected: int, blocks: int) -> None:
         self.nodes += nodes
         self.pruned += pruned
-        self.memo_pruned += memo_pruned
         self.candidates_pruned += candidates_pruned
         self.leaves_rejected += leaves_rejected
         self.blocks += blocks
@@ -306,16 +273,19 @@ def _partition_plan(inst: Instance, cons: SearchConstraints) -> tuple[int, Itera
     return total, chain.from_iterable(_assignments(ids, vec, n) for vec in vectors), True
 
 
+def _sameness(v: Valuation) -> tuple:
+    """What two agents must share to judge every bundle alike: the table of
+    a table agent, the per-good values of any other (binary or additive)."""
+    return (True, v.table) if v.kind == TABLE else (False, v.values)
+
+
 def _orbit_keys(inst: Instance, cons: SearchConstraints) -> list[tuple]:
     """The orbit key of each partition of a variable-group plan, in plan
     order (see the module docstring): per group the set of its members'
     valuations as a mask of valuation ids, sorted, and paired with the
     group's size under declared sizes. Equal keys are one object."""
     ids: dict = {}
-    bits = []
-    for v in inst.agents:
-        key = (True, v.table) if v.kind == TABLE else (False, v.values)
-        bits.append(1 << ids.setdefault(key, len(ids)))
+    bits = [1 << ids.setdefault(_sameness(v), len(ids)) for v in inst.agents]
     k = inst.k
     sizes = None if cons.balanced_partition else inst.groups.sizes
     keys: dict = {}
@@ -330,16 +300,20 @@ def _orbit_keys(inst: Instance, cons: SearchConstraints) -> list[tuple]:
 
 
 def _checkers(inst: Instance, gof: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]], list]:
-    """Additive and binary agents collapsed by (per-good values, group), as
-    parallel lists of groups and values; table agents as (valuation, group)."""
-    seen: dict[tuple[tuple[int, ...], int], None] = {}
-    tables = []
-    for a, v in enumerate(inst.agents):
+    """Agents collapsed by valuation (:func:`_sameness`) and group: additive
+    and binary ones as parallel lists of groups and values, table ones as
+    (valuation, group)."""
+    seen: dict[tuple, Valuation] = {}
+    for v, own in zip(inst.agents, gof):
+        seen.setdefault((_sameness(v), own), v)
+    owns, worths, tables = [], [], []
+    for (_same, own), v in seen.items():
         if v.kind == TABLE:
-            tables.append((v, gof[a]))
+            tables.append((v, own))
         else:
-            seen.setdefault((v.values, gof[a]), None)
-    return [own for _w, own in seen], [w for w, _own in seen], tables
+            owns.append(own)
+            worths.append(v.values)
+    return owns, worths, tables
 
 
 def _leaves_in(sizes: list[int], free: int, balanced: bool, counts: dict) -> int:
@@ -377,7 +351,10 @@ class _Removals:
     A state is what :func:`fairness.removable_values` keeps of a bundle;
     state 0 is the empty bundle's. ``after[s]`` maps the value of a good
     joining a bundle in state s to the new state, filled in on first use,
-    and ``allowance[s]`` is the sum the notion removes in state s.
+    ``allowance[s]`` is the sum the notion removes in state s and
+    ``lifts[s]`` what the leaf-block rules read of it: for EFc the sums of
+    its i largest kept values, i = 0..c; for EFX and EFX0 0 and its kept
+    value, infinite in state 0. EF and PROP only have state 0, lifts (0,).
     """
 
     def __init__(self, notion: Notion):
@@ -386,6 +363,12 @@ class _Removals:
         self.number = {(): 0}
         self.after: list[dict[int, int]] = [{}]
         self.allowance = [0]
+        self.lifts = [self._lifts(())]
+
+    def _lifts(self, kept: tuple[int, ...]) -> tuple:
+        if self.notion.kind in ("efx", "efx0"):
+            return 0, kept[0] if kept else math.inf
+        return tuple(sum(kept[:i]) for i in range(self.notion.c + 1))
 
     def step(self, s: int, x: int) -> int:
         kept = removable_values(self.notion, (*self.kept[s], x))
@@ -394,6 +377,7 @@ class _Removals:
             self.kept.append(kept)
             self.after.append({})
             self.allowance.append(sum(kept))
+            self.lifts.append(self._lifts(kept))
         self.after[s][x] = t
         return t
 
@@ -405,20 +389,25 @@ _BLOCK_BITS = 1 << 23
 _BLOCK_STEPS = 1 << 11
 
 
-def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, bool]], scans: int) -> int:
+def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, int, bool]], scans: int) -> int:
     """How many of the lowest goods a scan decides per leaf block (0: none),
     when ``scans`` scans of k**m candidates share the tables of ``keys``.
 
     At most 2**10 candidates in all are walked faster than tables are built,
-    so they take no block. Otherwise the block leaves the fewest goods above
-    it that still make 16 or more block nodes in all, so that every table
-    serves many blocks, and shrinks until building the tables takes at most
-    ``_BLOCK_STEPS`` steps and they hold at most ``_BLOCK_BITS`` bits. A key
-    ``(values, scale, topped)`` takes at most scale * T + 1 distinct values
-    over goods whose values sum to T, times g + 1 when it also records the
-    largest of the g goods (``topped``), and never more than its k**g
-    placements; building its table over L goods steps k times through the
-    values of each shorter prefix, and each value keeps a mask of k**L bits.
+    so they take no block. Otherwise the block leaves the fewest
+    goods above it that still make 16 or more block nodes in all, so that
+    every table serves many blocks, and shrinks until building the tables
+    takes at most ``_BLOCK_STEPS`` steps and they hold at most
+    ``_BLOCK_BITS`` bits. A key
+    ``(values, scale, top, zeros)`` moves with the valued goods, and with
+    every good when ``zeros``. Over goods whose values sum to T it takes at
+    most scale * T + 1 sums; an envy table (``top`` > 0) pairs each with at
+    most ``top`` of the goods that move it, so with at most as many values
+    as there are such picks and at most (top + 1) * (T + 1); and no key takes
+    more values than its k**g placements. Building a table over L goods
+    steps k times through the values of each shorter prefix for every good
+    that moves the key (the others go anywhere at once), and each value
+    keeps a mask of k**L bits.
     """
     if scans * k**m <= 1 << 10:
         return 0
@@ -427,12 +416,18 @@ def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, bool]], 
         goods -= 1
     steps = [0] * (goods + 1)
     bits = [0] * (goods + 1)
-    for values, scale, topped in keys:
-        states, spent, total = 1, 0, 0
+    for values, scale, top, zeros in keys:
+        states, spent, total, moving = 1, 0, 0, 0
         for g in range(1, goods + 1):
-            spent += k * states
-            total += values[g - 1]
-            states = min(k * states, (scale * total + 1) * (g + 1 if topped else 1))
+            x = values[g - 1]
+            if x or zeros:
+                spent += k * states
+                total += x
+                moving += 1
+                picks = 1
+                if top:
+                    picks = min(sum(math.comb(moving, i) for i in range(top + 1)), (top + 1) * (total + 1))
+                states = min(k * states, (scale * total + 1) * picks)
             steps[g] += spent
             bits[g] += states * k**g
     while goods and (steps[goods] > _BLOCK_STEPS or bits[goods] > _BLOCK_BITS):
@@ -459,7 +454,7 @@ class _Blocks:
         self.tables: dict = {}
         self.bits = 0
 
-    def _table(self, key: tuple, groups: dict) -> tuple[list[int], list[int]]:
+    def _table(self, key: tuple, groups: dict) -> tuple[list, list[int]]:
         vals = sorted(groups)
         above = [0] * (len(vals) + 1)
         for i in range(len(vals) - 1, -1, -1):
@@ -472,12 +467,25 @@ class _Blocks:
         self.bits += bits
         return vals, above
 
+    def _anywhere(self, idle: list[int]) -> int:
+        """Mask of the placements that put the goods ``idle`` in any bundle
+        and every other block good in bundle 0."""
+        mask = 1
+        for g in idle:
+            copy, shift = mask, self.k**g
+            for by in range(shift, self.k * shift, shift):
+                mask |= copy << by
+        return mask
+
     def _sums(self, values: tuple[int, ...], coef: tuple[int, ...]) -> dict:
         """Placement masks by the key sum over g of values[g] * coef[bundle
-        of g]: good by good, the placements with good g in bundle d are
-        those of the goods before it, shifted by d * k**g."""
-        groups = {0: 1}
+        of g]: worthless goods go anywhere at once, and then good by good the
+        placements with good g in bundle d are those of the goods before it,
+        shifted by d * k**g."""
+        groups = {0: self._anywhere([g for g, x in enumerate(values) if not x])}
         for g, x in enumerate(values):
+            if not x:
+                continue
             shift = self.k**g
             grown: dict = {}
             for d, c in enumerate(coef):
@@ -496,30 +504,65 @@ class _Blocks:
             return self._table(key, self._sums(values, coef))
         return self.tables[key]
 
-    def envy_up_to_one(self, values: tuple[int, ...], own: int, rival: int):
-        """The table of S_own - S_rival plus the largest value in the
-        rival's share of the block (0 if none). Goods are added in ascending
-        value, so a good joining the rival's share is its largest so far."""
-        key = ("E", values, own, rival)
-        if key not in self.tables:
-            groups = {(0, 0): 1}
-            for g in sorted(range(len(values)), key=values.__getitem__):
-                x = values[g]
-                shift = self.k**g
-                grown: dict = {}
-                for (diff, top), mask in groups.items():
-                    for d in range(self.k):
-                        if d == own:
-                            state = diff + x, top
-                        else:
-                            state = (diff - x, x) if d == rival else (diff, top)
-                        grown[state] = grown.get(state, 0) | mask << d * shift
-                groups = grown
-            keys: dict = {}
-            for (diff, top), mask in groups.items():
-                keys[diff + top] = keys.get(diff + top, 0) | mask
-            return self._table(key, keys)
-        return self.tables[key]
+    def envy(self, values: tuple[int, ...], own: int, rival: int, top: int, zeros: bool):
+        """The table of S_own - S_rival plus a statistic of the rival's share
+        of the block: with ``top`` >= 1 the sum of its ``top`` largest
+        values, with ``top`` 0 its least value, of the positive ones unless
+        ``zeros``, infinite if it has none. Goods are added in descending
+        value, so the rival's first ``top`` goods are its largest and a good
+        joining it is its least so far. The goods that move no key (the
+        worthless ones, unless ``zeros``) go anywhere at once, first."""
+        key = ("envy", values, own, rival, top, zeros)
+        if key in self.tables:
+            return self.tables[key]
+        moving = sorted((g for g, x in enumerate(values) if x or zeros), key=values.__getitem__, reverse=True)
+        idle = [g for g, x in enumerate(values) if not (x or zeros)]
+        groups = {(0, 0, 0 if top else math.inf): self._anywhere(idle)}
+        for g in moving:
+            x = values[g]
+            shift = self.k**g
+            grown: dict = {}
+            for (diff, n, s), mask in groups.items():
+                for d in range(self.k):
+                    if d == own:
+                        state = diff + x, n, s
+                    elif d != rival:
+                        state = diff, n, s
+                    elif not top:
+                        state = diff - x, n, x
+                    else:
+                        state = (diff - x, n + 1, s + x) if n < top else (diff - x, n, s)
+                    grown[state] = grown.get(state, 0) | mask << d * shift
+            groups = grown
+        keys: dict = {}
+        for (diff, _n, s), mask in groups.items():
+            keys[diff + s] = keys.get(diff + s, 0) | mask
+        return self._table(key, keys)
+
+    def rules(self, block: int, plan: list, worths: list, rows: list, kept: list, zeros: bool) -> list[tuple]:
+        """The rules of ``plan`` (:func:`_block_rules`) over goods
+        0..block-1, as ``(c, row, j, state, tests)`` with ``row`` and
+        ``state`` checker c's running numbers and each test ``(vals, above,
+        mirror, off, lift)``: its table, and off = T + adjust for the
+        checker's block total T. A checker that values no block good is left
+        out unless ``zeros`` (EFX0)."""
+        k = self.k
+        out = []
+        for c, j, tests in plan:
+            values = worths[c][:block]
+            if not (zeros or any(values)):
+                continue
+            total = sum(values)
+            built = []
+            for lo, hi, top, mirror, adjust, lift in tests:
+                if top is None:
+                    coef = tuple(1 if d == lo else -1 if d == hi else 0 for d in range(k))
+                    vals, above = self.linear(values, coef)
+                else:
+                    vals, above = self.envy(values, lo, hi, top, zeros)
+                built.append((vals, above, mirror, total + adjust, lift))
+            out.append((c, rows[c], j, kept[c], tuple(built)))
+        return out
 
     def fits(self, goods: int, sizes: list[int], q: int, tallest: int) -> int:
         """Mask of the placements after which every bundle holds q to
@@ -542,77 +585,84 @@ class _Blocks:
         return mask
 
 
-def _block_rules(
-    blocks: _Blocks,
-    block: int,
-    notion: Notion,
-    owns: list[int],
-    worths: list[tuple[int, ...]],
-    binary: list[bool],
-    needs: list[list[int]],
-    held: list[list[int]],
-    kept: list[list[int]],
-) -> list[tuple]:
-    """The rules that decide a leaf block of goods 0..L-1 (L = ``block``).
+def _block_rules(notion: Notion, owns: list[int], worths: list[tuple[int, ...]], k: int) -> list[tuple]:
+    """The rules that decide a leaf block of goods 0..L-1, for any L.
 
-    One rule per checker that values a block good and per rival bundle j
-    (its own bundle for PROP): ``(c, row, j, off, vals, above, mirror,
-    up_to_one)``. At a block node, placement x passes it when key(x) >= t,
-    t = row[j] - avail[c] + off, read in the sorted table (vals, above) as
-    ``above[bisect_left(vals, t)]``; a mirrored rule reads the table of the
-    rival against the checker, whose key must stay at most -t. Its checker
-    accepts every placement it passes, and only those, by these rules, where
-    a is the checker's own bundle without the block (a = avail - T), a_j its
-    value of bundle j, S_d(x) the value of the block goods x puts in bundle
-    d, T their total and D(x) = S_own(x) - S_j(x):
+    Per checker c and rival bundle j (its own bundle for PROP) one rule
+    ``(c, j, tests)``, two for EFX and EFX0; a rule passes a placement x
+    when one of its tests does, and a block's hits pass every rule. A test
+    ``(lo, hi, top, mirror, adjust, lift)`` reads a table over the block
+    goods' values (:meth:`_Blocks.rules`): with ``top`` None the key
+    S_lo(x) - S_hi(x) (S_lo(x) for PROP, where hi is None), otherwise the
+    envy table of :meth:`_Blocks.envy`. At a block node x passes it when
+    key(x) >= u for
 
-    - EF: a + S_own(x) >= a_j + S_j(x) iff D(x) >= a_j - a, and
-      a_j - a = needs[c][j] - avail[c] + T.
-    - EF1, every value 0 or 1: the allowance of a bundle is 1 when it holds
-      a valued good. The rule D(x) >= a_j - a - 1 holds exactly when EF1
-      does: if bundle j ends with a valued good, EF1 reads a + S_own >=
-      a_j + S_j - 1; otherwise a_j = S_j = 0, EF1 holds and so does the
-      rule, D(x) = S_own(x) >= 0 > -a - 1. Here a_j = held[c][j].
-    - EF1, additive: the allowance is max(Ma, Mb(x)), Ma the largest value
-      of the goods of bundle j above the block (allowance[kept[c][j]]) and
-      Mb(x) the largest of the block goods x puts there (0 if none). So EF1
-      holds iff D(x) >= a_j - a - Ma or D(x) + Mb(x) >= a_j - a: the rule
-      reads the second key (``up_to_one``: kept[c] and its table) at t and
-      ORs in the D table at t - Ma.
+        u = row[j] - avail[c] + T + adjust - lifts[kept[c][j]][lift],
+
+    row the checker's ``needs`` (EF, PROP) or ``held`` (the removal
+    notions) and ``lifts`` those of :class:`_Removals`, read in the sorted
+    table (vals, above) as ``above[bisect_left(vals, u)]``. A mirrored test
+    is that of the checker in hi, for which the key is -key(x): it passes
+    when key(x) >= 1 - u fails. A rule accepts what its checker accepts of
+    bundle j, and only that, by these rules, where a is the checker's own
+    bundle without the block (a = avail - T), a_j = row[j] its value of
+    bundle j, A_j the goods there, S_d(x) the value of the block goods x
+    puts in bundle d and B_j(x) those it puts in j, T their total, D(x) =
+    S_own(x) - S_j(x) and t = a_j - a = row[j] - avail[c] + T:
+
+    - EF: a + S_own(x) >= a_j + S_j(x) iff D(x) >= t.
     - PROP: k * (a + S_own(x)) >= total iff S_own(x) >= ceil(total / k) - a,
       and needs[c][j] holds ceil(total / k) for every j.
+    - EFc and EFX, every value 0 or 1: the allowance of bundle j is the
+      least of c and its number of valued goods, with c = 1 for EFX (its
+      least positive value is 1 once it holds one). As a + S_own(x) >= 0,
+      the notion reads a + S_own(x) >= max(0, a_j + S_j(x) - c), that is
+      D(x) >= t - c: one test, adjust -c.
+    - EFc: the allowance is top_c(A_j + B_j(x)), the sum of the c largest
+      values there, which is the largest of top_i(A_j) + top_(c-i)(B_j(x))
+      over i = 0..c: each of these sums at most c of the bundle's goods, and
+      the c largest are the i largest of A_j and the c - i largest of B_j(x)
+      for some i. So EFc holds iff D(x) + top_(c-i)(B_j(x)) >= t - top_i(A_j)
+      for some i: c + 1 tests, lift i (lifts[s][i] is top_i(A_j)); test c
+      reads the D table, test i < c the envy table with top = c - i.
+    - EFX, EFX0: the allowance is the least value of bundle j, of its
+      positive ones for EFX: min(mA, mB(x)), mA that of A_j and mB(x) that
+      of B_j(x), each infinite if there is none. When both are, bundle j is
+      worth nothing to the checker (no positive value for EFX, no good for
+      EFX0) and the notion holds. Otherwise it reads D(x) >= t - min(mA,
+      mB(x)), that is D(x) >= t - mA and D(x) + mB(x) >= t: two rules, the
+      first on the D table with lift 1 (mA; infinite in state 0, where it
+      passes every placement), the second on the envy table with top = 0.
+      When both are infinite both pass, as the notion does.
 
     For k >= 3 the keys run over the k**L placements the same way. The D
-    table of a pair lo < hi holds S_lo - S_hi and serves the checkers of
-    both: one in hi needs -D(x) >= t, that is D(x) >= 1 - t fails. A
-    checker that values no block good is left out: with nothing unplaced
-    that it values, the bound check at the node decided it exactly.
+    table of a pair lo < hi serves the checkers of both. A checker that
+    values no block good is left out, except under EFX0: its D(x) is 0, and
+    worthless goods joining bundle j move neither its c largest values nor
+    its least positive one, so the bound check at the node decided it
+    exactly. Under EFX0 a worthless block good in bundle j drops the
+    allowance to 0.
     """
-    k = blocks.k
     kind = notion.kind
     rules = []
-    for c, w in enumerate(worths):
-        values = w[:block]
-        if not any(values):
-            continue
-        own = owns[c]
-        off = sum(values)
+    for c, (own, w) in enumerate(zip(owns, worths)):
         if kind == "prop":
-            vals, above = blocks.linear(values, tuple(int(d == own) for d in range(k)))
-            rules.append((c, needs[c], own, off, vals, above, False, None))
+            rules.append((c, own, ((own, None, None, False, 0, 0),)))
             continue
         for j in range(k):
             if j == own:
                 continue
-            lo, hi = min(own, j), max(own, j)
-            vals, above = blocks.linear(values, tuple(1 if d == lo else -1 if d == hi else 0 for d in range(k)))
+            d = min(own, j), max(own, j), None, own > j
             if kind == "ef":
-                rules.append((c, needs[c], j, off, vals, above, own > j, None))
-            elif binary[c]:
-                rules.append((c, held[c], j, off - 1, vals, above, own > j, None))
+                rules.append((c, j, ((*d, 0, 0),)))
+            elif kind in ("efc", "efx") and max(w, default=0) <= 1:
+                rules.append((c, j, ((*d, -max(notion.c, 1), 0),)))
+            elif kind == "efc":
+                tops = tuple((own, j, notion.c - i, False, 0, i) for i in range(notion.c))
+                rules.append((c, j, (*tops, (*d, 0, notion.c))))
             else:
-                up_to_one = (kept[c], *blocks.envy_up_to_one(values, own, j))
-                rules.append((c, held[c], j, off, vals, above, own > j, up_to_one))
+                rules.append((c, j, ((*d, 0, 1),)))
+                rules.append((c, j, ((own, j, 0, False, 0, 0),)))
     return rules
 
 
@@ -633,6 +683,7 @@ def _hits(
     m, k = inst.m, inst.k
     kind = notion.kind
     ef = kind == "ef"
+    efx0 = kind == "efx0"
     removal = kind in ("efc", "efx", "efx0")
     owns, worths, tables = _checkers(inst, gof)
     if tables and k > 1 and kind in ("efx", "efx0"):
@@ -659,59 +710,16 @@ def _hits(
     held = [[0] * k for _ in owns]
     kept = [[0] * k for _ in owns]
     removals = _Removals(notion)
-    after, allowance = removals.after, removals.allowance
-    # The failure memo's key packs those numbers into one int of bit
-    # fields: per checker its deficit total - avail (prop) or, per other
-    # bundle, its need (ef) or held value and removal state (removal
-    # notions); above them the bundle sizes (balanced mode only) and on top
-    # the level g. A checker is finished once every good it values is
-    # placed: it passed at that node and nothing below moves it, so it takes
-    # no part in any verdict below. Checkers are laid out in the order they
-    # finish, so at level g the memo reads key >> finished[g]. spots[c][j]
-    # is the place of checker c's number for bundle j.
-    efx0 = kind == "efx0"
-    valued = [range(m) if efx0 else list(compress(range(m), w)) for w in worths]
-    lowest = [goods[0] if goods else m for goods in valued]
-    widths = [t.bit_length() for t in totals]
-    state_bits = 0
-    if removal:
-        budget = max(notion.c, 1)
-        state_bits = (math.comb(len({x for w in worths for x in w}) + budget, budget) - 1).bit_length()
-    spots = [[0] * k for _ in owns]
-    finished = [0] * (m + 1)
-    bit = 0
-    for c in sorted(range(len(owns)), key=lowest.__getitem__, reverse=True):
-        if kind == "prop":  # one deficit, whichever bundle the good joins
-            spots[c] = [1 << bit] * k
-            bit += widths[c]
-        else:
-            for j in range(k):
-                if j != owns[c]:
-                    spots[c][j] = 1 << bit
-                    bit += widths[c] + state_bits
-        finished[lowest[c]] = bit
-    for g in range(m - 1, -1, -1):
-        finished[g] = max(finished[g], finished[g + 1])
-    size_spots = [0] * k
-    if balanced:
-        for j in range(k):
-            size_spots[j] = 1 << bit
-            bit += m.bit_length()
-    level = 1 << bit
+    after, allowance, lifts = removals.after, removals.allowance, removals.lifts
     # Placing good g in bundle b moves only the numbers of checkers outside
-    # b that value g (or all of them for efx0, where worthless goods count);
-    # shift[g][b] is what it adds to the key besides removal states.
+    # b that value g (or all of them for efx0, where worthless goods count).
     touch: list[list[list]] = [[[] for _ in range(k)] for _ in range(m)]
-    shift = [[size_spots[j] - level for j in range(k)] for _ in range(m)]
     for c, w in enumerate(worths):
-        row = spots[c]
-        for g in valued[c]:
-            x = w[g]
-            for j in range(k):
-                if j != owns[c]:
-                    tail = (held[c], kept[c], row[j] << widths[c])  # removal notions only
-                    touch[g][j].append((c, x, needs[c], tail))
-                    shift[g][j] += x * row[j]
+        for g in range(m):
+            if w[g] or efx0:
+                for j in range(k):
+                    if j != owns[c]:
+                        touch[g][j].append((c, w[g], needs[c], held[c], kept[c]))
     width = [k**g for g in range(m + 1)]
     q, r = divmod(m, k)
     tallest = q + (r > 0)
@@ -722,49 +730,24 @@ def _hits(
     replaced: list = [None] * m
     counts: dict = {}
     # Leaf blocks: the node that placed good `block` decides goods
-    # block-1..0 in one step (see _block_rules), building its rules on the
-    # first block it reaches.
+    # block-1..0 in one step (see _block_rules), building the tables of its
+    # rules on the first block it reaches.
     block = 0
     rules = None
-    if not tables and (kind in ("ef", "prop") or notion == EF1):
-        binary = [max(w, default=0) <= 1 for w in worths]
-        keys = {}  # the tables _block_rules will take, as _block_goods sizes them
-        for w, own, zero_one in zip(worths, owns, binary):
-            if kind == "prop":
-                keys[w, own] = w, 1, False
-                continue
-            for j in range(k):
-                if j != own:
-                    keys[w, min(own, j), max(own, j)] = w, 2, False
-                    if not (ef or zero_one):
-                        keys[w, own, j, "top"] = w, 2, True
+    if not tables:
+        plan = _block_rules(notion, owns, worths, k)
+        keys = {}  # the tables of the plan, as _block_goods sizes them
+        for c, _j, tests in plan:
+            for lo, hi, top, *_test in tests:
+                if top is None:
+                    keys[worths[c], lo, hi] = worths[c], 1 if hi is None else 2, 0, False
+                else:
+                    keys[worths[c], lo, hi, top] = worths[c], 2, max(top, 1), efx0
         if blocks is None:
             blocks = _Blocks(k, 1)
         block = _block_goods(m, k, list(keys.values()), blocks.scans)
         everything = (1 << k**block) - 1
-    # above[g] is the key of the node whose children place good g, and
-    # marks[g] what the memo knows that node by. The memo works at levels
-    # g >= low, never below 2 (a subtree of k leaves is walked faster than
-    # looked up) nor below the block level. A node whose subtree was walked
-    # from its first leaf on and held no hit goes into refuted while
-    # room[g] lasts: each level records
-    # at most k**ceil(m/2) keys, as many as the middle level of the tree has
-    # nodes, and only looks up once full. When level low has filled up
-    # without a single recall (recalled_at), it is not looked up either and
-    # low moves up. The low levels hold most of the nodes, so a scan the
-    # memo cannot shorten soon builds keys only on the few upper nodes.
-    # Below a table agent's verdict the key says nothing, so a scan with
-    # table agents records none.
-    above = [0] * m
-    above[m - 1] = level * m
-    marks = [0] * m
-    refuted: set[int] = set()
-    low = m if tables else max(2, block)
-    room = [0] * low + [k ** ((m + 1) // 2)] * (m - low)
-    recalled_at = [False] * m
-    floor = -1  # the last hit: no recorded subtree may hold a leaf at or before it
-    turn = 0  # what removal states add to the key; 0 for the other notions
-    nodes = pruned = recalled = cut = rejected = decided = 0
+    nodes = pruned = cut = rejected = decided = 0
     g, b, base = m - 1, 0, 0
     while True:
         if b < k:
@@ -780,15 +763,13 @@ def _hits(
                 owed -= 1
             moved = touch[g][b]
             if removal:
-                replaced[g] = [t[3][1][b] for t in moved]
-                turn = 0
+                replaced[g] = [t[4][b] for t in moved]
             ok = True
-            for c, x, need, tail in moved:
+            for c, x, need, held_c, kept_c in moved:
                 a = avail[c] = avail[c] - x
                 if ef:
                     need[b] += x
                 elif removal:
-                    held_c, kept_c, spot = tail
                     was = kept_c[b]
                     now = after[was].get(x)
                     if now is None:
@@ -796,82 +777,64 @@ def _hits(
                     kept_c[b] = now
                     h = held_c[b] = held_c[b] + x
                     need[b] = h - allowance[now]
-                    turn += (now - was) * spot
                 if a < max(need):
                     ok = False
             if ok and g:
-                if g >= low:
-                    key = above[g] + shift[g][b] + turn
-                    mark = key >> finished[g]
-                    if mark in refuted:
-                        pruned += 1
-                        recalled += 1
-                        recalled_at[g] = True
-                        cut += _leaves_in(sizes, g, balanced, counts)
-                        ok = False
-                    else:
-                        marks[g] = mark
-                        above[g - 1] = key
-                if ok:
-                    path[g] = b
-                    base = lo
-                    g -= 1
-                    b = 0
-                    if g >= block:
-                        continue
-                    # decide the leaf block [lo, lo + k**block) and return
-                    decided += 1
-                    b = k
-                    if rules is None:
-                        rules = _block_rules(blocks, block, notion, owns, worths, binary, needs, held, kept)
-                    admissible = blocks.fits(block, sizes, q, tallest) if balanced else everything
-                    mask = admissible
-                    for c, row, j, off, vals, ups, mirror, up_to_one in rules:
-                        t = row[j] - avail[c] + off
-                        if up_to_one is not None:
-                            kept_c, e_vals, e_ups = up_to_one
-                            accepts = e_ups[bisect_left(e_vals, t)]
-                            t -= allowance[kept_c[j]]
-                        else:
-                            accepts = 0
-                        if mirror:
-                            accepts |= everything ^ ups[bisect_left(vals, 1 - t)]
-                        else:
-                            accepts |= ups[bisect_left(vals, t)]
-                        mask &= accepts
-                        if not mask:
-                            break
-                    if not mask:
-                        if accepts & admissible:
-                            rejected += admissible.bit_count()
-                        else:  # one checker admits no admissible placement
-                            pruned += 1
-                            cut += admissible.bit_count()
-                        continue
-                    rest = admissible ^ mask
-                    while mask:
-                        x = (mask & -mask).bit_length() - 1
-                        mask ^= 1 << x
-                        before = rest & ((1 << x) - 1)
-                        rest ^= before
-                        rejected += before.bit_count()
-                        stats.count(nodes, pruned, recalled, cut, rejected, decided)
-                        nodes = pruned = recalled = cut = rejected = decided = 0
-                        floor = lo + x
-                        leaf = bundles[:]
-                        for h in range(block):
-                            leaf[x // width[h] % k] |= 1 << h
-                        yield lo + x, tuple(leaf)
-                    rejected += rest.bit_count()
+                path[g] = b
+                base = lo
+                g -= 1
+                b = 0
+                if g >= block:
                     continue
+                # decide the leaf block [lo, lo + k**block) and return
+                decided += 1
+                b = k
+                if rules is None:
+                    rules = blocks.rules(block, plan, worths, held if removal else needs, kept, efx0)
+                admissible = blocks.fits(block, sizes, q, tallest) if balanced else everything
+                mask = admissible
+                for c, row, j, state, tests in rules:
+                    t = row[j] - avail[c]
+                    lift = lifts[state[j]]
+                    accepts = 0
+                    for vals, ups, mirror, off, i in tests:
+                        u = t + off - lift[i]
+                        if mirror:
+                            accepts |= everything ^ ups[bisect_left(vals, 1 - u)]
+                        else:
+                            accepts |= ups[bisect_left(vals, u)]
+                    mask &= accepts
+                    if not mask:
+                        break
+                if not mask:
+                    if accepts & admissible:
+                        rejected += admissible.bit_count()
+                    else:  # one rule admits no admissible placement
+                        pruned += 1
+                        cut += admissible.bit_count()
+                    continue
+                rest = admissible ^ mask
+                while mask:
+                    x = (mask & -mask).bit_length() - 1
+                    mask ^= 1 << x
+                    before = rest & ((1 << x) - 1)
+                    rest ^= before
+                    rejected += before.bit_count()
+                    stats.count(nodes, pruned, cut, rejected, decided)
+                    nodes = pruned = cut = rejected = decided = 0
+                    leaf = bundles[:]
+                    for h in range(block):
+                        leaf[x // width[h] % k] |= 1 << h
+                    yield lo + x, tuple(leaf)
+                rejected += rest.bit_count()
+                continue
             elif ok:
                 leaf = tuple(bundles)
                 if tables and _tables_reject(tables, leaf, notion):
                     rejected += 1
                 else:
-                    stats.count(nodes, pruned, recalled, cut, rejected, decided)
-                    nodes = pruned = recalled = cut = rejected = decided = 0
-                    floor = lo
+                    stats.count(nodes, pruned, cut, rejected, decided)
+                    nodes = pruned = cut = rejected = decided = 0
                     yield lo, leaf
             elif g:
                 pruned += 1
@@ -882,12 +845,6 @@ def _hits(
             g += 1
             if g == m:
                 break
-            # the node that placed good g is done and base is its first leaf
-            if room[g] and floor < base:
-                refuted.add(marks[g])
-                room[g] -= 1
-                while low < m and not room[low] and not recalled_at[low]:
-                    low += 1
             b = path[g]
             base -= b * width[g]
         # take good g back out of bundle b
@@ -896,17 +853,17 @@ def _hits(
         if s < q:
             owed += 1
         moved = touch[g][b]
-        for c, x, need, _tail in moved:
+        for c, x, need, _held, _kept in moved:
             avail[c] += x
             if ef:
                 need[b] -= x
         if removal:
-            for (c, x, need, (held_c, kept_c, _spot)), was in zip(moved, replaced[g]):
+            for (c, x, need, held_c, kept_c), was in zip(moved, replaced[g]):
                 held_c[b] -= x
                 kept_c[b] = was
                 need[b] = held_c[b] - allowance[was]
         b += 1
-    stats.count(nodes, pruned, recalled, cut, rejected, decided)
+    stats.count(nodes, pruned, cut, rejected, decided)
 
 
 def _guard(inst: Instance, partitions: int) -> None:

@@ -618,6 +618,9 @@ _CHECK_VARIABLE = ["check", "@variable", "--allocation", "0,1,2;3,4", "--partiti
         (["search", "@novalues"], "agent 0: binary kind needs a 'values' array"),
         (["search", "@noagents"], "instance needs an 'agents' array"),
         (["search", "@twiceid"], "duplicate agent id 0"),
+        # no case would run, and the suite would still report a pass
+        (["fuzz", "--suite", "exact1", "--runs", "-5"], "--runs: -5 is not a positive number of runs"),
+        (["fuzz", "--suite", "exact1", "--runs", "0"], "--runs: 0 is not a positive number of runs"),
     ],
 )
 def test_error_lines(flawed_files, capsys, argv, line):
@@ -675,9 +678,10 @@ def test_cached_parser_keeps_no_state(two_one, variable_inst, capsys):
 
 def test_import_leaves_pool_and_fuzz_unloaded(tmp_path):
     # neither the import nor a search needs multiprocessing or the suites,
-    # even with two CPUs to hand; that includes a search the failure memo
-    # cannot shorten, since every subset of the values 2^20 + 2^g has a sum
-    # of its own (the odd total leaves no EF split for 2+2 equal agents)
+    # even with two CPUs to hand; that includes a long exhaustion, whose
+    # running numbers never repeat since every subset of the values
+    # 2^20 + 2^g has a sum of its own (the odd total leaves no EF split for
+    # 2+2 equal agents)
     values = [2**20 + 2**g for g in range(16)]
     doc = {
         "m": 16,

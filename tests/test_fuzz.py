@@ -73,6 +73,13 @@ def test_unknown_suite_raises():
         run_suite("nope", 0, 1)
 
 
+@pytest.mark.parametrize("runs", [0, -5])
+def test_no_runs_raises(runs):
+    # a suite that runs no case must not report a pass
+    with pytest.raises(ValueError, match=f"runs must be at least 1, got {runs}"):
+        run_suite("exact1", 0, runs)
+
+
 def test_same_seed_reproduces():
     a = run_suite("hierarchy", 13, 40)
     b = run_suite("hierarchy", 13, 40)

@@ -338,10 +338,10 @@ def test_kernel_matches_reference_scanner(notion, kind, k, balanced):
 
 
 def _memo_instance(rng, k, notion, core=False):
-    """An instance whose running numbers repeat across the tree: few distinct
-    valuations shared by several agents, small repeated values and goods
-    that are worthless to everyone; always a padded corpus core with
-    ``core``."""
+    """An instance whose running numbers repeat across the tree, the kind a
+    failure memo (a transposition table) would cut: few distinct valuations
+    shared by several agents, small repeated values and goods that are
+    worthless to everyone; always a padded corpus core with ``core``."""
     top = 10 if k == 2 else 7  # one more than the largest m
     if core or rng.random() < 0.25:
         # a corpus impossibility (for this notion if there is one) with its
@@ -362,8 +362,8 @@ def _memo_instance(rng, k, notion, core=False):
             members.append(list(range(len(agents), len(agents) + len(members[0]))))
             agents += [agents[a] for a in members[0]]
         return Instance.fixed(m, agents, members)
-    # the memo works at levels g >= 2 only, so for k=3 a subtree it can cut
-    # needs a few goods and several checkers whose needs clash
+    # otherwise one to three valuations on few goods; for k=3 at least three
+    # agents, so that checkers in different groups clash
     m = rng.randrange(1, top)
     pad = set(rng.sample(range(m), rng.randrange(0, m)))
     kinds = []
@@ -387,10 +387,9 @@ def _memo_instance(rng, k, notion, core=False):
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("notion", [EF, EF1, EF2, EFX, EFX0, PROP], ids=str)
 def test_memo_matches_reference_scanner(notion, k, balanced):
-    # the failure memo cuts subtrees whose running numbers were refuted
-    # before: hits, their order, the counts and the first hit must not move
+    # on shared valuations and padded cores the walk gives the reference's
+    # hits in order, candidates that add up and the same first hit
     rng = random.Random(f"memo-{notion}-{k}-{balanced}")
-    recalled = 0
     for _ in range(20):
         inst = _memo_instance(rng, k, notion)
         m = inst.m
@@ -404,8 +403,6 @@ def test_memo_matches_reference_scanner(notion, k, balanced):
             assert got == full
             checked = stats.leaves_rejected + stats.candidates_pruned + len(got)
             assert checked == _admissible(m, k, balanced)
-            assert stats.memo_pruned <= stats.pruned
-            recalled += stats.memo_pruned
         # enumerate_fair resumes the scan after every yield
         assert [a.bundles for _p, a in enumerate_fair(inst, cons)] == expected
         cert = find_fair(inst, cons)
@@ -414,10 +411,6 @@ def test_memo_matches_reference_scanner(notion, k, balanced):
             assert cert.allocation.bundles == expected[0]
         else:
             assert cert.stats.leaves_rejected + cert.stats.candidates_pruned == cert.examined
-    # the memo works at levels g >= 2, where k=3 bundles of at most 6 goods
-    # leave EF2 nothing to refute: a bundle needs 3 goods to fail it, and
-    # then the bound cuts (balanced bundles of at most two always pass)
-    assert recalled > 0 or (notion == EF2 and k == 3)
 
 
 def test_table_agents_have_no_efx():
@@ -430,19 +423,18 @@ def test_table_agents_have_no_efx():
 
 @pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
 def test_exhausted_stats_add_up(balanced):
-    # four identical agents in 2+2 with an odd total: never EF. The parity
-    # values repeat, so the memo cuts; the m=16 values 2^20 + 2^g give every
-    # subset a sum of its own, so it cuts nothing and the whole scan is
-    # walked without it. There the bound cuts all fall below the leaf-block
-    # level, and the blocks reject every candidate instead
+    # four identical agents in 2+2 with an odd total: never EF. On the m=16
+    # values 2^20 + 2^g, whose subsets all have sums of their own, the bound
+    # cuts all fall below the leaf-block level, and the blocks reject every
+    # candidate instead
     rng = random.Random(31)
     cases = []
     for m in (7, 10, 12):
         values = [rng.randrange(1, 9) for _ in range(m)]
         values[0] += 1 - sum(values) % 2
-        cases.append((values, True))
-    cases.append(([2**20 + 2**g for g in range(16)], False))
-    for values, memo_cuts in cases:
+        cases.append(values)
+    cases.append([2**20 + 2**g for g in range(16)])
+    for values in cases:
         m = len(values)
         inst = Instance.fixed(m, [Valuation.additive(values)] * 4, [[0, 1], [2, 3]])
         cert = find_fair(inst, SearchConstraints(EF, balanced_allocation=balanced))
@@ -451,12 +443,10 @@ def test_exhausted_stats_add_up(balanced):
         assert s.leaves_rejected + s.candidates_pruned == cert.examined
         assert (s.pruned > 0 or s.blocks > 0) and s.nodes < 2 * 2**m
         assert s.partitions == 1
-        assert (s.memo_pruned > 0) == memo_cuts and s.memo_pruned <= s.pruned
         assert cert.to_dict()["stats"] == s.to_dict()
         assert list(s.to_dict()) == [
             "nodes",
             "pruned",
-            "memo_pruned",
             "candidates_pruned",
             "leaves_rejected",
             "blocks",
@@ -479,47 +469,30 @@ def test_exhausted_stats_add_up(balanced):
 def _memo_miss(m):
     """Four identical additive agents in 2+2 whose values 2^20 + 2^g give
     every subset a sum of its own and an odd total: never EF, and the
-    running numbers never repeat, so the memo cuts nothing."""
+    running numbers never repeat, so a failure memo would cut nothing."""
     return Instance.fixed(m, [Valuation.additive([2**20 + 2**g for g in range(m)])] * 4, [[0, 1], [2, 3]])
 
 
 def test_memo_memory_stays_bounded(monkeypatch):
-    # distinct values: the running numbers do not repeat, so the memo cuts
-    # nothing and only holds keys. Each level records at most k**ceil(m/2)
-    # of them; an unbounded memo held one per refuted node (about 3000 here,
-    # a 213 kB peak), and the bound allows 1408 at 100 bytes a key. The scan
-    # walks to the leaves (no leaf blocks), as it did before them
-    m, k = 13, 2
-    rng = random.Random(13)
-    values = [rng.randrange(1, 10**6) for _ in range(m)]
-    values[0] += sum(values) % 2 == 0  # an odd total: never EF for 2+2 equal agents
-    inst = Instance.fixed(m, [Valuation.additive(values)] * 4, [[0, 1], [2, 3]])
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_block_goods", lambda m, k, keys, scans: 0)
+    # the leaf-block tables of one call keep at most _BLOCK_BITS bits (1 MB),
+    # and building one holds its placement groups next to them: on the m=20
+    # memo-miss scans, whose block sums are all distinct, the peak stays
+    # under twice that, also when only the bits bound L. EF exhausts; the
+    # EFX and EF2 scans find a hit at once, after building their envy tables
+    monkeypatch.setattr(oracle, "_BLOCK_STEPS", 1 << 30)
+    for notion, found in ((EF, False), (EFX, True), (EF2, True)):
         tracemalloc.start()
         try:
-            cert = find_fair(inst, SearchConstraints(EF))
+            cert = find_fair(_memo_miss(20), SearchConstraints(notion))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert not cert.found and cert.stats.memo_pruned == 0 and cert.stats.blocks == 0
-    assert peak < 100 * (m - 2) * k ** ((m + 1) // 2)
-    # the leaf-block tables of one call keep at most _BLOCK_BITS bits (1 MB),
-    # and building one holds its placement groups next to them: on the m=20
-    # memo-miss scan, whose block sums are all distinct, the peak stays under
-    # twice that with the memo's keys, also when only the bits bound L
-    monkeypatch.setattr(oracle, "_BLOCK_STEPS", 1 << 30)
-    tracemalloc.start()
-    try:
-        cert = find_fair(_memo_miss(20), SearchConstraints(EF))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not cert.found and cert.stats.blocks > 0
-    assert peak < 2 * oracle._BLOCK_BITS // 8
+        assert cert.found == found and cert.stats.blocks > 0
+        assert peak < 2 * oracle._BLOCK_BITS // 8
     # once the tables pass the budget the cache starts over, so a call over
     # many partitions cannot pile them up
     monkeypatch.setattr(oracle, "_BLOCK_BITS", 1 << 12)
+    rng = random.Random(13)
     blocks = oracle._Blocks(2, 1)
     for g in range(8):
         blocks.linear(tuple(rng.randrange(1, 10**6) for _ in range(6)), (1, -1))
@@ -565,16 +538,21 @@ def _block_instance(rng, k, kind):
 def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
     # every block size L from 0 to m-1 must give the reference's hits in
     # order, the same first hit and examined count, and candidates that add
-    # up; EFc with c >= 2, EFX, EFX0 and tables take no block at any L
+    # up, for every notion; only scans with table agents take no block
     rng = random.Random(f"blocks-{notion}-{k}-{balanced}")
     forced = [0]
     monkeypatch.setattr(oracle, "_block_goods", lambda m, k, keys, scans: forced[0])
     kinds = ("binary", "additive", "both") if notion in (EFX, EFX0) else ("binary", "additive", "both", "mixed")
-    # the negative side: corpus cores, and one group of the six
-    # pair-desirers of four goods per bundle, which has no EF1, EF or PROP
-    # allocation
-    pairs = [Valuation.binary_from_desired(4, c) for c in combinations(range(4), 2)]
-    crowded = Instance.fixed(4, pairs * k, [list(range(6 * g, 6 * g + 6)) for g in range(k)])
+    # the negative side: corpus cores, and per bundle one group of the
+    # (c+1)-subset desirers of max(4, k*c+1) goods (c = 1 but for EF2): some
+    # bundle gets c+1 goods, and the agent of another group desiring c+1 of
+    # them values its own bundle at 0, so there is no EFc, and with c = 1 no
+    # EF, EFX, EFX0 or PROP allocation
+    c = max(notion.c, 1)
+    goods = max(4, k * c + 1)
+    desirers = [Valuation.binary_from_desired(goods, s) for s in combinations(range(goods), c + 1)]
+    n = len(desirers)
+    crowded = Instance.fixed(goods, desirers * k, [list(range(n * g, n * g + n)) for g in range(k)])
     decided = hit_in_block = none = 0
     for i in range(25):
         if i == 24:
@@ -607,10 +585,7 @@ def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
             else:
                 assert cert.examined == count * _admissible(m, k, balanced)
                 assert cert.stats.leaves_rejected + cert.stats.candidates_pruned == cert.examined
-    if notion in (EF, EF1, PROP):
-        assert decided > 0 and hit_in_block > 0 and none > 0
-    else:
-        assert decided == 0
+    assert decided > 0 and hit_in_block > 0 and none > 0
 
 
 def _reference_orbit(inst, gof, by_size):
@@ -641,6 +616,30 @@ def _orbit_instance(rng, k):
     agents = [rng.choice(pool) for _ in range(n)]
     cuts = sorted(rng.randrange(0, n + 1) for _ in range(k - 1))
     return Instance.variable(m, agents, [b - a for a, b in zip([0, *cuts], [*cuts, n])])
+
+
+def test_equal_tables_in_a_group_are_one_checker():
+    # a checker stands for every agent of its group with the same valuation,
+    # tables too: two copies of one table in a group (equal, not the same
+    # object) give one table checker, and a copy in the other group another
+    rng = random.Random(41)
+    m = 4
+    found = none = 0
+    for _ in range(12):
+        entries = {mask: rng.randrange(0, 7) for mask in range(1 << m)}
+        table, twin = Valuation.table_of(m, entries), Valuation.table_of(m, entries)
+        agents = [table, twin, Valuation.additive([rng.randrange(0, 5) for _ in range(m)]), table]
+        inst = Instance.fixed(m, agents, [[0, 1, 2], [3]])
+        owns, _worths, tables = oracle._checkers(inst, inst.assignment)
+        assert owns == [0] and tables == [(table, 0), (table, 1)]
+        for notion in (EF, EF1, PROP):
+            for balanced in (False, True):
+                stats = SearchStats()
+                hits = list(_hits(inst, inst.assignment, notion, balanced, stats))
+                assert hits == list(_reference_hits(inst, inst.assignment, notion, balanced))
+                found += bool(hits)
+                none += not hits
+    assert found > 0 and none > 0
 
 
 @pytest.mark.parametrize("balanced_allocation", [False, True], ids=["free-goods", "balanced-goods"])
@@ -737,14 +736,13 @@ def test_certificate_to_dict():
     }
     d = Certificate(True, allocation=Allocation.of([[0], [1]])).to_dict()
     assert d["outcome"] == "found" and d["allocation"] == [[0], [1]]
-    stats = SearchStats(nodes=9, pruned=4, memo_pruned=3, candidates_pruned=5, leaves_rejected=1)
+    stats = SearchStats(nodes=9, pruned=4, candidates_pruned=5, leaves_rejected=1)
     assert Certificate(False, examined=6, stats=stats).to_dict() == {
         "outcome": "exhausted-none",
         "examined": 6,
         "stats": {
             "nodes": 9,
             "pruned": 4,
-            "memo_pruned": 3,
             "candidates_pruned": 5,
             "leaves_rejected": 1,
             "blocks": 0,

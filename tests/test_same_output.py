@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+from groupfair.cli import main
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "same_output.py")
 
@@ -23,6 +25,24 @@ def test_variable_questions_are_fixed_per_seed(tmp_path):
     assert docs == [pathlib.Path(q[1]).read_text() for q in again]
     assert all("variable" in json.loads(doc)["groups"] for doc in docs)
     assert any("--balanced-agents" in q for q in one) and not all("--balanced-agents" in q for q in one)
+
+
+def test_removal_questions_are_fixed_per_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(ROOT)  # the questions reuse perfbench's instances
+    one = same_output.removal_questions(1, str(tmp_path / "a"))
+    again = same_output.removal_questions(1, str(tmp_path / "b"))
+    assert [q[2:] for q in one] == [q[2:] for q in again]
+    docs = [pathlib.Path(q[1]).read_text() for q in one]
+    assert docs == [pathlib.Path(q[1]).read_text() for q in again]
+    assert {q[3] for q in one} == {"ef2", "efx", "efx0"}
+    assert all(13 <= json.loads(doc)["m"] <= 16 for doc in docs)
+    assert any("--balanced-goods" in q for q in one) and not all("--balanced-goods" in q for q in one)
+    # both outcomes, so that first hits and exhaustions are compared
+    outcomes = set()
+    for argv in one:
+        assert main(argv) in (0, 2)
+        outcomes.add(json.loads(capsys.readouterr().out)["result"]["outcome"])
+    assert outcomes == {"found", "exhausted-none"}
 
 
 def test_checkout_matches_itself_on_the_exhaust_plan():

@@ -4,13 +4,14 @@
         [--plans exhaust solve-stream kneser-chain] [--drop-stats nodes pruned ...]
 
 For each seed, every question of the chosen perfbench plans is asked, in
-plan order, then a fixed set of seeded variable-group ``search`` questions
-(see :func:`variable_questions`), then ``corpus`` in json and table format
-and ``search`` on every ``corpus/*.json`` of CHANGE_DIR. Each checkout
-answers in a process of its own that imports ``groupfair`` from that
-checkout's ``src``; the plans come from the ``perfbench`` next to this
-script, which is only imported. Inputs are written under one temporary
-directory, the same path for both sides.
+plan order, then fixed sets of seeded variable-group ``search`` questions
+(see :func:`variable_questions`) and of EF2, EFX and EFX0 ``search``
+questions (see :func:`removal_questions`), then ``corpus`` in json and
+table format and ``search`` on every ``corpus/*.json`` of CHANGE_DIR.
+Each checkout answers in a process of its own that imports ``groupfair``
+from that checkout's ``src``; the plans come from the ``perfbench`` next
+to this script, which is only imported. Inputs are written under one
+temporary directory, the same path for both sides.
 
 Exit code, stdout and stderr are compared question by question, with every
 ``elapsed`` value masked and the ``stats`` keys named by ``--drop-stats``
@@ -89,6 +90,38 @@ def variable_questions(seed: int, workdir: str) -> list[list[str]]:
     return out
 
 
+def removal_questions(seed: int, workdir: str) -> list[list[str]]:
+    """Seeded ``search`` questions under EF2, EFX and EFX0 on 13 to 16
+    goods, free and with ``--balanced-goods``: perfbench's padded corpus
+    cores, asked under their own notion (exhausted) or another one, and
+    identical agents on parity or planted values (mostly found). The
+    instances are written under ``workdir``."""
+    from perfbench import workloads
+
+    rng = random.Random(f"removal-{seed}")
+    os.makedirs(workdir, exist_ok=True)
+    cores = {"ef2": "efc-equal-c2", "efx": "additive-efx-2-1", "efx0": "efx0-2-1"}
+    out = []
+    for i in range(12):
+        notion = ("ef2", "efx", "efx0")[i % 3]
+        m = rng.randint(13, 16)
+        if i % 4 < 2:
+            core = cores[notion] if i % 4 == 0 else rng.choice(sorted(workloads.CORES))
+            doc, _ = workloads.pad_core(workloads.CORES[core], m, rng)
+        elif i % 4 == 2:
+            doc = workloads.parity_doc(rng, m, (2, 2))
+        else:
+            values = workloads._planted_values(rng, m)
+            doc = {"m": m, "agents": [{"id": a, "kind": "additive", "values": values} for a in range(3)],
+                   "groups": {"fixed": [[0, 1], [2]]}}
+        path = os.path.join(workdir, f"removal-{seed}-{i}.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        flags = ["--balanced-goods"] if rng.random() < 0.4 else []
+        out.append(["search", path, "--notion", notion, *flags])
+    return out
+
+
 def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[str], ask) -> list:
     """(id, argv) of every question, in the order they are asked."""
     from perfbench import run as bench
@@ -100,6 +133,8 @@ def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[st
             out += [(f"{plan_name}/{seed}/{i}", q.argv) for i, q in enumerate(plan.questions)]
         questions = variable_questions(seed, os.path.join(workdir, f"variable-{seed}"))
         out += [(f"variable/{seed}/{i}", argv) for i, argv in enumerate(questions)]
+        questions = removal_questions(seed, os.path.join(workdir, f"removal-{seed}"))
+        out += [(f"removal/{seed}/{i}", argv) for i, argv in enumerate(questions)]
     out += [("corpus/json", ["corpus"]), ("corpus/table", ["corpus", "--format", "table"])]
     out += [(f"search/{os.path.basename(path)}", ["search", path]) for path in corpus]
     return out
