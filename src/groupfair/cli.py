@@ -114,6 +114,13 @@ def _int_token(token: str, option: str) -> int:
         raise ValueError(f"{option}: {token.strip()!r} is not an integer") from None
 
 
+def _parse_notion(text: str) -> Notion:
+    try:
+        return parse_notion(text)
+    except ValueError as exc:
+        raise ValueError(f"--notion: {exc}") from None
+
+
 def _parse_id_groups(text: str, option: str) -> list[list[int]]:
     groups = []
     for chunk in text.split(";"):
@@ -138,7 +145,7 @@ def _emit(report: RunReport, fmt: str) -> None:
 
 def _cmd_check(args) -> int:
     inst = _load_instance(args.instance)
-    notion = parse_notion(args.notion)
+    notion = _parse_notion(args.notion)
     alloc = Allocation.of(_parse_id_groups(args.allocation, "--allocation"))
     if alloc.k != inst.k:
         raise ValueError(f"allocation has {alloc.k} bundles, instance has {inst.k} groups")
@@ -243,7 +250,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_search(args) -> int:
     inst = _load_instance(args.instance)
-    notion = parse_notion(args.notion)
+    notion = _parse_notion(args.notion)
     cons = oracle.SearchConstraints(
         notion,
         balanced_allocation=args.balanced_goods,

@@ -67,19 +67,16 @@ def up_to(c: int) -> Notion:
 
 
 def parse_notion(text: str) -> Notion:
-    """Read a notion from its CLI spelling (ef, ef1, ef2, ..., efx, efx0, prop)."""
+    """Read a notion from its CLI spelling (ef, ef1, ef2, ..., efx, efx0,
+    prop); c is written in ASCII digits without a leading zero."""
     t = text.strip().lower()
-    if t == "ef":
-        return EF
-    if t == "efx":
-        return EFX
-    if t == "efx0":
-        return EFX0
-    if t == "prop":
-        return PROP
-    if t.startswith("ef") and t[2:].isdigit():
-        return up_to(int(t[2:]))
-    raise ValueError(f"unknown fairness notion {text!r}")
+    named = {"ef": EF, "efx": EFX, "efx0": EFX0, "prop": PROP}
+    if t in named:
+        return named[t]
+    c = t[2:]
+    if t.startswith("ef") and c.isascii() and c.isdigit() and c[0] != "0":
+        return up_to(int(c))
+    raise ValueError(f"{text!r} is not a fairness notion (ef, ef1, ef2, ..., efx, efx0, prop)")
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +116,7 @@ def removable_values(notion: Notion, values: Sequence[int]) -> tuple[int, ...]:
 
     Their sum is the notion's removal allowance: nothing for ef (and prop),
     the c largest values for efc, the least positive value for efx and the
-    least value for efx0. The result for a bundle plus one good is the
-    result for this result plus that good, so the oracle keeps it up to date
-    as goods come and go. Adding a good never lowers a bundle's value less
-    its allowance, which is what makes the oracle's pruning sound.
+    least value for efx0.
     """
     kind = notion.kind
     if kind == "efc":

@@ -19,20 +19,23 @@ balanced mode a good only goes where every bundle can still end with
 floor(m/k) or ceil(m/k) goods, so only balanced candidates are generated.
 
 Agents with the same valuation (:func:`_sameness`) and group are one
-checker. An additive or binary checker keeps running numbers as goods are placed and taken back:
-``avail``, its own bundle plus every unplaced good, and for each other
-bundle its value less the notion's removal allowance
-(:func:`fairness.removable_values`). A checker rejects a node when ``avail``
-falls below one of those: even with every unplaced good in its own bundle
-it would reject the other bundle, and acceptance never drops as the own
-bundle grows nor rises as the other grows, so the whole subtree is cut.
-PROP cuts when k * avail is below the agent's total. Placing a good moves
-only the numbers of checkers outside its bundle that value it (all of
-them for EFX0), so only those are checked again. Table agents are not
-assumed monotone and are checked at the leaves only, through the one table
-rule :func:`fairness.table_accepts` (PROP through
-:func:`fairness.rejected_bundle`), which stops at the first removal set
-that ends the envy.
+checker. An additive or binary checker keeps running numbers as goods are
+placed and taken back: ``avail``, its own bundle plus every unplaced good,
+and for each other bundle its value less the checker's slack, the most the
+notion can ever remove from one bundle: 0 for EF, the sum of its c largest
+values for EFc, its largest value for EFX and EFX0. A checker rejects a
+node when ``avail`` falls below one of those, and every leaf below is
+rejected too: there its own bundle is worth at most ``avail``, the other
+bundle at least as much as at the node, and no removal takes more than the
+slack. PROP cuts when ``avail`` is below ceil(total / k). Placing a good
+moves only the numbers of checkers outside its bundle that value it, so
+only those are checked again; a worthless good moves nothing, under EFX0
+too. With values 0 or 1 the slack of EFc and EFX is exact: the bound
+rejects a leaf exactly when the notion does, as it does for EF and PROP.
+Every leaf the bound cannot decide goes through
+:func:`fairness.rejected_bundle`, the rule of re-verification: those of
+checkers whose slack is loose, and those of table agents, which are not
+assumed monotone and are checked at the leaves only.
 
 The walk stops at level L and decides the last L goods of every node
 there in one step, a leaf block (meet in the middle: Horowitz and Sahni,
@@ -82,7 +85,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 from typing import Callable, Iterator, Sequence
 
 from .errors import SearchSpaceTooLargeError, UnsupportedNotionError
@@ -95,7 +98,7 @@ from .fairness import (
     is_fair,
     rejected_bundle,
     removable_values,
-    table_accepts,
+    up_to,
 )
 from .model import (
     MAX_TABLE_GOODS,
@@ -106,6 +109,7 @@ from .model import (
     Instance,
     Valuation,
     VariableGroups,
+    iter_bits,
 )
 
 # Upper bound on partitions x allocation counters walked in one call.
@@ -299,21 +303,41 @@ def _orbit_keys(inst: Instance, cons: SearchConstraints) -> list[tuple]:
     return out
 
 
-def _checkers(inst: Instance, gof: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]], list]:
+def _checkers(inst: Instance, gof: Sequence[int]) -> tuple[list[int], list[Valuation], list]:
     """Agents collapsed by valuation (:func:`_sameness`) and group: additive
-    and binary ones as parallel lists of groups and values, table ones as
-    (valuation, group)."""
+    and binary ones as parallel lists of groups and valuations, table ones
+    as (valuation, group)."""
     seen: dict[tuple, Valuation] = {}
     for v, own in zip(inst.agents, gof):
         seen.setdefault((_sameness(v), own), v)
-    owns, worths, tables = [], [], []
+    owns, agents, tables = [], [], []
     for (_same, own), v in seen.items():
         if v.kind == TABLE:
             tables.append((v, own))
         else:
             owns.append(own)
-            worths.append(v.values)
-    return owns, worths, tables
+            agents.append(v)
+    return owns, agents, tables
+
+
+def _slack(notion: Notion, values: tuple[int, ...]) -> int:
+    """The most the notion removes from any bundle of an agent with these
+    values (0 for EF and PROP)."""
+    if notion.kind in ("efx", "efx0"):
+        return max(values, default=0)
+    return sum(removable_values(notion, values))
+
+
+def _lifts(notion: Notion, values: tuple[int, ...], bundle: int) -> tuple:
+    """What the lifted block rules read of the goods ``bundle`` holds, by
+    :func:`fairness.removable_values`: for EFc the sums of their i largest
+    values, i = 0..c; for EFX and EFX0 0 and their least (positive for EFX)
+    value, infinite if there is none."""
+    kept = removable_values(notion, [values[g] for g in iter_bits(bundle)])
+    if notion.kind != "efc":
+        return 0, kept[0] if kept else math.inf
+    sums = [0, *accumulate(kept)]
+    return (*sums, *[sums[-1]] * (notion.c + 1 - len(sums)))
 
 
 def _leaves_in(sizes: list[int], free: int, balanced: bool, counts: dict) -> int:
@@ -326,60 +350,6 @@ def _leaves_in(sizes: list[int], free: int, balanced: bool, counts: dict) -> int
     if key not in counts:
         counts[key] = _balanced_completions(key, free)
     return counts[key]
-
-
-def _tables_reject(tables: list, leaf: tuple[int, ...], notion: Notion) -> bool:
-    """Whether some table agent rejects the leaf's bundles: PROP through
-    :func:`fairness.rejected_bundle`, the envy notions through
-    :func:`fairness.table_accepts` on the bare tuple (with k > 1 only EF and
-    EFc reach here, and c is 0 for EF)."""
-    if notion.kind == "prop":
-        return any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables)
-    c = notion.c
-    for v, own in tables:
-        table = v.table
-        mine = table[leaf[own]]
-        for j, other in enumerate(leaf):
-            if j != own and not table_accepts(table, mine, other, c):
-                return True
-    return False
-
-
-class _Removals:
-    """The removal states of a bundle under a removal notion, numbered.
-
-    A state is what :func:`fairness.removable_values` keeps of a bundle;
-    state 0 is the empty bundle's. ``after[s]`` maps the value of a good
-    joining a bundle in state s to the new state, filled in on first use,
-    ``allowance[s]`` is the sum the notion removes in state s and
-    ``lifts[s]`` what the leaf-block rules read of it: for EFc the sums of
-    its i largest kept values, i = 0..c; for EFX and EFX0 0 and its kept
-    value, infinite in state 0. EF and PROP only have state 0, lifts (0,).
-    """
-
-    def __init__(self, notion: Notion):
-        self.notion = notion
-        self.kept: list[tuple[int, ...]] = [()]
-        self.number = {(): 0}
-        self.after: list[dict[int, int]] = [{}]
-        self.allowance = [0]
-        self.lifts = [self._lifts(())]
-
-    def _lifts(self, kept: tuple[int, ...]) -> tuple:
-        if self.notion.kind in ("efx", "efx0"):
-            return 0, kept[0] if kept else math.inf
-        return tuple(sum(kept[:i]) for i in range(self.notion.c + 1))
-
-    def step(self, s: int, x: int) -> int:
-        kept = removable_values(self.notion, (*self.kept[s], x))
-        t = self.number.setdefault(kept, len(self.kept))
-        if t == len(self.kept):
-            self.kept.append(kept)
-            self.after.append({})
-            self.allowance.append(sum(kept))
-            self.lifts.append(self._lifts(kept))
-        self.after[s][x] = t
-        return t
 
 
 # What the leaf-block tables of one call may hold, in mask bits (1 MB), and
@@ -539,18 +509,20 @@ class _Blocks:
             keys[diff + s] = keys.get(diff + s, 0) | mask
         return self._table(key, keys)
 
-    def rules(self, block: int, plan: list, worths: list, rows: list, kept: list, zeros: bool) -> list[tuple]:
+    def rules(self, block: int, plan: list, worths: list, needs: list, loose: list, zeros: bool) -> list[tuple]:
         """The rules of ``plan`` (:func:`_block_rules`) over goods
-        0..block-1, as ``(c, row, j, state, tests)`` with ``row`` and
-        ``state`` checker c's running numbers and each test ``(vals, above,
-        mirror, off, lift)``: its table, and off = T + adjust for the
-        checker's block total T. A checker that values no block good is left
-        out unless ``zeros`` (EFX0)."""
+        0..block-1, as ``(c, need, j, lifted, tests)``: ``need`` checker c's
+        row of ``needs``, ``lifted`` its values when a test reads a lift
+        (else None), and each test ``(vals, above, mirror, off, lift)``: its
+        table, and off = T + adjust for the checker's block total T. A
+        checker that values no block good is left out unless its bound is
+        loose (``loose[c]``); under EFX0 (``zeros``) the envy tables count
+        worthless goods."""
         k = self.k
         out = []
         for c, j, tests in plan:
             values = worths[c][:block]
-            if not (zeros or any(values)):
+            if not (loose[c] or any(values)):
                 continue
             total = sum(values)
             built = []
@@ -561,7 +533,8 @@ class _Blocks:
                 else:
                     vals, above = self.envy(values, lo, hi, top, zeros)
                 built.append((vals, above, mirror, total + adjust, lift))
-            out.append((c, rows[c], j, kept[c], tuple(built)))
+            lifted = worths[c] if any(test[5] for test in tests) else None
+            out.append((c, needs[c], j, lifted, tuple(built)))
         return out
 
     def fits(self, goods: int, sizes: list[int], q: int, tallest: int) -> int:
@@ -585,7 +558,7 @@ class _Blocks:
         return mask
 
 
-def _block_rules(notion: Notion, owns: list[int], worths: list[tuple[int, ...]], k: int) -> list[tuple]:
+def _block_rules(notion: Notion, owns: list[int], worths: list[tuple[int, ...]], loose: list[int], k: int) -> list[tuple]:
     """The rules that decide a leaf block of goods 0..L-1, for any L.
 
     Per checker c and rival bundle j (its own bundle for PROP) one rule
@@ -597,33 +570,39 @@ def _block_rules(notion: Notion, owns: list[int], worths: list[tuple[int, ...]],
     envy table of :meth:`_Blocks.envy`. At a block node x passes it when
     key(x) >= u for
 
-        u = row[j] - avail[c] + T + adjust - lifts[kept[c][j]][lift],
+        u = needs[c][j] - avail[c] + T + adjust - lifts[lift],
 
-    row the checker's ``needs`` (EF, PROP) or ``held`` (the removal
-    notions) and ``lifts`` those of :class:`_Removals`, read in the sorted
-    table (vals, above) as ``above[bisect_left(vals, u)]``. A mirrored test
-    is that of the checker in hi, for which the key is -key(x): it passes
-    when key(x) >= 1 - u fails. A rule accepts what its checker accepts of
-    bundle j, and only that, by these rules, where a is the checker's own
-    bundle without the block (a = avail - T), a_j = row[j] its value of
-    bundle j, A_j the goods there, S_d(x) the value of the block goods x
-    puts in bundle d and B_j(x) those it puts in j, T their total, D(x) =
-    S_own(x) - S_j(x) and t = a_j - a = row[j] - avail[c] + T:
+    ``adjust`` being ``loose[c]``, the checker's slack s where the bound
+    leaves its leaves undecided and 0 elsewhere, and ``lifts`` the tuple
+    :func:`_lifts` reads of the goods bundle j holds above the block ((0,)
+    for a rule whose tests all take lift 0), in the sorted table (vals,
+    above) as ``above[bisect_left(vals, u)]``. A mirrored test is that of
+    the checker in hi, for which the key is -key(x): it passes when key(x)
+    >= 1 - u fails. A rule accepts what its checker accepts of bundle j, and
+    only that, by these rules, where a is the checker's own bundle without
+    the block (a = avail - T), a_j = needs[c][j] + s its value of bundle j,
+    A_j the goods there, S_d(x) the value of the block goods x puts in
+    bundle d and B_j(x) those it puts in j, T their total, D(x) = S_own(x) -
+    S_j(x) and t = a_j - a = needs[c][j] - avail[c] + T + s:
 
-    - EF: a + S_own(x) >= a_j + S_j(x) iff D(x) >= t.
+    - EF: a + S_own(x) >= a_j + S_j(x) iff D(x) >= t, and s is 0.
     - PROP: k * (a + S_own(x)) >= total iff S_own(x) >= ceil(total / k) - a,
-      and needs[c][j] holds ceil(total / k) for every j.
+      and needs[c][own] holds ceil(total / k).
     - EFc and EFX, every value 0 or 1: the allowance of bundle j is the
       least of c and its number of valued goods, with c = 1 for EFX (its
       least positive value is 1 once it holds one). As a + S_own(x) >= 0,
-      the notion reads a + S_own(x) >= max(0, a_j + S_j(x) - c), that is
-      D(x) >= t - c: one test, adjust -c.
+      the notion reads a + S_own(x) >= max(0, a_j + S_j(x) - c). If the
+      checker values c goods or more, s is c and this is D(x) >= t - s,
+      the EF test on needs. Otherwise s is its number of valued goods,
+      which bundle j can never exceed: the notion always holds, and so does
+      D(x) >= t - s, that is a + S_own(x) >= a_j + S_j(x) - s. One test,
+      adjust 0.
     - EFc: the allowance is top_c(A_j + B_j(x)), the sum of the c largest
       values there, which is the largest of top_i(A_j) + top_(c-i)(B_j(x))
       over i = 0..c: each of these sums at most c of the bundle's goods, and
       the c largest are the i largest of A_j and the c - i largest of B_j(x)
       for some i. So EFc holds iff D(x) + top_(c-i)(B_j(x)) >= t - top_i(A_j)
-      for some i: c + 1 tests, lift i (lifts[s][i] is top_i(A_j)); test c
+      for some i: c + 1 tests, lift i (lifts[i] is top_i(A_j)); test c
       reads the D table, test i < c the envy table with top = c - i.
     - EFX, EFX0: the allowance is the least value of bundle j, of its
       positive ones for EFX: min(mA, mB(x)), mA that of A_j and mB(x) that
@@ -631,21 +610,20 @@ def _block_rules(notion: Notion, owns: list[int], worths: list[tuple[int, ...]],
       worth nothing to the checker (no positive value for EFX, no good for
       EFX0) and the notion holds. Otherwise it reads D(x) >= t - min(mA,
       mB(x)), that is D(x) >= t - mA and D(x) + mB(x) >= t: two rules, the
-      first on the D table with lift 1 (mA; infinite in state 0, where it
-      passes every placement), the second on the envy table with top = 0.
-      When both are infinite both pass, as the notion does.
+      first on the D table with lift 1 (mA, infinite when A_j has no such
+      good, which passes every placement), the second on the envy table
+      with top = 0. When both are infinite both pass, as the notion does.
 
     For k >= 3 the keys run over the k**L placements the same way. The D
     table of a pair lo < hi serves the checkers of both. A checker that
-    values no block good is left out, except under EFX0: its D(x) is 0, and
-    worthless goods joining bundle j move neither its c largest values nor
-    its least positive one, so the bound check at the node decided it
-    exactly. Under EFX0 a worthless block good in bundle j drops the
-    allowance to 0.
+    values no block good has D(x) = 0; when its bound is exact, the bound
+    check at the node decided it, so :meth:`_Blocks.rules` leaves it out.
+    A checker with a loose bound stays: what the notion removes from bundle
+    j still turns on the goods there.
     """
     kind = notion.kind
     rules = []
-    for c, (own, w) in enumerate(zip(owns, worths)):
+    for c, (own, w, s) in enumerate(zip(owns, worths, loose)):
         if kind == "prop":
             rules.append((c, own, ((own, None, None, False, 0, 0),)))
             continue
@@ -653,16 +631,14 @@ def _block_rules(notion: Notion, owns: list[int], worths: list[tuple[int, ...]],
             if j == own:
                 continue
             d = min(own, j), max(own, j), None, own > j
-            if kind == "ef":
+            if not s:
                 rules.append((c, j, ((*d, 0, 0),)))
-            elif kind in ("efc", "efx") and max(w, default=0) <= 1:
-                rules.append((c, j, ((*d, -max(notion.c, 1), 0),)))
             elif kind == "efc":
-                tops = tuple((own, j, notion.c - i, False, 0, i) for i in range(notion.c))
-                rules.append((c, j, (*tops, (*d, 0, notion.c))))
+                tops = tuple((own, j, notion.c - i, False, s, i) for i in range(notion.c))
+                rules.append((c, j, (*tops, (*d, s, notion.c))))
             else:
-                rules.append((c, j, ((*d, 0, 1),)))
-                rules.append((c, j, ((own, j, 0, False, 0, 0),)))
+                rules.append((c, j, ((*d, s, 1),)))
+                rules.append((c, j, ((own, j, 0, False, s, 0),)))
     return rules
 
 
@@ -682,44 +658,45 @@ def _hits(
     """
     m, k = inst.m, inst.k
     kind = notion.kind
-    ef = kind == "ef"
-    efx0 = kind == "efx0"
-    removal = kind in ("efc", "efx", "efx0")
-    owns, worths, tables = _checkers(inst, gof)
+    owns, agents, tables = _checkers(inst, gof)
     if tables and k > 1 and kind in ("efx", "efx0"):
         raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
     if m == 0:
         leaf = (0,) * k
-        if _tables_reject(tables, leaf, notion):
+        if any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables):
             stats.leaves_rejected += 1
         else:
             yield 0, leaf
         return
+    if notion.c > m:  # a bundle holds at most m goods, so EFc is EFm
+        notion = up_to(m)
     # Running numbers of checker c: avail[c] is its own bundle plus every
-    # unplaced good, needs[c][j] what bundle j is worth to it after the
-    # notion's removals (for prop, the 1/k share; -1 marks its own bundle).
-    # It rejects the node when avail[c] < max(needs[c]). For removal
-    # notions held[c][j] is bundle j's value and kept[c][j] its removal
-    # state, so needs[c][j] = held[c][j] - allowance[kept[c][j]].
+    # unplaced good, needs[c][j] bundle j's value less the checker's slack
+    # (-1 marks its own bundle); for prop needs[c] holds the 1/k share at
+    # its own bundle and -1 - total elsewhere, which placing goods never
+    # lifts to 0. It rejects the node when avail[c] < max(needs[c]).
+    worths = [v.values for v in agents]
     totals = [sum(w) for w in worths]
-    avail = totals[:]
+    slack = [_slack(notion, w) for w in worths]
     if kind == "prop":
-        needs = [[-(-t // k)] * k for t in totals]
+        needs = [[-(-t // k) if j == own else -1 - t for j in range(k)] for own, t in zip(owns, totals)]
     else:
-        needs = [[-1 if j == own else 0 for j in range(k)] for own in owns]
-    held = [[0] * k for _ in owns]
-    kept = [[0] * k for _ in owns]
-    removals = _Removals(notion)
-    after, allowance, lifts = removals.after, removals.allowance, removals.lifts
+        needs = [[-1 if j == own else -s for j in range(k)] for own, s in zip(owns, slack)]
+    avail = totals[:]
+    # The bound decides the leaves of EF, PROP and binary EFc and EFX;
+    # loose[c] is checker c's slack where it does not, else 0. Those
+    # checkers and the table agents judge the leaves the bound passes.
+    loose = [s if kind == "efx0" or max(w) > 1 else 0 for s, w in zip(slack, worths)]
+    judges = tables + [(v, own) for v, own, s in zip(agents, owns, loose) if s]
     # Placing good g in bundle b moves only the numbers of checkers outside
-    # b that value g (or all of them for efx0, where worthless goods count).
+    # b that value g.
     touch: list[list[list]] = [[[] for _ in range(k)] for _ in range(m)]
     for c, w in enumerate(worths):
         for g in range(m):
-            if w[g] or efx0:
+            if w[g]:
                 for j in range(k):
                     if j != owns[c]:
-                        touch[g][j].append((c, w[g], needs[c], held[c], kept[c]))
+                        touch[g][j].append((c, w[g], needs[c]))
     width = [k**g for g in range(m + 1)]
     q, r = divmod(m, k)
     tallest = q + (r > 0)
@@ -727,7 +704,6 @@ def _hits(
     bundles = [0] * k
     sizes = [0] * k
     path = [0] * m
-    replaced: list = [None] * m
     counts: dict = {}
     # Leaf blocks: the node that placed good `block` decides goods
     # block-1..0 in one step (see _block_rules), building the tables of its
@@ -735,14 +711,14 @@ def _hits(
     block = 0
     rules = None
     if not tables:
-        plan = _block_rules(notion, owns, worths, k)
+        plan = _block_rules(notion, owns, worths, loose, k)
         keys = {}  # the tables of the plan, as _block_goods sizes them
         for c, _j, tests in plan:
             for lo, hi, top, *_test in tests:
                 if top is None:
                     keys[worths[c], lo, hi] = worths[c], 1 if hi is None else 2, 0, False
                 else:
-                    keys[worths[c], lo, hi, top] = worths[c], 2, max(top, 1), efx0
+                    keys[worths[c], lo, hi, top] = worths[c], 2, max(top, 1), kind == "efx0"
         if blocks is None:
             blocks = _Blocks(k, 1)
         block = _block_goods(m, k, list(keys.values()), blocks.scans)
@@ -761,22 +737,10 @@ def _hits(
             sizes[b] = s + 1
             if s < q:
                 owed -= 1
-            moved = touch[g][b]
-            if removal:
-                replaced[g] = [t[4][b] for t in moved]
             ok = True
-            for c, x, need, held_c, kept_c in moved:
+            for c, x, need in touch[g][b]:
                 a = avail[c] = avail[c] - x
-                if ef:
-                    need[b] += x
-                elif removal:
-                    was = kept_c[b]
-                    now = after[was].get(x)
-                    if now is None:
-                        now = removals.step(was, x)
-                    kept_c[b] = now
-                    h = held_c[b] = held_c[b] + x
-                    need[b] = h - allowance[now]
+                need[b] += x
                 if a < max(need):
                     ok = False
             if ok and g:
@@ -790,15 +754,15 @@ def _hits(
                 decided += 1
                 b = k
                 if rules is None:
-                    rules = blocks.rules(block, plan, worths, held if removal else needs, kept, efx0)
+                    rules = blocks.rules(block, plan, worths, needs, loose, kind == "efx0")
                 admissible = blocks.fits(block, sizes, q, tallest) if balanced else everything
                 mask = admissible
-                for c, row, j, state, tests in rules:
-                    t = row[j] - avail[c]
-                    lift = lifts[state[j]]
+                for c, need, j, lifted, tests in rules:
+                    t = need[j] - avail[c]
+                    lifts = (0,) if lifted is None else _lifts(notion, lifted, bundles[j])
                     accepts = 0
                     for vals, ups, mirror, off, i in tests:
-                        u = t + off - lift[i]
+                        u = t + off - lifts[i]
                         if mirror:
                             accepts |= everything ^ ups[bisect_left(vals, 1 - u)]
                         else:
@@ -830,7 +794,7 @@ def _hits(
                 continue
             elif ok:
                 leaf = tuple(bundles)
-                if tables and _tables_reject(tables, leaf, notion):
+                if any(rejected_bundle(v, leaf, own, notion) is not None for v, own in judges):
                     rejected += 1
                 else:
                     stats.count(nodes, pruned, cut, rejected, decided)
@@ -852,16 +816,9 @@ def _hits(
         s = sizes[b] = sizes[b] - 1
         if s < q:
             owed += 1
-        moved = touch[g][b]
-        for c, x, need, _held, _kept in moved:
+        for c, x, need in touch[g][b]:
             avail[c] += x
-            if ef:
-                need[b] -= x
-        if removal:
-            for (c, x, need, held_c, kept_c), was in zip(moved, replaced[g]):
-                held_c[b] -= x
-                kept_c[b] = was
-                need[b] = held_c[b] - allowance[was]
+            need[b] -= x
         b += 1
     stats.count(nodes, pruned, cut, rejected, decided)
 

@@ -584,6 +584,7 @@ def flawed_files(tmp_path, two_one, variable_inst):
     return files
 
 
+_NOTIONS = "is not a fairness notion (ef, ef1, ef2, ..., efx, efx0, prop)"
 _SPLIT = ["kneser", "--b", "6", "--r", "3", "--s", "2", "--tightness", "--split"]
 _CHECK_VARIABLE = ["check", "@variable", "--allocation", "0,1,2;3,4", "--partition"]
 
@@ -621,6 +622,11 @@ _CHECK_VARIABLE = ["check", "@variable", "--allocation", "0,1,2;3,4", "--partiti
         # no case would run, and the suite would still report a pass
         (["fuzz", "--suite", "exact1", "--runs", "-5"], "--runs: -5 is not a positive number of runs"),
         (["fuzz", "--suite", "exact1", "--runs", "0"], "--runs: 0 is not a positive number of runs"),
+        # c is ASCII decimal, at least 1 and without a leading zero
+        (["search", "@fixed", "--notion", "ef0"], f"--notion: 'ef0' {_NOTIONS}"),
+        (["search", "@fixed", "--notion", "nope"], f"--notion: 'nope' {_NOTIONS}"),
+        (["search", "@fixed", "--notion", "ef01"], f"--notion: 'ef01' {_NOTIONS}"),
+        (["check", "@fixed", "--allocation", "0;1", "--notion", "ef\u0661"], f"--notion: 'ef\u0661' {_NOTIONS}"),
     ],
 )
 def test_error_lines(flawed_files, capsys, argv, line):

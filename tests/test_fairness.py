@@ -50,8 +50,10 @@ def test_parse_notion(text, notion):
 
 
 def test_parse_notion_rejects_garbage():
-    for bad in ("", "ef-1", "efy", "proportional"):
-        with pytest.raises(ValueError):
+    # c is ASCII decimal without a leading zero: ef01 and the Arabic-Indic
+    # ef1 are not ef1, and ef0 is no notion either
+    for bad in ("", "ef-1", "ef+1", "efy", "proportional", "ef0", "ef01", "ef\u0661", "ef\u00b9"):
+        with pytest.raises(ValueError, match="is not a fairness notion"):
             parse_notion(bad)
 
 

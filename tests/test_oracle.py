@@ -1,8 +1,11 @@
 """Exhaustive existence oracle and the built-in impossibility corpus."""
 
 import dataclasses
+import json
 import math
+import os
 import random
+import time
 import tracemalloc
 from itertools import combinations, product
 
@@ -29,8 +32,8 @@ from groupfair import (
     run_corpus_entry,
     solve_ef1_binary,
 )
-from groupfair.fairness import rejected_bundle
-from groupfair.model import AgentPartition, full_mask, validate
+from groupfair.fairness import rejected_bundle, up_to
+from groupfair.model import AgentPartition, full_mask, instance_from_json, validate
 from groupfair.oracle import (
     SearchStats,
     _assignments,
@@ -40,6 +43,9 @@ from groupfair.oracle import (
     balanced_size_vectors,
     enumerate_fair,
 )
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _reference_hits(inst, gof, notion, balanced):
@@ -466,6 +472,48 @@ def test_exhausted_stats_add_up(balanced):
     assert s.partitions == 6 and s.scans == 2 and s.pruned >= 4
 
 
+def _workloads(monkeypatch):
+    monkeypatch.syspath_prepend(ROOT)  # the instances come from perfbench
+    from perfbench import workloads
+
+    return workloads
+
+
+def test_slack_bound_cuts(monkeypatch):
+    # the bound cuts with each notion's slack, not with the checker's whole
+    # total, which would cut nothing: the additive EFX core and the EF2 core
+    # with values 3 (additive, so the slack is loose) exhaust with cuts; on
+    # the binary EF1 scan of a 3-CNF with an unsatisfiable core the slack is
+    # exact, so the cuts are those of the exact allowance
+    from groupfair.oracle import _no_efc_equal, _no_efx_additive_two_one
+
+    core = _no_efc_equal(2)
+    tripled = [Valuation.additive([3 * x for x in v.values]) for v in core.agents]
+    members = [list(g) for g in core.groups.members]
+    for inst, notion in ((Instance.fixed(core.m, tripled, members), EF2), (_no_efx_additive_two_one(), EFX)):
+        cert = find_fair(inst, SearchConstraints(notion))
+        assert not cert.found and cert.stats.pruned > 0
+    workloads = _workloads(monkeypatch)
+    doc = workloads.clause_instance(10, workloads.unsat_clauses(random.Random(1), 10, 4))
+    cert = find_fair(instance_from_json(json.dumps(doc)), SearchConstraints(EF1))
+    assert not cert.found and cert.examined == 1024
+    assert (cert.stats.nodes, cert.stats.pruned, cert.stats.blocks) == (1126, 252, 0)
+
+
+def test_efc_past_m_goods_is_efm(monkeypatch):
+    # a bundle never holds more than m goods, so EFc for c >= m is EFm; the
+    # scan reads c as min(c, m); read as given, c = 10000 spends 25 s
+    # building tables
+    workloads = _workloads(monkeypatch)
+    doc, _notion = workloads.pad_core(workloads.CORES["additive-efx-2-1"], 14, random.Random(3))
+    inst = instance_from_json(json.dumps(doc))
+    expected = find_fair(inst, SearchConstraints(up_to(14)))
+    start = time.perf_counter()
+    cert = find_fair(inst, SearchConstraints(up_to(10000)))
+    assert time.perf_counter() - start < 0.1
+    assert cert == expected and cert.stats == expected.stats
+
+
 def _memo_miss(m):
     """Four identical additive agents in 2+2 whose values 2^20 + 2^g give
     every subset a sum of its own and an odd total: never EF, and the
@@ -630,7 +678,7 @@ def test_equal_tables_in_a_group_are_one_checker():
         table, twin = Valuation.table_of(m, entries), Valuation.table_of(m, entries)
         agents = [table, twin, Valuation.additive([rng.randrange(0, 5) for _ in range(m)]), table]
         inst = Instance.fixed(m, agents, [[0, 1, 2], [3]])
-        owns, _worths, tables = oracle._checkers(inst, inst.assignment)
+        owns, _agents, tables = oracle._checkers(inst, inst.assignment)
         assert owns == [0] and tables == [(table, 0), (table, 1)]
         for notion in (EF, EF1, PROP):
             for balanced in (False, True):

@@ -34,8 +34,10 @@ def test_removal_questions_are_fixed_per_seed(tmp_path, capsys, monkeypatch):
     assert [q[2:] for q in one] == [q[2:] for q in again]
     docs = [pathlib.Path(q[1]).read_text() for q in one]
     assert docs == [pathlib.Path(q[1]).read_text() for q in again]
-    assert {q[3] for q in one} == {"ef2", "efx", "efx0"}
+    assert [q[3] for q in one[:-1]] == ["ef2", "efx", "efx0"] * 4
     assert all(13 <= json.loads(doc)["m"] <= 16 for doc in docs)
+    # the last asks EFc past the number of goods, which reads c as m
+    assert one[-1][3] == f"ef{json.loads(docs[-1])['m'] + 2}"
     assert any("--balanced-goods" in q for q in one) and not all("--balanced-goods" in q for q in one)
     # both outcomes, so that first hits and exhaustions are compared
     outcomes = set()

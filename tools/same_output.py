@@ -5,9 +5,10 @@
 
 For each seed, every question of the chosen perfbench plans is asked, in
 plan order, then fixed sets of seeded variable-group ``search`` questions
-(see :func:`variable_questions`) and of EF2, EFX and EFX0 ``search``
-questions (see :func:`removal_questions`), then ``corpus`` in json and
-table format and ``search`` on every ``corpus/*.json`` of CHANGE_DIR.
+(see :func:`variable_questions`) and of EF2, EFX, EFX0 and EFc
+``search`` questions (see :func:`removal_questions`), then ``corpus`` in
+json and table format and ``search`` on every ``corpus/*.json`` of
+CHANGE_DIR.
 Each checkout answers in a process of its own that imports ``groupfair``
 from that checkout's ``src``; the plans come from the ``perfbench`` next
 to this script, which is only imported. Inputs are written under one
@@ -94,8 +95,9 @@ def removal_questions(seed: int, workdir: str) -> list[list[str]]:
     """Seeded ``search`` questions under EF2, EFX and EFX0 on 13 to 16
     goods, free and with ``--balanced-goods``: perfbench's padded corpus
     cores, asked under their own notion (exhausted) or another one, and
-    identical agents on parity or planted values (mostly found). The
-    instances are written under ``workdir``."""
+    identical agents on parity or planted values (mostly found); then one
+    padded core under EFc with c = m + 2. The instances are written under
+    ``workdir``."""
     from perfbench import workloads
 
     rng = random.Random(f"removal-{seed}")
@@ -119,6 +121,13 @@ def removal_questions(seed: int, workdir: str) -> list[list[str]]:
             json.dump(doc, fh)
         flags = ["--balanced-goods"] if rng.random() < 0.4 else []
         out.append(["search", path, "--notion", notion, *flags])
+    # EFc with c past the number of goods, which the scan reads as EFm
+    m = rng.randint(13, 16)
+    doc, _ = workloads.pad_core(workloads.CORES[rng.choice(sorted(workloads.CORES))], m, rng)
+    path = os.path.join(workdir, f"removal-{seed}-efc.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    out.append(["search", path, "--notion", f"ef{m + 2}"])
     return out
 
 
