@@ -305,6 +305,9 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_kneser(args) -> int:
     t0 = time.perf_counter()
+    for option, value in (("--split", args.split), ("--out", args.out)):
+        if value is not None and not args.tightness:
+            raise ValueError(f"{option} needs --tightness")
     g = kneser.build_kneser(args.b, args.r, args.s)
     result: dict = {"b": args.b, "r": args.r, "s": args.s, "vertices": g.n, "edges": g.edge_count}
     coloring = None

@@ -31,31 +31,35 @@ slack. PROP cuts when ``avail`` is below ceil(total / k). Placing a good
 moves only the numbers of checkers outside its bundle that value it, so
 only those are checked again; a worthless good moves nothing, under EFX0
 too. With values 0 or 1 the slack of EFc and EFX is exact: the bound
-rejects a leaf exactly when the notion does, as it does for EF and PROP.
-Every leaf the bound cannot decide goes through
-:func:`fairness.rejected_bundle`, the rule of re-verification: those of
-checkers whose slack is loose, and those of table agents, which are not
-assumed monotone and are checked at the leaves only.
+rejects a leaf exactly when the notion does, as it does for EF and PROP;
+where the slack is loose, the leaf-block rules below decide the leaves the
+bound passes. Table agents are not assumed monotone, so they take no part
+in the bound: they judge each leaf the rules pass by
+:func:`fairness.rejected_bundle`, the rule of re-verification.
 
-The walk stops at level L and decides the last L goods of every node
-there in one step, a leaf block (meet in the middle: Horowitz and Sahni,
-JACM 1974; Schroeppel and Shamir, SIAM J. Comput. 1981). The k**L
-placements of goods 0..L-1 are the same under every such node, and
-placement x is leaf ``base + x``. Once per ``find_fair`` or
-``enumerate_fair`` call, shared by its partitions, a table per checker key
-sorts the placements by the key (for EF the checker's block value of its
-own bundle less that of a rival) and keeps, per distinct value, the mask of
-the placements at or above it. At a block node each test turns the
-checker's running numbers into one threshold: one bisection, one mask. The
-masks of all checkers, ANDed with the placements that keep balanced
-bundles in balanced mode, hold exactly the block's hits, so the lowest set
-bit is the first hit in canonical order and the popcount of the rest gives
-the rejected leaves; a block where one rule admits no admissible placement
+Every scan ends in leaf blocks, one decision for every agent kind (meet in
+the middle: Horowitz and Sahni, JACM 1974; Schroeppel and Shamir, SIAM J.
+Comput. 1981). The node that places good L decides goods L-1..0 in place.
+The k**L placements of those goods are the same under every such node,
+and placement x is leaf ``lo + x`` for the node's first leaf ``lo``. Once
+per ``find_fair`` or ``enumerate_fair`` call, shared by its partitions, a
+table per checker key sorts the placements by the key (for EF the
+checker's block value of its own bundle less that of a rival) and keeps,
+per distinct value, the mask of the placements at or above it. At a block
+node each test turns the checker's running numbers into one threshold:
+one bisection, one mask. The masks of all checkers, ANDed with the
+placements that keep balanced bundles in balanced mode, hold exactly the
+placements the additive and binary agents accept. The table agents judge
+those lowest first, so the first they all accept is the first hit in
+canonical order, and every other admissible placement counts as a
+rejected leaf; a block where one rule admits no admissible placement
 counts as a cut. The rules, each proved in :func:`_block_rules`, cover
 every notion for additive and binary agents: EF, EFc for every c, EFX,
-EFX0 and PROP, for k bundles. Scans with table agents take L = 0, which is
-the walk to the leaves. :func:`_block_goods` picks L. ``SearchStats.blocks``
-counts the blocks decided.
+EFX0 and PROP, for k bundles. :func:`_block_goods` picks L. With L = 0,
+for scans of at most 2**10 candidates, the block is the one leaf the node
+that places good 0 reaches, and a leaf a rule rejects counts as a
+rejected leaf, not as a cut, as on a walk to the leaves.
+``SearchStats.blocks`` counts the blocks with L >= 1.
 
 With variable groups the search also ranges over agent partitions, and
 many of them repeat a question already answered. Lemma: the hits of a
@@ -140,13 +144,14 @@ class SearchStats:
     ``pruned`` the subtrees cut by the bound check and ``candidates_pruned``
     the admissible candidates inside them, ``leaves_rejected`` the
     candidates checked in full and rejected. ``blocks`` counts the leaf
-    blocks decided in one step; their leaves count as rejected, or as one
-    cut when one rule admits none, and the nodes below them are not
-    visited, so a scan with ``blocks`` > 0 took the block path. On an
-    exhausted search ``leaves_rejected + candidates_pruned == examined``
-    still holds. ``partitions`` counts the agent partitions covered and
-    ``scans`` those walked; the others shared the orbit key of a partition
-    refuted before and count as one cut each.
+    blocks of L >= 1 goods decided at once; their leaves count as rejected,
+    or as one cut when one rule admits none, and the nodes below them are
+    not visited. A scan with L = 0 decides each leaf as a block of one,
+    counts no block and counts a leaf it rejects as rejected, as a walk to
+    the leaves would. On an exhausted search ``leaves_rejected +
+    candidates_pruned == examined`` still holds. ``partitions`` counts the
+    agent partitions covered and ``scans`` those walked; the others shared
+    the orbit key of a partition refuted before and count as one cut each.
     """
 
     nodes: int = 0
@@ -360,11 +365,12 @@ _BLOCK_STEPS = 1 << 11
 
 
 def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, int, bool]], scans: int) -> int:
-    """How many of the lowest goods a scan decides per leaf block (0: none),
-    when ``scans`` scans of k**m candidates share the tables of ``keys``.
+    """How many of the lowest goods a scan decides per leaf block (0: each
+    leaf is a block of its own), when ``scans`` scans of k**m candidates
+    share the tables of ``keys``.
 
     At most 2**10 candidates in all are walked faster than tables are built,
-    so they take no block. Otherwise the block leaves the fewest
+    so they take L = 0. Otherwise the block leaves the fewest
     goods above it that still make 16 or more block nodes in all, so that
     every table serves many blocks, and shrinks until building the tables
     takes at most ``_BLOCK_STEPS`` steps and they hold at most
@@ -377,7 +383,8 @@ def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, int, boo
     more values than its k**g placements. Building a table over L goods
     steps k times through the values of each shorter prefix for every good
     that moves the key (the others go anywhere at once), and each value
-    keeps a mask of k**L bits.
+    keeps a mask of k**L bits. Table agents add no key: they judge the
+    placements the rules pass one by one.
     """
     if scans * k**m <= 1 << 10:
         return 0
@@ -539,27 +546,40 @@ class _Blocks:
 
     def fits(self, goods: int, sizes: list[int], q: int, tallest: int) -> int:
         """Mask of the placements after which every bundle holds q to
-        ``tallest`` goods, for a node with these bundle sizes."""
+        ``tallest`` goods, for a node with these bundle sizes: the AND over
+        bundles d of the placements that put q - sizes[d] to tallest -
+        sizes[d] goods in d, read off the table of that count."""
         key = ("fits", goods, tuple(sizes))
         mask = self.tables.get(key)
         if mask is None:
             k = self.k
-            counts = self.tables.get(("counts", goods))
-            if counts is None:
-                unit = (0, *((goods + 1) ** d for d in range(k - 1)))
-                counts = self.tables["counts", goods] = self._sums((1,) * goods, unit)
-            mask = 0
-            for code, group in counts.items():
-                placed = [(code // (goods + 1) ** d) % (goods + 1) for d in range(k - 1)]
-                ends = [sizes[0] + goods - sum(placed)] + [s + p for s, p in zip(sizes[1:], placed)]
-                if q <= min(ends) and max(ends) <= tallest:
-                    mask |= group
+            mask = (1 << k**goods) - 1
+            for d, s in enumerate(sizes):
+                vals, above = self.linear((1,) * goods, tuple(int(e == d) for e in range(k)))
+                mask &= above[bisect_left(vals, q - s)] ^ above[bisect_left(vals, tallest - s + 1)]
             self.tables[key] = mask
         return mask
 
+    def parts(self, goods: int) -> tuple[int, list, list]:
+        """Per bundle d, the goods 0..goods-1 that placement x puts there, in
+        two halves, so that a leaf is built without a loop over the goods
+        from tables of about k**(goods / 2) entries: with h = goods // 2
+        they are ``low[d][x % k**h] | high[d][x // k**h]``."""
+        key = ("parts", goods)
+        if key not in self.tables:
+            k, h = self.k, goods // 2
+            halves = []
+            for first, last in ((0, h), (h, goods)):
+                cols = [[0]] * k
+                for g in range(first, last):
+                    cols = [[x | (e == d) << g for e in range(k) for x in c] for d, c in enumerate(cols)]
+                halves.append(cols)
+            self.tables[key] = (k**h, *halves)
+        return self.tables[key]
+
 
 def _block_rules(notion: Notion, owns: list[int], worths: list[tuple[int, ...]], loose: list[int], k: int) -> list[tuple]:
-    """The rules that decide a leaf block of goods 0..L-1, for any L.
+    """The rules that decide a leaf block of goods 0..L-1, for any L >= 0.
 
     Per checker c and rival bundle j (its own bundle for PROP) one rule
     ``(c, j, tests)``, two for EFX and EFX0; a rule passes a placement x
@@ -619,7 +639,10 @@ def _block_rules(notion: Notion, owns: list[int], worths: list[tuple[int, ...]],
     values no block good has D(x) = 0; when its bound is exact, the bound
     check at the node decided it, so :meth:`_Blocks.rules` leaves it out.
     A checker with a loose bound stays: what the notion removes from bundle
-    j still turns on the goods there.
+    j still turns on the goods there. With L = 0 the block is one leaf and
+    every table holds its one placement, with key 0 (infinite for the
+    least of an empty share): the checkers with an exact bound drop out,
+    and the rules of the others decide the leaf as the notion does.
     """
     kind = notion.kind
     rules = []
@@ -684,10 +707,8 @@ def _hits(
         needs = [[-1 if j == own else -s for j in range(k)] for own, s in zip(owns, slack)]
     avail = totals[:]
     # The bound decides the leaves of EF, PROP and binary EFc and EFX;
-    # loose[c] is checker c's slack where it does not, else 0. Those
-    # checkers and the table agents judge the leaves the bound passes.
+    # loose[c] is checker c's slack where it does not, else 0.
     loose = [s if kind == "efx0" or max(w) > 1 else 0 for s, w in zip(slack, worths)]
-    judges = tables + [(v, own) for v, own, s in zip(agents, owns, loose) if s]
     # Placing good g in bundle b moves only the numbers of checkers outside
     # b that value g.
     touch: list[list[list]] = [[[] for _ in range(k)] for _ in range(m)]
@@ -705,24 +726,22 @@ def _hits(
     sizes = [0] * k
     path = [0] * m
     counts: dict = {}
-    # Leaf blocks: the node that placed good `block` decides goods
-    # block-1..0 in one step (see _block_rules), building the tables of its
-    # rules on the first block it reaches.
-    block = 0
+    # Leaf blocks: the node that places good `block` decides goods
+    # block-1..0 in place (see _block_rules), building the tables of its
+    # rules on the first block it reaches; with block 0 that node is a leaf.
+    plan = _block_rules(notion, owns, worths, loose, k)
+    keys = {}  # the tables of the plan, as _block_goods sizes them
+    for c, _j, tests in plan:
+        for lo, hi, top, *_test in tests:
+            if top is None:
+                keys[worths[c], lo, hi] = worths[c], 1 if hi is None else 2, 0, False
+            else:
+                keys[worths[c], lo, hi, top] = worths[c], 2, max(top, 1), kind == "efx0"
+    if blocks is None:
+        blocks = _Blocks(k, 1)
+    block = _block_goods(m, k, list(keys.values()), blocks.scans)
+    everything = (1 << k**block) - 1
     rules = None
-    if not tables:
-        plan = _block_rules(notion, owns, worths, loose, k)
-        keys = {}  # the tables of the plan, as _block_goods sizes them
-        for c, _j, tests in plan:
-            for lo, hi, top, *_test in tests:
-                if top is None:
-                    keys[worths[c], lo, hi] = worths[c], 1 if hi is None else 2, 0, False
-                else:
-                    keys[worths[c], lo, hi, top] = worths[c], 2, max(top, 1), kind == "efx0"
-        if blocks is None:
-            blocks = _Blocks(k, 1)
-        block = _block_goods(m, k, list(keys.values()), blocks.scans)
-        everything = (1 << k**block) - 1
     nodes = pruned = cut = rejected = decided = 0
     g, b, base = m - 1, 0, 0
     while True:
@@ -743,19 +762,25 @@ def _hits(
                 need[b] += x
                 if a < max(need):
                     ok = False
-            if ok and g:
+            if not ok:
+                if g:
+                    pruned += 1
+                    cut += _leaves_in(sizes, g, balanced, counts)
+                else:
+                    rejected += 1
+            elif g > block:
                 path[g] = b
                 base = lo
                 g -= 1
                 b = 0
-                if g >= block:
-                    continue
-                # decide the leaf block [lo, lo + k**block) and return
-                decided += 1
-                b = k
+                continue
+            else:
+                # decide the leaf block [lo, lo + k**g) of goods g-1..0
                 if rules is None:
-                    rules = blocks.rules(block, plan, worths, needs, loose, kind == "efx0")
-                admissible = blocks.fits(block, sizes, q, tallest) if balanced else everything
+                    rules = blocks.rules(g, plan, worths, needs, loose, kind == "efx0")
+                decided += g > 0
+                # every leaf of the balanced walk is balanced
+                admissible = blocks.fits(g, sizes, q, tallest) if balanced and g else everything
                 mask = admissible
                 for c, need, j, lifted, tests in rules:
                     t = need[j] - avail[c]
@@ -771,40 +796,34 @@ def _hits(
                     if not mask:
                         break
                 if not mask:
-                    if accepts & admissible:
+                    # a one-leaf block is a leaf; a larger one is cut when
+                    # one rule admits no admissible placement
+                    if accepts & admissible or not g:
                         rejected += admissible.bit_count()
-                    else:  # one rule admits no admissible placement
+                    else:
                         pruned += 1
                         cut += admissible.bit_count()
-                    continue
-                rest = admissible ^ mask
-                while mask:
-                    x = (mask & -mask).bit_length() - 1
-                    mask ^= 1 << x
-                    before = rest & ((1 << x) - 1)
-                    rest ^= before
-                    rejected += before.bit_count()
-                    stats.count(nodes, pruned, cut, rejected, decided)
-                    nodes = pruned = cut = rejected = decided = 0
-                    leaf = bundles[:]
-                    for h in range(block):
-                        leaf[x // width[h] % k] |= 1 << h
-                    yield lo + x, tuple(leaf)
-                rejected += rest.bit_count()
-                continue
-            elif ok:
-                leaf = tuple(bundles)
-                if any(rejected_bundle(v, leaf, own, notion) is not None for v, own in judges):
-                    rejected += 1
                 else:
-                    stats.count(nodes, pruned, cut, rejected, decided)
-                    nodes = pruned = cut = rejected = decided = 0
-                    yield lo, leaf
-            elif g:
-                pruned += 1
-                cut += _leaves_in(sizes, g, balanced, counts)
-            else:
-                rejected += 1
+                    # the table agents judge the placements the rules pass
+                    rest = admissible ^ mask
+                    while mask:
+                        x = (mask & -mask).bit_length() - 1
+                        mask ^= 1 << x
+                        if k == 2:  # bundle 1 gets the block goods that are bits of x
+                            leaf = (bundles[0] | (x ^ width[g] - 1), bundles[1] | x)
+                        else:
+                            size, low, high = blocks.parts(g)
+                            leaf = tuple([a | y[x % size] | z[x // size] for a, y, z in zip(bundles, low, high)])
+                        if any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables):
+                            rejected += 1
+                            continue
+                        before = rest & ((1 << x) - 1)
+                        rest ^= before
+                        rejected += before.bit_count()
+                        stats.count(nodes, pruned, cut, rejected, decided)
+                        nodes = pruned = cut = rejected = decided = 0
+                        yield lo + x, leaf
+                    rejected += rest.bit_count()
         else:
             g += 1
             if g == m:

@@ -125,7 +125,13 @@ def parse_dimacs_cnf(text: str) -> MonotoneFormula:
         variables = tuple(abs(lit) - 1 for lit in lits)
         return MonotoneClause(positive=lits[0] > 0, variables=variables)
 
-    for raw in text.splitlines():
+    def integer(tok: str, number: int) -> int:
+        digits = tok.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"line {number}: {tok!r} is not an integer")
+        return int(tok)
+
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
@@ -133,10 +139,14 @@ def parse_dimacs_cnf(text: str) -> MonotoneFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {raw!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            if num_vars is not None:
+                raise ValueError(f"line {number}: a second problem line {raw!r}")
+            num_vars, num_clauses = integer(parts[2], number), integer(parts[3], number)
+            if min(num_vars, num_clauses) < 0:
+                raise ValueError(f"line {number}: negative count on the problem line {raw!r}")
             continue
         for tok in line.split():
-            lit = int(tok)
+            lit = integer(tok, number)
             if lit == 0:
                 clauses.append(close_clause(literals))
                 literals = []

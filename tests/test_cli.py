@@ -581,11 +581,15 @@ def flawed_files(tmp_path, two_one, variable_inst):
         path = tmp_path / (name[1:] + ".json")
         path.write_text(text)
         files[name] = str(path)
+    cnf = tmp_path / "letter.cnf"
+    cnf.write_text("p cnf 3 1\n1 x 3 0\n")
+    files["@letter"] = str(cnf)
     return files
 
 
 _NOTIONS = "is not a fairness notion (ef, ef1, ef2, ..., efx, efx0, prop)"
-_SPLIT = ["kneser", "--b", "6", "--r", "3", "--s", "2", "--tightness", "--split"]
+_KNESER = ["kneser", "--b", "6", "--r", "3", "--s", "2"]
+_SPLIT = _KNESER + ["--tightness", "--split"]
 _CHECK_VARIABLE = ["check", "@variable", "--allocation", "0,1,2;3,4", "--partition"]
 
 
@@ -627,6 +631,11 @@ _CHECK_VARIABLE = ["check", "@variable", "--allocation", "0,1,2;3,4", "--partiti
         (["search", "@fixed", "--notion", "nope"], f"--notion: 'nope' {_NOTIONS}"),
         (["search", "@fixed", "--notion", "ef01"], f"--notion: 'ef01' {_NOTIONS}"),
         (["check", "@fixed", "--allocation", "0;1", "--notion", "ef\u0661"], f"--notion: 'ef\u0661' {_NOTIONS}"),
+        # the tightness options do nothing on their own
+        (_KNESER + ["--split", "3,2"], "--split needs --tightness"),
+        (_KNESER + ["--out", "@missing"], "--out needs --tightness"),
+        # a DIMACS token that is no integer, named with its line
+        (["reduce", "--formula", "@letter"], "line 2: 'x' is not an integer"),
     ],
 )
 def test_error_lines(flawed_files, capsys, argv, line):

@@ -514,6 +514,27 @@ def test_efc_past_m_goods_is_efm(monkeypatch):
     assert cert == expected and cert.stats == expected.stats
 
 
+def test_leaf_decisions_keep_their_accounting(monkeypatch):
+    # every scan ends in a leaf block. Under the 2^10 floor the block is one
+    # leaf (L = 0): a leaf the rules reject counts as a rejected leaf, not as
+    # a cut, and no block is counted, so these corpus scans, whose additive
+    # EFX and EFX0 checkers leave leaves to the rules, keep the counts of
+    # the walk to the leaves
+    entries = {e.name: e for e in corpus()}
+    for name, counts in (("efx0-2-1", (98, 6, 20, 44)), ("additive-efx-2-1", (28, 1, 2, 14))):
+        s = run_corpus_entry(entries[name]).certificate.stats
+        assert (s.nodes, s.pruned, s.candidates_pruned, s.leaves_rejected, s.blocks) == (*counts, 0)
+    # the t=6 tightness instance, one table agent per colour of K(12,6,2),
+    # lies above the floor: its scan takes blocks, and the table agents
+    # reject every balanced placement the blocks hand them, each one counted
+    workloads = _workloads(monkeypatch)
+    doc = workloads.tightness_doc(6, workloads.first_fit_colouring(6), 2)
+    cert = find_fair(instance_from_json(json.dumps(doc)), SearchConstraints(EF1, balanced_allocation=True))
+    s = cert.stats
+    assert not cert.found and s.blocks > 0 and s.candidates_pruned == 0
+    assert cert.examined == s.leaves_rejected == 924
+
+
 def _memo_miss(m):
     """Four identical additive agents in 2+2 whose values 2^20 + 2^g give
     every subset a sum of its own and an odd total: never EF, and the
@@ -564,13 +585,15 @@ def test_leaf_blocks_cut_the_memo_miss_scan(monkeypatch):
 
 def _block_instance(rng, k, kind):
     """A random instance of binary, additive, both (binary next to additive)
-    or mixed (with tables) agents, in fixed or variable groups."""
+    or mixed (at least one table) agents, in fixed or variable groups."""
     m = rng.randrange(0, 8 if k == 2 else 6)
     n = rng.randrange(1, 5)
     if kind == "both":
         agents = [_random_agent(rng, rng.choice(("binary", "additive")), m) for _ in range(n)]
     else:
         agents = [_random_agent(rng, kind, m) for _ in range(n)]
+    if kind == "mixed" and all(v.kind != "table" for v in agents):
+        agents[0] = _random_agent(rng, "monotone", m)
     if rng.random() < 0.5:
         members = [[] for _ in range(k)]
         for a in range(n):
@@ -586,7 +609,8 @@ def _block_instance(rng, k, kind):
 def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
     # every block size L from 0 to m-1 must give the reference's hits in
     # order, the same first hit and examined count, and candidates that add
-    # up, for every notion; only scans with table agents take no block
+    # up, for every notion; scans with table agents take the forced L too,
+    # and their tables judge the placements the blocks pass
     rng = random.Random(f"blocks-{notion}-{k}-{balanced}")
     forced = [0]
     monkeypatch.setattr(oracle, "_block_goods", lambda m, k, keys, scans: forced[0])
@@ -602,6 +626,7 @@ def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
     n = len(desirers)
     crowded = Instance.fixed(goods, desirers * k, [list(range(n * g, n * g + n)) for g in range(k)])
     decided = hit_in_block = none = 0
+    tables_decided = tables_hit = 0  # the same, for scans with table agents
     for i in range(25):
         if i == 24:
             inst = crowded
@@ -616,6 +641,7 @@ def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
         full = [list(_reference_hits(inst, gof, notion, balanced)) for gof in parts]
         expected = [(gof if with_partition else None, b) for gof, hits in zip(parts, full) for _i, b in hits]
         none += not expected
+        tables = any(v.kind == "table" for v in inst.agents)
         for block in range(max(m, 1)):
             forced[0] = block
             for gof, hits in zip(parts, full):
@@ -624,6 +650,9 @@ def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
                 assert stats.leaves_rejected + stats.candidates_pruned + len(hits) == _admissible(m, k, balanced)
                 decided += stats.blocks
                 hit_in_block += bool(stats.blocks and hits)
+                if tables:
+                    tables_decided += stats.blocks
+                    tables_hit += bool(stats.blocks and hits)
             got = [(p and p.assignment, a.bundles) for p, a in enumerate_fair(inst, cons)]
             assert got == expected
             cert = find_fair(inst, cons)
@@ -634,6 +663,8 @@ def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
                 assert cert.examined == count * _admissible(m, k, balanced)
                 assert cert.stats.leaves_rejected + cert.stats.candidates_pruned == cert.examined
     assert decided > 0 and hit_in_block > 0 and none > 0
+    if "mixed" in kinds:
+        assert tables_decided > 0 and tables_hit > 0
 
 
 def _reference_orbit(inst, gof, by_size):

@@ -160,6 +160,13 @@ p cnf 4 2
         ("p cnf 3 1\n1 -2 3 0\n", "mixes"),
         ("p cnf 3 1\n1 1 2 0\n", "distinct"),
         ("p edge 3 1\n", "problem line"),
+        # a token that is no integer, named with its line
+        ("p cnf 3 1\n1 x 3 0\n", "line 2: 'x' is not an integer"),
+        ("p cnf 3 1\nc note\n1 2 --3 0\n", "line 3: '--3' is not an integer"),
+        ("p cnf 3 y\n", "line 1: 'y' is not an integer"),
+        ("p cnf -2 0\n", "line 1: negative count"),
+        ("p cnf 3 -1\n", "line 1: negative count"),
+        ("p cnf 3 1\np cnf 4 1\n1 2 3 0\n", "line 2: a second problem line"),
     ],
 )
 def test_dimacs_rejects_malformed(text, hint):

@@ -47,6 +47,32 @@ def test_removal_questions_are_fixed_per_seed(tmp_path, capsys, monkeypatch):
     assert outcomes == {"found", "exhausted-none"}
 
 
+def test_mixed_questions_are_fixed_per_seed(tmp_path, capsys):
+    one = same_output.mixed_questions(1, str(tmp_path / "a"))
+    again = same_output.mixed_questions(1, str(tmp_path / "b"))
+    assert [q[2:] for q in one] == [q[2:] for q in again]
+    docs = [json.loads(pathlib.Path(q[1]).read_text()) for q in one]
+    assert docs == [json.loads(pathlib.Path(q[1]).read_text()) for q in again]
+    # tables next to additive or binary agents, in fixed groups, on k = 2
+    # and 3 and above the 2^10 candidates under which no scan takes a block
+    for doc in docs:
+        kinds = {agent["kind"] for agent in doc["agents"]}
+        assert "table" in kinds and kinds & {"additive", "binary"}
+        k = len(doc["groups"]["fixed"])
+        assert k in (2, 3) and k ** doc["m"] > 2**10
+    assert {len(doc["groups"]["fixed"]) for doc in docs} == {2, 3}
+    assert {q[3] for q in one} == {"ef", "ef1", "prop"}
+    assert any("--balanced-goods" in q for q in one) and not all("--balanced-goods" in q for q in one)
+    # both outcomes, and scans that decide blocks
+    outcomes, blocks = set(), 0
+    for argv in one:
+        assert main(argv) in (0, 2)
+        result = json.loads(capsys.readouterr().out)["result"]
+        outcomes.add(result["outcome"])
+        blocks += result["stats"]["blocks"]
+    assert outcomes == {"found", "exhausted-none"} and blocks > 0
+
+
 def test_checkout_matches_itself_on_the_exhaust_plan():
     proc = subprocess.run(
         [sys.executable, TOOL, ROOT, ROOT, "--seeds", "1", "--plans", "exhaust"],

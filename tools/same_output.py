@@ -5,10 +5,11 @@
 
 For each seed, every question of the chosen perfbench plans is asked, in
 plan order, then fixed sets of seeded variable-group ``search`` questions
-(see :func:`variable_questions`) and of EF2, EFX, EFX0 and EFc
-``search`` questions (see :func:`removal_questions`), then ``corpus`` in
-json and table format and ``search`` on every ``corpus/*.json`` of
-CHANGE_DIR.
+(see :func:`variable_questions`), of EF2, EFX, EFX0 and EFc ``search``
+questions (see :func:`removal_questions`) and of fixed-group ``search``
+questions with tables next to additive or binary agents (see
+:func:`mixed_questions`), then ``corpus`` in json and table format and
+``search`` on every ``corpus/*.json`` of CHANGE_DIR.
 Each checkout answers in a process of its own that imports ``groupfair``
 from that checkout's ``src``; the plans come from the ``perfbench`` next
 to this script, which is only imported. Inputs are written under one
@@ -29,6 +30,7 @@ import ast
 import contextlib
 import glob
 import io
+import itertools
 import json
 import os
 import random
@@ -131,6 +133,56 @@ def removal_questions(seed: int, workdir: str) -> list[list[str]]:
     return out
 
 
+def mixed_questions(seed: int, workdir: str) -> list[list[str]]:
+    """Seeded fixed-group ``search`` questions with additive or binary agents
+    next to monotone tables, on k = 2 with 11 to 13 goods and k = 3 with 7
+    or 8, so above the 2^10 candidates under which a scan takes no leaf
+    block: EF, EF1 and PROP, some with ``--balanced-goods``. Every instance
+    holds a table and an additive or binary agent. Half of them also hold a
+    blocker and exhaust: for EF, in every group, one table whose values are
+    odd exactly when the bundle holds good 0, so the group that gets good 0
+    and any other can never value their bundles alike; for EF1, in every
+    group, the agents desiring each pair of four goods, of which some bundle
+    gets two; for PROP two agents in groups 0 and 1 who value one and the
+    same good only. The others mostly find one. The instances are written
+    under ``workdir``."""
+    rng = random.Random(f"mixed-{seed}")
+    os.makedirs(workdir, exist_ok=True)
+    out = []
+    for i in range(12):
+        k = 2 + i % 2
+        m = rng.randint(11, 13) if k == 2 else rng.randint(7, 8)
+        notion = ("ef", "ef1", "prop")[i // 2 % 3]
+        placed: list[tuple[dict, int]] = []
+        if i % 4 < 2:
+            if notion == "ef":
+                table = _valuation(rng, m, "table")["table"]
+                odd = {"kind": "table", "table": {mask: 2 * x + int(mask) % 2 for mask, x in table.items()}}
+                placed += [(odd, j) for j in range(k)]
+            elif notion == "ef1":
+                four = rng.sample(range(m), 4)
+                for pair in itertools.combinations(four, 2):
+                    desire = {"kind": "binary", "values": [int(g in pair) for g in range(m)]}
+                    placed += [(desire, j) for j in range(k)]
+            else:
+                star = rng.randrange(m)
+                lone = {"kind": "additive", "values": [5 * (g == star) for g in range(m)]}
+                placed += [(lone, 0), (lone, 1)]
+        kinds = ["table", rng.choice(("additive", "binary"))]
+        kinds += [rng.choice(("additive", "binary", "table")) for _ in range(rng.randint(0, 2))]
+        placed += [(_valuation(rng, m, kind), rng.randrange(k)) for kind in kinds]
+        groups: list[list[int]] = [[] for _ in range(k)]
+        for a, (_v, j) in enumerate(placed):
+            groups[j].append(a)
+        agents = [{"id": a, **v} for a, (v, _j) in enumerate(placed)]
+        path = os.path.join(workdir, f"mixed-{seed}-{i}.json")
+        with open(path, "w") as fh:
+            json.dump({"m": m, "agents": agents, "groups": {"fixed": groups}}, fh)
+        flags = ["--balanced-goods"] if rng.random() < 0.4 else []
+        out.append(["search", path, "--notion", notion, *flags])
+    return out
+
+
 def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[str], ask) -> list:
     """(id, argv) of every question, in the order they are asked."""
     from perfbench import run as bench
@@ -144,6 +196,8 @@ def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[st
         out += [(f"variable/{seed}/{i}", argv) for i, argv in enumerate(questions)]
         questions = removal_questions(seed, os.path.join(workdir, f"removal-{seed}"))
         out += [(f"removal/{seed}/{i}", argv) for i, argv in enumerate(questions)]
+        questions = mixed_questions(seed, os.path.join(workdir, f"mixed-{seed}"))
+        out += [(f"mixed/{seed}/{i}", argv) for i, argv in enumerate(questions)]
     out += [("corpus/json", ["corpus"]), ("corpus/table", ["corpus", "--format", "table"])]
     out += [(f"search/{os.path.basename(path)}", ["search", path]) for path in corpus]
     return out
