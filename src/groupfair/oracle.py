@@ -90,6 +90,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, permutations
+from operator import or_
 from typing import Callable, Iterator, Sequence
 
 from .errors import SearchSpaceTooLargeError, UnsupportedNotionError
@@ -364,10 +365,11 @@ _BLOCK_BITS = 1 << 23
 _BLOCK_STEPS = 1 << 11
 
 
-def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, int, bool]], scans: int) -> int:
+def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, int, bool]], scans: int, judged: bool) -> int:
     """How many of the lowest goods a scan decides per leaf block (0: each
     leaf is a block of its own), when ``scans`` scans of k**m candidates
-    share the tables of ``keys``.
+    share the tables of ``keys`` and, with ``judged``, table agents judge
+    the placements the rules pass.
 
     At most 2**10 candidates in all are walked faster than tables are built,
     so they take L = 0. Otherwise the block leaves the fewest
@@ -383,8 +385,11 @@ def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, int, boo
     more values than its k**g placements. Building a table over L goods
     steps k times through the values of each shorter prefix for every good
     that moves the key (the others go anywhere at once), and each value
-    keeps a mask of k**L bits. Table agents add no key: they judge the
-    placements the rules pass one by one.
+    keeps a mask of k**L bits. Table agents add no key, but they judge the
+    placements the rules pass one by one, and each of those costs a few
+    operations on masks of k**L bits, where a walk to the leaves spends a
+    node: so when they judge, each of the k**L placements counts as a step,
+    which keeps those masks at most ``_BLOCK_STEPS`` bits.
     """
     if scans * k**m <= 1 << 10:
         return 0
@@ -407,7 +412,7 @@ def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, int, boo
                 states = min(k * states, (scale * total + 1) * picks)
             steps[g] += spent
             bits[g] += states * k**g
-    while goods and (steps[goods] > _BLOCK_STEPS or bits[goods] > _BLOCK_BITS):
+    while goods and (steps[goods] + judged * k**goods > _BLOCK_STEPS or bits[goods] > _BLOCK_BITS):
         goods -= 1
     return goods
 
@@ -552,19 +557,20 @@ class _Blocks:
         key = ("fits", goods, tuple(sizes))
         mask = self.tables.get(key)
         if mask is None:
-            k = self.k
-            mask = (1 << k**goods) - 1
+            mask = (1 << self.k**goods) - 1
             for d, s in enumerate(sizes):
-                vals, above = self.linear((1,) * goods, tuple(int(e == d) for e in range(k)))
+                vals, above = self.linear((1,) * goods, tuple(int(e == d) for e in range(self.k)))
                 mask &= above[bisect_left(vals, q - s)] ^ above[bisect_left(vals, tallest - s + 1)]
             self.tables[key] = mask
         return mask
 
     def parts(self, goods: int) -> tuple[int, list, list]:
-        """Per bundle d, the goods 0..goods-1 that placement x puts there, in
-        two halves, so that a leaf is built without a loop over the goods
-        from tables of about k**(goods / 2) entries: with h = goods // 2
-        they are ``low[d][x % k**h] | high[d][x // k**h]``."""
+        """The goods 0..goods-1 that placement x puts in each bundle, in two
+        halves, so that a leaf is built without a loop over the goods from
+        tables of about k**(goods / 2) entries: with h = goods // 2, bundle
+        d gets ``low[x % k**h][d] | high[x // k**h][d]``. For k = 2 the scan
+        reads bundle 1's block goods off the bits of x instead, which costs
+        a fifth of this per leaf."""
         key = ("parts", goods)
         if key not in self.tables:
             k, h = self.k, goods // 2
@@ -573,7 +579,7 @@ class _Blocks:
                 cols = [[0]] * k
                 for g in range(first, last):
                     cols = [[x | (e == d) << g for e in range(k) for x in c] for d, c in enumerate(cols)]
-                halves.append(cols)
+                halves.append(list(zip(*cols)))
             self.tables[key] = (k**h, *halves)
         return self.tables[key]
 
@@ -739,7 +745,7 @@ def _hits(
                 keys[worths[c], lo, hi, top] = worths[c], 2, max(top, 1), kind == "efx0"
     if blocks is None:
         blocks = _Blocks(k, 1)
-    block = _block_goods(m, k, list(keys.values()), blocks.scans)
+    block = _block_goods(m, k, list(keys.values()), blocks.scans, bool(tables))
     everything = (1 << k**block) - 1
     rules = None
     nodes = pruned = cut = rejected = decided = 0
@@ -804,22 +810,24 @@ def _hits(
                         pruned += 1
                         cut += admissible.bit_count()
                 else:
-                    # the table agents judge the placements the rules pass
-                    rest = admissible ^ mask
+                    # the table agents judge the placements the rules pass;
+                    # every admissible placement that is not a hit is a
+                    # rejected leaf
+                    rest = admissible
+                    if k > 2:  # the half tables of the leaves, with the goods above the block
+                        size, low, high = blocks.parts(g)
+                        low = [tuple(map(or_, bundles, y)) for y in low]
                     while mask:
                         x = (mask & -mask).bit_length() - 1
                         mask ^= 1 << x
                         if k == 2:  # bundle 1 gets the block goods that are bits of x
                             leaf = (bundles[0] | (x ^ width[g] - 1), bundles[1] | x)
                         else:
-                            size, low, high = blocks.parts(g)
-                            leaf = tuple([a | y[x % size] | z[x // size] for a, y, z in zip(bundles, low, high)])
+                            leaf = tuple(map(or_, low[x % size], high[x // size]))
                         if any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables):
-                            rejected += 1
                             continue
-                        before = rest & ((1 << x) - 1)
-                        rest ^= before
-                        rejected += before.bit_count()
+                        rejected += (rest & (1 << x) - 1).bit_count()
+                        rest &= -2 << x
                         stats.count(nodes, pruned, cut, rejected, decided)
                         nodes = pruned = cut = rejected = decided = 0
                         yield lo + x, leaf

@@ -535,6 +535,22 @@ def test_leaf_decisions_keep_their_accounting(monkeypatch):
     assert cert.examined == s.leaves_rejected == 924
 
 
+def test_table_agents_keep_their_blocks_small():
+    # table agents judge the placements the rules pass one at a time, each
+    # with operations on masks of k**L bits, so a scan they judge keeps
+    # k**L within _BLOCK_STEPS, where a scan with no key would take the
+    # fewest goods above the block that make 16 block nodes
+    assert oracle._block_goods(20, 2, [], 1, False) == 16
+    assert oracle._block_goods(20, 2, [], 1, True) == 11
+    assert oracle._block_goods(13, 3, [], 1, True) == 6
+    # both agents want good 0 only, so the scan of 2^16 candidates exhausts
+    # in 2^5 blocks of 2^11 leaves, not 2^4 of 2^12
+    v = Valuation("table", 16, table=tuple(s & 1 for s in range(1 << 16)))
+    cert = find_fair(Instance.fixed(16, [v, v], [[0], [1]]), SearchConstraints(EF))
+    s = cert.stats
+    assert not cert.found and s.blocks == 2**5 and s.leaves_rejected == cert.examined == 2**16
+
+
 def _memo_miss(m):
     """Four identical additive agents in 2+2 whose values 2^20 + 2^g give
     every subset a sum of its own and an odd total: never EF, and the
@@ -613,7 +629,7 @@ def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
     # and their tables judge the placements the blocks pass
     rng = random.Random(f"blocks-{notion}-{k}-{balanced}")
     forced = [0]
-    monkeypatch.setattr(oracle, "_block_goods", lambda m, k, keys, scans: forced[0])
+    monkeypatch.setattr(oracle, "_block_goods", lambda *args: forced[0])
     kinds = ("binary", "additive", "both") if notion in (EFX, EFX0) else ("binary", "additive", "both", "mixed")
     # the negative side: corpus cores, and per bundle one group of the
     # (c+1)-subset desirers of max(4, k*c+1) goods (c = 1 but for EF2): some
