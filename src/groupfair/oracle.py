@@ -569,8 +569,9 @@ class _Blocks:
         halves, so that a leaf is built without a loop over the goods from
         tables of about k**(goods / 2) entries: with h = goods // 2, bundle
         d gets ``low[x % k**h][d] | high[x // k**h][d]``. For k = 2 the scan
-        reads bundle 1's block goods off the bits of x instead, which costs
-        a fifth of this per leaf."""
+        reads bundle 1's block goods off the bits of x instead: built from
+        these tables, the balanced EF1 scans of the tightness instances of
+        K(2t, t, 2), t = 4..7, took 7-24% longer in-process."""
         key = ("parts", goods)
         if key not in self.tables:
             k, h = self.k, goods // 2
