@@ -146,7 +146,11 @@ def _emit(report: RunReport, fmt: str) -> None:
 def _cmd_check(args) -> int:
     inst = _load_instance(args.instance)
     notion = _parse_notion(args.notion)
-    alloc = Allocation.of(_parse_id_groups(args.allocation, "--allocation"))
+    goods = _parse_id_groups(args.allocation, "--allocation")
+    for g in (g for bundle in goods for g in bundle):
+        if g >= inst.m:  # before a mask of g bits is built
+            raise ValueError(f"--allocation: good {g} outside 0..{inst.m - 1}")
+    alloc = Allocation.of(goods)
     if alloc.k != inst.k:
         raise ValueError(f"allocation has {alloc.k} bundles, instance has {inst.k} groups")
     partition = None

@@ -14,7 +14,6 @@ while every one-good-removed rival bundle is worth one to her.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -87,11 +86,16 @@ def build_kneser(b: int, r: int, s: int) -> KneserGraph:
     """
     if not (b >= r >= s >= 1):
         raise ValueError(f"need b >= r >= s >= 1, got ({b}, {r}, {s})")
-    count = math.comb(b, r)
-    if count > BUILD_GUARD:
-        raise SearchSpaceTooLargeError(
-            f"K({b},{r},{s}) has {count} vertices, above the cap of {BUILD_GUARD}", bound=count
-        )
+    # C(b, r) = C(b, t) for t = min(r, b - r), built as C(b - t + i, i) for
+    # i = 1..t; each step raises it, so the count stops once it passes the cap
+    t = min(r, b - r)
+    count = 1
+    for i in range(1, t + 1):
+        count = count * (b - t + i) // i
+        if count > BUILD_GUARD:
+            raise SearchSpaceTooLargeError(
+                f"K({b},{r},{s}) has more than {BUILD_GUARD} vertices, the cap", bound=count
+            )
     combos = list(combinations(range(b), r))
     vertices = [0] * count
     holders = [0] * b

@@ -14,52 +14,54 @@ in this order is returned.
 
 The scan walks the allocation tree depth first: level g places good g,
 good m-1 first and good 0 last, trying bundle 0 first, so leaves come in
-index order and a node spans the leaves [base, base + k**(g+1)). In
-balanced mode a good only goes where every bundle can still end with
-floor(m/k) or ceil(m/k) goods, so only balanced candidates are generated.
+index order. In balanced mode a good only goes where every bundle can
+still end with floor(m/k) or ceil(m/k) goods, so only balanced candidates
+are generated.
 
-Agents with the same valuation (:func:`_sameness`) and group are one
-checker. An additive or binary checker keeps running numbers as goods are
-placed and taken back: ``avail``, its own bundle plus every unplaced good,
-and for each other bundle its value less the checker's slack, the most the
-notion can ever remove from one bundle: 0 for EF, the sum of its c largest
-values for EFc, its largest value for EFX and EFX0. A checker rejects a
-node when ``avail`` falls below one of those, and every leaf below is
-rejected too: there its own bundle is worth at most ``avail``, the other
-bundle at least as much as at the node, and no removal takes more than the
-slack. PROP cuts when ``avail`` is below ceil(total / k). Placing a good
-moves only the numbers of checkers outside its bundle that value it, so
-only those are checked again; a worthless good moves nothing, under EFX0
-too. With values 0 or 1 the slack of EFc and EFX is exact: the bound
-rejects a leaf exactly when the notion does, as it does for EF and PROP;
-where the slack is loose, the leaf-block rules below decide the leaves the
-bound passes. Table agents are not assumed monotone, so they take no part
-in the bound: they judge each leaf the rules pass by
-:func:`fairness.rejected_bundle`, the rule of re-verification.
+Agents with the same valuation and group are one checker: which agents
+share a valuation (:func:`_sameness`) is decided once per call, as ids
+that the checkers and the orbit keys below both read. An additive or
+binary checker keeps running numbers as goods are placed and taken back:
+``avail``, its own bundle plus every unplaced good, and for each other
+bundle its value less the checker's slack, the most the notion can ever
+remove from one bundle: 0 for EF, the sum of its c largest values for EFc,
+its largest value for EFX and EFX0. A checker rejects a node when
+``avail`` falls below one of those, and every leaf below is rejected too:
+there its own bundle is worth at most ``avail``, the other bundle at least
+as much as at the node, and no removal takes more than the slack. PROP
+cuts when ``avail`` is below ceil(total / k). Placing a good moves only
+the numbers of checkers outside its bundle that value it, so only those
+are checked again; a worthless good moves nothing, under EFX0 too. With
+values 0 or 1 the slack of EFc and EFX is exact: the bound rejects a leaf
+exactly when the notion does, as it does for EF and PROP; where the slack
+is loose, the leaf-block rules below decide the leaves the bound passes.
+Table agents are not assumed monotone, so they take no part in the bound:
+they judge each leaf the rules pass by :func:`fairness.rejected_bundle`,
+the rule of re-verification.
 
 Every scan ends in leaf blocks, one decision for every agent kind (meet in
 the middle: Horowitz and Sahni, JACM 1974; Schroeppel and Shamir, SIAM J.
 Comput. 1981). The node that places good L decides goods L-1..0 in place.
-The k**L placements of those goods are the same under every such node,
-and placement x is leaf ``lo + x`` for the node's first leaf ``lo``. Once
-per ``find_fair`` or ``enumerate_fair`` call, shared by its partitions, a
-table per checker key sorts the placements by the key (for EF the
-checker's block value of its own bundle less that of a rival) and keeps,
-per distinct value, the mask of the placements at or above it. At a block
-node each test turns the checker's running numbers into one threshold:
-one bisection, one mask. The masks of all checkers, ANDed with the
-placements that keep balanced bundles in balanced mode, hold exactly the
-placements the additive and binary agents accept. The table agents judge
-those lowest first, so the first they all accept is the first hit in
-canonical order, and every other admissible placement counts as a
-rejected leaf; a block where one rule admits no admissible placement
+The k**L placements of those goods are the same under every such node, and
+placement x, which puts good g in bundle x // k**g % k, is the node's x-th
+leaf in index order. Once per ``find_fair`` or ``enumerate_fair`` call,
+shared by its partitions, a table per checker key sorts the placements by
+the key (for EF the checker's block value of its own bundle less that of a
+rival) and keeps, per distinct value, the mask of the placements at or
+above it. At a block node each test turns the checker's running numbers
+into one threshold: one bisection, one mask. The masks of all checkers,
+ANDed with the placements that keep balanced bundles in balanced mode,
+hold exactly the placements the additive and binary agents accept. The
+table agents judge those lowest first, so the first they all accept is the
+first hit in canonical order, and every other admissible placement counts
+as a rejected leaf; a block where one rule admits no admissible placement
 counts as a cut. The rules, each proved in :func:`_block_rules`, cover
 every notion for additive and binary agents: EF, EFc for every c, EFX,
 EFX0 and PROP, for k bundles. :func:`_block_goods` picks L. With L = 0,
 for scans of at most 2**10 candidates, the block is the one leaf the node
-that places good 0 reaches, and a leaf a rule rejects counts as a
-rejected leaf, not as a cut, as on a walk to the leaves.
-``SearchStats.blocks`` counts the blocks with L >= 1.
+that places good 0 reaches, and a leaf a rule rejects counts as a rejected
+leaf, not as a cut, as on a walk to the leaves. ``SearchStats.blocks``
+counts the blocks with L >= 1.
 
 With variable groups the search also ranges over agent partitions, and
 many of them repeat a question already answered. Lemma: the hits of a
@@ -71,11 +73,12 @@ permutation p and moving bundle j to p(j) with them maps one partition's
 candidates one to one onto those of the relabelled partition, hits onto
 hits; bundle sizes are only permuted, so balanced candidates stay
 balanced. So a partition's orbit key, per group the set of its members'
-valuations, sorted so that relabelling does not change it, decides
-whether it has a hit; with declared sizes each set is paired with its
-group's size, so that only groups of equal size trade places, as in the
-declared plan. A partition whose key an earlier scan refuted is not
-walked: it counts as one cut of all its candidates (``pruned``,
+valuations, sorted so that relabelling does not change it, decides whether
+it has a hit. Group sizes take no part in it: two partitions with equal
+keys have equal hits up to the relabelling, whatever the sizes of the
+groups that trade places. A fixed-group instance is a plan of one
+partition with one key. A partition whose key an earlier scan refuted is
+not walked: it counts as one cut of all its candidates (``pruned``,
 ``candidates_pruned``), so ``examined`` stays partitions times the
 candidates of one. The first hit does not move, since every key before it
 was refuted, and ``enumerate_fair`` walks every partition whose key had a
@@ -289,35 +292,39 @@ def _sameness(v: Valuation) -> tuple:
     return (True, v.table) if v.kind == TABLE else (False, v.values)
 
 
-def _orbit_keys(inst: Instance, cons: SearchConstraints) -> list[tuple]:
-    """The orbit key of each partition of a variable-group plan, in plan
-    order (see the module docstring): per group the set of its members'
-    valuations as a mask of valuation ids, sorted, and paired with the
-    group's size under declared sizes. Equal keys are one object."""
+def _valuation_ids(inst: Instance) -> list[int]:
+    """Per agent the id of its valuation, equal for agents whose
+    :func:`_sameness` is equal, numbered from 0 in order of first agent."""
     ids: dict = {}
-    bits = [1 << ids.setdefault(_sameness(v), len(ids)) for v in inst.agents]
-    k = inst.k
-    sizes = None if cons.balanced_partition else inst.groups.sizes
+    return [ids.setdefault(_sameness(v), len(ids)) for v in inst.agents]
+
+
+def _orbit_keys(k: int, ids: Sequence[int], assignments: Iterator[tuple[int, ...]]) -> list[tuple]:
+    """The orbit key of each partition in ``assignments``, in order (see the
+    module docstring): per group the set of its members' valuation ids
+    (:func:`_valuation_ids`) as a mask, sorted. Group sizes take no part.
+    Equal keys are one object."""
+    bits = [1 << i for i in ids]
     keys: dict = {}
     out = []
-    for gof in _partition_plan(inst, cons)[1]:
+    for gof in assignments:
         sets = [0] * k
         for bit, g in zip(bits, gof):
             sets[g] |= bit
-        key = tuple(sorted(sets if sizes is None else zip(sizes, sets)))
+        key = tuple(sorted(sets))
         out.append(keys.setdefault(key, key))
     return out
 
 
-def _checkers(inst: Instance, gof: Sequence[int]) -> tuple[list[int], list[Valuation], list]:
-    """Agents collapsed by valuation (:func:`_sameness`) and group: additive
-    and binary ones as parallel lists of groups and valuations, table ones
-    as (valuation, group)."""
-    seen: dict[tuple, Valuation] = {}
-    for v, own in zip(inst.agents, gof):
-        seen.setdefault((_sameness(v), own), v)
+def _checkers(inst: Instance, gof: Sequence[int], ids: Sequence[int]) -> tuple[list[int], list[Valuation], list]:
+    """Agents collapsed by valuation id (:func:`_valuation_ids`) and group:
+    additive and binary ones as parallel lists of groups and valuations,
+    table ones as (valuation, group)."""
+    seen: dict[tuple[int, int], Valuation] = {}
+    for v, i, own in zip(inst.agents, ids, gof):
+        seen.setdefault((i, own), v)
     owns, agents, tables = [], [], []
-    for (_same, own), v in seen.items():
+    for (_id, own), v in seen.items():
         if v.kind == TABLE:
             tables.append((v, own))
         else:
@@ -419,7 +426,7 @@ def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, int, boo
 
 class _Blocks:
     """The leaf-block tables of one ``find_fair`` or ``enumerate_fair`` call,
-    shared by the scans of its partitions.
+    shared by the scans of its partitions (one for fixed groups).
 
     A table orders the k**L placements of goods 0..L-1 by a key: ``vals``
     holds the distinct key values in ascending order and ``above[i]`` the
@@ -427,7 +434,8 @@ class _Blocks:
     with 0). Bit x stands for placement x, which puts good g in bundle
     ``x // k**g % k``. Once the tables hold more than ``_BLOCK_BITS`` bits
     the cache starts over; a scan keeps the tables it took. ``scans`` is
-    the number of partitions whose scans share the tables.
+    the number of scans that can share the tables: the distinct orbit keys
+    of the call's plan.
     """
 
     def __init__(self, k: int, scans: int):
@@ -568,10 +576,11 @@ class _Blocks:
         """The goods 0..goods-1 that placement x puts in each bundle, in two
         halves, so that a leaf is built without a loop over the goods from
         tables of about k**(goods / 2) entries: with h = goods // 2, bundle
-        d gets ``low[x % k**h][d] | high[x // k**h][d]``. For k = 2 the scan
-        reads bundle 1's block goods off the bits of x instead: built from
-        these tables, the balanced EF1 scans of the tightness instances of
-        K(2t, t, 2), t = 4..7, took 7-24% longer in-process."""
+        d gets ``low[x % k**h][d] | high[x // k**h][d]``. The scan builds
+        its leaves from these for every k but 2, k = 1 included. For k = 2
+        it reads bundle 1's block goods off the bits of x instead: built
+        from these tables, the balanced EF1 scans of the tightness instances
+        of K(2t, t, 2), t = 4..7, took 7-24% longer in-process."""
         key = ("parts", goods)
         if key not in self.tables:
             k, h = self.k, goods // 2
@@ -675,20 +684,22 @@ def _block_rules(notion: Notion, owns: list[int], worths: list[tuple[int, ...]],
 def _hits(
     inst: Instance,
     gof: Sequence[int],
+    ids: Sequence[int],
     notion: Notion,
     balanced: bool,
     stats: SearchStats,
-    blocks: _Blocks | None = None,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Satisfying ``(index, bundles)`` of the partition ``gof``, in order.
+    blocks: _Blocks,
+) -> Iterator[tuple[int, ...]]:
+    """The satisfying bundles of the partition ``gof``, in canonical order.
 
     Walks the allocation tree depth first (see the module docstring); the
-    node, pruning and leaf counts are added to ``stats``. ``blocks`` holds
-    the leaf-block tables shared by the partitions of one call.
+    node, pruning and leaf counts are added to ``stats``. ``ids`` are the
+    agents' valuation ids (:func:`_valuation_ids`) and ``blocks`` the
+    leaf-block tables, both shared by the partitions of one call.
     """
     m, k = inst.m, inst.k
     kind = notion.kind
-    owns, agents, tables = _checkers(inst, gof)
+    owns, agents, tables = _checkers(inst, gof, ids)
     if tables and k > 1 and kind in ("efx", "efx0"):
         raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
     if m == 0:
@@ -696,7 +707,7 @@ def _hits(
         if any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables):
             stats.leaves_rejected += 1
         else:
-            yield 0, leaf
+            yield leaf
         return
     if notion.c > m:  # a bundle holds at most m goods, so EFc is EFm
         notion = up_to(m)
@@ -725,7 +736,6 @@ def _hits(
                 for j in range(k):
                     if j != owns[c]:
                         touch[g][j].append((c, w[g], needs[c]))
-    width = [k**g for g in range(m + 1)]
     q, r = divmod(m, k)
     tallest = q + (r > 0)
     owed = q * k  # goods still needed to bring every bundle up to q
@@ -744,20 +754,17 @@ def _hits(
                 keys[worths[c], lo, hi] = worths[c], 1 if hi is None else 2, 0, False
             else:
                 keys[worths[c], lo, hi, top] = worths[c], 2, max(top, 1), kind == "efx0"
-    if blocks is None:
-        blocks = _Blocks(k, 1)
     block = _block_goods(m, k, list(keys.values()), blocks.scans, bool(tables))
     everything = (1 << k**block) - 1
     rules = None
     nodes = pruned = cut = rejected = decided = 0
-    g, b, base = m - 1, 0, 0
+    g, b = m - 1, 0
     while True:
         if b < k:
             s = sizes[b]
             if balanced and (s >= tallest or (s >= q and owed > g)):
                 b += 1
                 continue
-            lo = base + b * width[g]
             nodes += 1
             bundles[b] |= 1 << g
             sizes[b] = s + 1
@@ -777,12 +784,11 @@ def _hits(
                     rejected += 1
             elif g > block:
                 path[g] = b
-                base = lo
                 g -= 1
                 b = 0
                 continue
             else:
-                # decide the leaf block [lo, lo + k**g) of goods g-1..0
+                # decide the leaf block of goods g-1..0
                 if rules is None:
                     rules = blocks.rules(g, plan, worths, needs, loose, kind == "efx0")
                 decided += g > 0
@@ -815,14 +821,14 @@ def _hits(
                     # every admissible placement that is not a hit is a
                     # rejected leaf
                     rest = admissible
-                    if k > 2:  # the half tables of the leaves, with the goods above the block
+                    if k != 2:  # the half tables of the leaves, with the goods above the block
                         size, low, high = blocks.parts(g)
                         low = [tuple(map(or_, bundles, y)) for y in low]
                     while mask:
                         x = (mask & -mask).bit_length() - 1
                         mask ^= 1 << x
                         if k == 2:  # bundle 1 gets the block goods that are bits of x
-                            leaf = (bundles[0] | (x ^ width[g] - 1), bundles[1] | x)
+                            leaf = (bundles[0] | (x ^ (1 << g) - 1), bundles[1] | x)
                         else:
                             leaf = tuple(map(or_, low[x % size], high[x // size]))
                         if any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables):
@@ -831,14 +837,13 @@ def _hits(
                         rest &= -2 << x
                         stats.count(nodes, pruned, cut, rejected, decided)
                         nodes = pruned = cut = rejected = decided = 0
-                        yield lo + x, leaf
+                        yield leaf
                     rejected += rest.bit_count()
         else:
             g += 1
             if g == m:
                 break
             b = path[g]
-            base -= b * width[g]
         # take good g back out of bundle b
         bundles[b] ^= 1 << g
         s = sizes[b] = sizes[b] - 1
@@ -874,8 +879,9 @@ def _plan_hits(
     inst: Instance, cons: SearchConstraints, stats: SearchStats
 ) -> Iterator[tuple[tuple[int, ...] | None, tuple[int, ...]]]:
     """Satisfying ``(assignment, bundles)`` over the partitions of the plan,
-    in canonical order; the assignment is None for fixed groups. Raises
-    :class:`SearchSpaceTooLargeError` before scanning past the guard.
+    in canonical order; the assignment is None for fixed groups, a plan of
+    one partition. Raises :class:`SearchSpaceTooLargeError` before scanning
+    past the guard.
 
     A partition whose orbit key an earlier scan refuted is not walked (see
     the module docstring). The keys are computed up front, so the leaf-block
@@ -883,15 +889,10 @@ def _plan_hits(
     """
     num_parts, assignments, with_partition = _partition_plan(inst, cons)
     _guard(inst, num_parts)
-    notion, balanced = cons.notion, cons.balanced_allocation
-    if not with_partition:
-        stats.partitions = stats.scans = 1
-        for _idx, bundles in _hits(inst, inst.assignment, notion, balanced, stats):
-            yield None, bundles
-        return
-    keys = _orbit_keys(inst, cons)
-    blocks = _Blocks(inst.k, len(set(keys)))
-    per_partition = _per_partition(inst, cons)
+    notion, balanced, k = cons.notion, cons.balanced_allocation, inst.k
+    ids = _valuation_ids(inst)
+    keys = _orbit_keys(k, ids, _partition_plan(inst, cons)[1])
+    blocks = _Blocks(k, len(set(keys)))
     refuted: set[tuple] = set()
     for gof, key in zip(assignments, keys):
         stats.partitions += 1
@@ -901,11 +902,14 @@ def _plan_hits(
             continue
         stats.scans += 1
         hit = False
-        for _idx, bundles in _hits(inst, gof, notion, balanced, stats, blocks):
+        for bundles in _hits(inst, gof, ids, notion, balanced, stats, blocks):
             hit = True
-            yield gof, bundles
+            yield gof if with_partition else None, bundles
         if not hit:
             refuted.add(key)
+            # counted only once a partition can be skipped: a fixed-group
+            # search has none to skip
+            per_partition = _per_partition(inst, cons)
 
 
 def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certificate:

@@ -116,6 +116,10 @@ def test_check_usage_errors(two_one, capsys):
         ("0,-1;2,3", "good -1 is not a good id"),
         ("0,1,1;2,3", "good 1 is listed twice"),
         ("0,1;1,2,3", "good 1 is listed twice"),
+        # rejected before a mask of that many bits is built (an OverflowError
+        # for this one, 125 MB for 10^9)
+        ("0,1;2,99999999999999999999999", "--allocation: good 99999999999999999999999 outside 0..3"),
+        ("0,1;2,3,4", "--allocation: good 4 outside 0..3"),
     ],
 )
 def test_check_rejects_bad_good_ids(two_one, capsys, allocation, message):
@@ -308,6 +312,25 @@ def test_search_found_and_exhausted(two_one, tmp_path, capsys):
     stats = result["stats"]
     assert stats["leaves_rejected"] + stats["candidates_pruned"] == 2
     assert stats["partitions"] == 1
+
+
+def test_search_one_group(tmp_path, capsys):
+    # with one group the only allocation hands it every good; the search
+    # used to crash on its first leaf
+    doc = {
+        "m": 3,
+        "agents": [
+            {"id": 0, "kind": "additive", "values": [1, 2, 3]},
+            {"id": 1, "kind": "binary", "values": [1, 0, 1]},
+        ],
+        "groups": {"fixed": [[0, 1]]},
+    }
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["search", str(path)], capsys)
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["outcome"] == "found" and result["allocation"] == [[0, 1, 2]]
 
 
 def test_search_balance_flags(variable_inst, capsys):
@@ -636,6 +659,9 @@ _CHECK_VARIABLE = ["check", "@variable", "--allocation", "0,1,2;3,4", "--partiti
         (_KNESER + ["--out", "@missing"], "--out needs --tightness"),
         # a DIMACS token that is no integer, named with its line
         (["reduce", "--formula", "@letter"], "line 2: 'x' is not an integer"),
+        # the vertex count is grown factor by factor and stops at the cap
+        (["kneser", "--b", "400000", "--r", "200000", "--s", "1"],
+         "K(400000,200000,1) has more than 10000 vertices, the cap"),
     ],
 )
 def test_error_lines(flawed_files, capsys, argv, line):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,7 @@ from groupfair import (
     validate,
 )
 from groupfair.kneser import (
+    BUILD_GUARD,
     EXACT_VERTEX_CAP,
     Coloring,
     KneserGraph,
@@ -240,6 +242,20 @@ def test_build_rejects_bad_parameters():
         build_kneser(3, 2, 3)
     with pytest.raises(SearchSpaceTooLargeError):
         build_kneser(30, 15, 1)
+
+
+def test_build_guard_stops_at_the_cap():
+    # C(400000, 200000) has about 120,000 digits: computed in full it took
+    # 1.6 s and then failed to print; the count now stops past the cap
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLargeError, match=f"more than {BUILD_GUARD} vertices, the cap"):
+        build_kneser(400000, 200000, 1)
+    assert time.perf_counter() - start < 0.1
+    # below the cap the count is exact, on either side of r = b / 2, and
+    # C(16, 8) = 12870 is just above it
+    assert build_kneser(14, 4, 1).n == build_kneser(14, 10, 1).n == math.comb(14, 4)
+    with pytest.raises(SearchSpaceTooLargeError):
+        build_kneser(16, 8, 1)
 
 
 def test_chi_k422_is_six():

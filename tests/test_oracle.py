@@ -51,7 +51,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _reference_hits(inst, gof, notion, balanced):
     """The per-index scanner the depth-first kernel replaced: rebuild each
     candidate's bundles from its index, then ask every agent. Yields the
-    satisfying ``(index, bundles)`` and returns nothing else."""
+    satisfying bundles in index order and returns nothing else."""
     m, k = inst.m, inst.k
     for idx in range(k**m):
         bundles = [0] * k
@@ -64,7 +64,7 @@ def _reference_hits(inst, gof, notion, balanced):
             continue
         agents = enumerate(inst.agents)
         if not any(_reference_rejects(v, bundles, gof[a], notion) for a, v in agents):
-            yield idx, tuple(bundles)
+            yield tuple(bundles)
 
 
 def _reference_rejects(v, bundles, own, notion):
@@ -83,6 +83,12 @@ def _reference_rejects(v, bundles, own, notion):
         if all(v.table[other & ~sum(1 << g for g in drop)] > mine for drop in removals):
             return True
     return False
+
+
+def _scan(inst, gof, notion, balanced, stats):
+    """The kernel's hits of one partition, as a list, on tables of its own."""
+    ids = oracle._valuation_ids(inst)
+    return list(_hits(inst, gof, ids, notion, balanced, stats, oracle._Blocks(inst.k, 1)))
 
 
 def _admissible(m, k, balanced):
@@ -301,7 +307,7 @@ def _random_agent(rng, kind, m):
 
 
 @pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("notion,kind", _KERNEL_CASES, ids=lambda x: str(x))
 def test_kernel_matches_reference_scanner(notion, kind, k, balanced):
     rng = random.Random(f"{notion}-{kind}-{k}-{balanced}")
@@ -324,9 +330,9 @@ def test_kernel_matches_reference_scanner(notion, kind, k, balanced):
         expected = []
         for gof in _partition_plan(inst, cons)[1]:
             full = list(_reference_hits(inst, gof, notion, balanced))
-            expected += [a for _i, a in full]
+            expected += full
             stats = SearchStats()
-            got = list(_hits(inst, gof, notion, balanced, stats))
+            got = _scan(inst, gof, notion, balanced, stats)
             assert got == full
             # every admissible candidate is a hit, pruned or rejected
             checked = stats.leaves_rejected + stats.candidates_pruned + len(got)
@@ -343,16 +349,16 @@ def test_kernel_matches_reference_scanner(notion, kind, k, balanced):
         assert mixed > 0
 
 
-def _memo_instance(rng, k, notion, core=False):
-    """An instance whose running numbers repeat across the tree, the kind a
-    failure memo (a transposition table) would cut: few distinct valuations
-    shared by several agents, small repeated values and goods that are
-    worthless to everyone; always a padded corpus core with ``core``."""
-    top = 10 if k == 2 else 7  # one more than the largest m
+def _repeating_instance(rng, k, notion, core=False):
+    """An instance whose valuations and running numbers repeat across the
+    tree: few distinct valuations shared by several agents, small repeated
+    values and goods that are worthless to everyone; always a padded corpus
+    core with ``core``."""
+    top = 7 if k == 3 else 10  # one more than the largest m
     if core or rng.random() < 0.25:
         # a corpus impossibility (for this notion if there is one) with its
         # goods spread among worthless ones; for k=3 the third group is a
-        # copy of the first
+        # copy of the first, for k=1 one group holds the whole core
         cores = [e for e in corpus() if e.instance.m < top and not e.constraints.balanced_partition]
         core = rng.choice([e for e in cores if e.constraints.notion == notion] or cores).instance
         m = rng.randrange(core.m, top)
@@ -364,6 +370,8 @@ def _memo_instance(rng, k, notion, core=False):
                 values[g] = v.values[g0]
             agents.append(Valuation(v.kind, m, values=tuple(values)))
         members = [list(g) for g in core.groups.members]
+        if k == 1:
+            members = [sum(members, [])]
         if k == 3:
             members.append(list(range(len(agents), len(agents) + len(members[0]))))
             agents += [agents[a] for a in members[0]]
@@ -373,12 +381,12 @@ def _memo_instance(rng, k, notion, core=False):
     m = rng.randrange(1, top)
     pad = set(rng.sample(range(m), rng.randrange(0, m)))
     kinds = []
-    for _ in range(rng.randrange(1, 3 if k == 2 else 4)):
+    for _ in range(rng.randrange(1, 4 if k == 3 else 3)):
         if rng.random() < 0.5:
             kinds.append(Valuation.binary([int(g not in pad and rng.random() < 0.7) for g in range(m)]))
         else:
             kinds.append(Valuation.additive([0 if g in pad else rng.choice((1, 1, 2, 3)) for g in range(m)]))
-    n = rng.randrange(1, 6) if k == 2 else rng.randrange(3, 6)
+    n = rng.randrange(3, 6) if k == 3 else rng.randrange(1, 6)
     agents = [rng.choice(kinds) for _ in range(n)]
     if rng.random() < 0.5:
         members = [[] for _ in range(k)]
@@ -397,15 +405,15 @@ def test_memo_matches_reference_scanner(notion, k, balanced):
     # hits in order, candidates that add up and the same first hit
     rng = random.Random(f"memo-{notion}-{k}-{balanced}")
     for _ in range(20):
-        inst = _memo_instance(rng, k, notion)
+        inst = _repeating_instance(rng, k, notion)
         m = inst.m
         cons = SearchConstraints(notion, balanced_allocation=balanced)
         expected = []
         for gof in _partition_plan(inst, cons)[1]:
             full = list(_reference_hits(inst, gof, notion, balanced))
-            expected += [a for _i, a in full]
+            expected += full
             stats = SearchStats()
-            got = list(_hits(inst, gof, notion, balanced, stats))
+            got = _scan(inst, gof, notion, balanced, stats)
             assert got == full
             checked = stats.leaves_rejected + stats.candidates_pruned + len(got)
             assert checked == _admissible(m, k, balanced)
@@ -551,24 +559,24 @@ def test_table_agents_keep_their_blocks_small():
     assert not cert.found and s.blocks == 2**5 and s.leaves_rejected == cert.examined == 2**16
 
 
-def _memo_miss(m):
+def _distinct_sums(m):
     """Four identical additive agents in 2+2 whose values 2^20 + 2^g give
     every subset a sum of its own and an odd total: never EF, and the
-    running numbers never repeat, so a failure memo would cut nothing."""
+    running numbers never repeat."""
     return Instance.fixed(m, [Valuation.additive([2**20 + 2**g for g in range(m)])] * 4, [[0, 1], [2, 3]])
 
 
-def test_memo_memory_stays_bounded(monkeypatch):
+def test_block_table_memory_stays_bounded(monkeypatch):
     # the leaf-block tables of one call keep at most _BLOCK_BITS bits (1 MB),
     # and building one holds its placement groups next to them: on the m=20
-    # memo-miss scans, whose block sums are all distinct, the peak stays
+    # distinct-sums scans, whose block sums are all distinct, the peak stays
     # under twice that, also when only the bits bound L. EF exhausts; the
     # EFX and EF2 scans find a hit at once, after building their envy tables
     monkeypatch.setattr(oracle, "_BLOCK_STEPS", 1 << 30)
     for notion, found in ((EF, False), (EFX, True), (EF2, True)):
         tracemalloc.start()
         try:
-            cert = find_fair(_memo_miss(20), SearchConstraints(notion))
+            cert = find_fair(_distinct_sums(20), SearchConstraints(notion))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -584,7 +592,7 @@ def test_memo_memory_stays_bounded(monkeypatch):
         assert blocks.bits <= 1 << 12 or len(blocks.tables) == 1
 
 
-def test_leaf_blocks_cut_the_memo_miss_scan(monkeypatch):
+def test_leaf_blocks_cut_the_distinct_sums_scan(monkeypatch):
     # the block decides 2^L leaves in one step, so the scan visits at most
     # the 2^(21-L) nodes above it (0.44-0.75 s before the blocks, a few ms now)
     m = 20
@@ -592,7 +600,7 @@ def test_leaf_blocks_cut_the_memo_miss_scan(monkeypatch):
     pick = oracle._block_goods
     monkeypatch.setattr(oracle, "_block_goods", lambda *args: chosen.append(pick(*args)) or chosen[-1])
     for balanced in (False, True):
-        cert = find_fair(_memo_miss(m), SearchConstraints(EF, balanced_allocation=balanced))
+        cert = find_fair(_distinct_sums(m), SearchConstraints(EF, balanced_allocation=balanced))
         s = cert.stats
         assert not cert.found and cert.examined == (math.comb(m, m // 2) if balanced else 2**m)
         assert chosen[-1] > 0 and s.blocks > 0 and s.nodes <= 2 ** (21 - chosen[-1])
@@ -620,7 +628,7 @@ def _block_instance(rng, k, kind):
 
 
 @pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("notion", [EF, EF1, EF2, EFX, EFX0, PROP], ids=str)
 def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
     # every block size L from 0 to m-1 must give the reference's hits in
@@ -647,7 +655,7 @@ def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
         if i == 24:
             inst = crowded
         elif i % 3 == 2:
-            inst = _memo_instance(rng, k, notion, core=True)
+            inst = _repeating_instance(rng, k, notion, core=True)
         else:
             inst = _block_instance(rng, k, kinds[i % len(kinds)])
         m = inst.m
@@ -655,14 +663,14 @@ def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
         count, assignments, with_partition = _partition_plan(inst, cons)
         parts = list(assignments)
         full = [list(_reference_hits(inst, gof, notion, balanced)) for gof in parts]
-        expected = [(gof if with_partition else None, b) for gof, hits in zip(parts, full) for _i, b in hits]
+        expected = [(gof if with_partition else None, b) for gof, hits in zip(parts, full) for b in hits]
         none += not expected
         tables = any(v.kind == "table" for v in inst.agents)
         for block in range(max(m, 1)):
             forced[0] = block
             for gof, hits in zip(parts, full):
                 stats = SearchStats()
-                assert list(_hits(inst, gof, notion, balanced, stats)) == hits
+                assert _scan(inst, gof, notion, balanced, stats) == hits
                 assert stats.leaves_rejected + stats.candidates_pruned + len(hits) == _admissible(m, k, balanced)
                 decided += stats.blocks
                 hit_in_block += bool(stats.blocks and hits)
@@ -678,20 +686,20 @@ def test_leaf_blocks_match_reference_scanner(monkeypatch, notion, k, balanced):
             else:
                 assert cert.examined == count * _admissible(m, k, balanced)
                 assert cert.stats.leaves_rejected + cert.stats.candidates_pruned == cert.examined
-    assert decided > 0 and hit_in_block > 0 and none > 0
+    # with one group every notion holds: there is no other bundle to envy,
+    # and the PROP share is the whole
+    assert decided > 0 and hit_in_block > 0 and (none > 0 or k == 1)
     if "mixed" in kinds:
         assert tables_decided > 0 and tables_hit > 0
 
 
-def _reference_orbit(inst, gof, by_size):
+def _reference_orbit(inst, gof):
     """A partition's orbit key spelled out: per group the set of its
-    members' valuations (values, or the table for table agents), sorted,
-    each paired with its group's size when the sizes are declared."""
+    members' valuations (values, or the table for table agents), sorted."""
     groups = []
     for g in range(inst.k):
         members = [v for v, own in zip(inst.agents, gof) if own == g]
-        kinds = tuple(sorted({("table", v.table) if v.kind == "table" else ("values", v.values) for v in members}))
-        groups.append((len(members), kinds) if by_size else kinds)
+        groups.append(tuple(sorted({("table", v.table) if v.kind == "table" else ("values", v.values) for v in members})))
     return tuple(sorted(groups))
 
 
@@ -725,12 +733,12 @@ def test_equal_tables_in_a_group_are_one_checker():
         table, twin = Valuation.table_of(m, entries), Valuation.table_of(m, entries)
         agents = [table, twin, Valuation.additive([rng.randrange(0, 5) for _ in range(m)]), table]
         inst = Instance.fixed(m, agents, [[0, 1, 2], [3]])
-        owns, _agents, tables = oracle._checkers(inst, inst.assignment)
+        owns, _agents, tables = oracle._checkers(inst, inst.assignment, oracle._valuation_ids(inst))
         assert owns == [0] and tables == [(table, 0), (table, 1)]
         for notion in (EF, EF1, PROP):
             for balanced in (False, True):
                 stats = SearchStats()
-                hits = list(_hits(inst, inst.assignment, notion, balanced, stats))
+                hits = _scan(inst, inst.assignment, notion, balanced, stats)
                 assert hits == list(_reference_hits(inst, inst.assignment, notion, balanced))
                 found += bool(hits)
                 none += not hits
@@ -753,14 +761,14 @@ def test_partition_orbits_match_plain_loop(k, balanced_partition, balanced_alloc
         cons = SearchConstraints(notion, balanced_allocation, balanced_partition)
         count, assignments, _ = _partition_plan(inst, cons)
         parts = list(assignments)
-        full = [[b for _i, b in _reference_hits(inst, gof, notion, balanced_allocation)] for gof in parts]
+        full = [list(_reference_hits(inst, gof, notion, balanced_allocation)) for gof in parts]
         expected = [(gof, b) for gof, hits in zip(parts, full) for b in hits]
         assert [(p.assignment, a.bundles) for p, a in enumerate_fair(inst, cons)] == expected
         cert = find_fair(inst, cons)
         s = cert.stats
         first = next((i for i, hits in enumerate(full) if hits), None)
         covered = count if first is None else first + 1
-        keys = {_reference_orbit(inst, gof, not balanced_partition) for gof in parts[:covered]}
+        keys = {_reference_orbit(inst, gof) for gof in parts[:covered]}
         assert s.partitions == covered and s.scans == len(keys)
         if first is None:
             assert not cert.found and cert.examined == count * _admissible(inst.m, k, balanced_allocation)
@@ -771,6 +779,54 @@ def test_partition_orbits_match_plain_loop(k, balanced_partition, balanced_alloc
             found += 1
         skipped += s.partitions - s.scans
     assert skipped > 0 and found > 0 and none > 0
+
+
+def test_orbit_keys_ignore_group_sizes():
+    # four agents value three goods alike with an odd total, one other agent
+    # differs, in declared sizes (3, 2): never EF, since an A agent sits in
+    # both groups. The odd agent B in the group of three or in the group of
+    # two gives the unsized key {A,B},{A} either way; paired with the sizes
+    # these were two keys and two scans, now one scan covers all ten
+    a, b = Valuation.additive([1, 1, 1]), Valuation.additive([2, 0, 1])
+    inst = Instance.variable(3, [a, a, a, a, b], [3, 2])
+    cons = SearchConstraints(EF)
+    count, assignments, _ = _partition_plan(inst, cons)
+    parts = list(assignments)
+    assert count == 10 and not any(list(_reference_hits(inst, gof, EF, False)) for gof in parts)
+    sized = set()
+    for gof in parts:
+        sets = [tuple(sorted({v.values for v, own in zip(inst.agents, gof) if own == g})) for g in (0, 1)]
+        sized.add(tuple(sorted((gof.count(g), sets[g]) for g in (0, 1))))
+    assert len(sized) == 2 and len({_reference_orbit(inst, gof) for gof in parts}) == 1
+    cert = find_fair(inst, cons)
+    s = cert.stats
+    assert not cert.found and cert.examined == 10 * 2**3
+    assert s.partitions == 10 and s.scans == len(sized) - 1
+    assert s.leaves_rejected + s.candidates_pruned == cert.examined
+    assert list(enumerate_fair(inst, cons)) == []
+
+
+def test_valuations_are_compared_once_per_call(monkeypatch):
+    # which agents share a valuation is decided once per call and read by
+    # the orbit keys and the checkers of every partition: a table is hashed
+    # once per agent, not once per partition scanned. Every agent values a
+    # bundle at a multiple of its v-sum, whose total is odd, so two nonempty
+    # groups never split it without envy and every key is scanned
+    calls = []
+    same = oracle._sameness
+    monkeypatch.setattr(oracle, "_sameness", lambda v: calls.append(v) or same(v))
+    m, v = 4, [1, 2, 1, 1]
+    table = Valuation.table_of(m, {s: 3 * sum(x for g, x in enumerate(v) if s >> g & 1) for s in range(1 << m)})
+    pool = [Valuation.additive(v), Valuation.additive([2 * x for x in v]), table]
+    inst = Instance.variable(m, [pool[a % 3] for a in range(7)], [4, 3])
+    for cons in (SearchConstraints(EF), SearchConstraints(EF, balanced_partition=True)):
+        calls.clear()
+        cert = find_fair(inst, cons)
+        assert len(calls) == inst.n
+        assert not cert.found and cert.stats.partitions > 30 and cert.stats.scans > 1
+        calls.clear()
+        assert list(enumerate_fair(inst, cons)) == []
+        assert len(calls) == inst.n
 
 
 @pytest.mark.parametrize("m,goods", [(3, 4), (4, 3)], ids=["4-goods-in-3", "3-goods-in-4"])

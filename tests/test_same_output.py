@@ -73,6 +73,32 @@ def test_mixed_questions_are_fixed_per_seed(tmp_path, capsys):
     assert outcomes == {"found", "exhausted-none"} and blocks > 0
 
 
+def test_one_group_questions_are_fixed_per_seed(tmp_path, capsys):
+    one = same_output.one_group_questions(1, str(tmp_path / "a"))
+    again = same_output.one_group_questions(1, str(tmp_path / "b"))
+    assert [q[2:] for q in one] == [q[2:] for q in again]
+    docs = [json.loads(pathlib.Path(q[1]).read_text()) for q in one]
+    assert docs == [json.loads(pathlib.Path(q[1]).read_text()) for q in again]
+    # one group, fixed or variable, under every notion; tables only where
+    # the notion is defined for them
+    assert [q[3] for q in one] == ["ef", "ef1", "ef2", "efx", "efx0", "prop"] * 2
+    kinds = set()
+    for argv, doc in zip(one, docs):
+        groups = doc["groups"]
+        assert groups in ({"fixed": [list(range(len(doc["agents"])))]}, {"variable": [len(doc["agents"])]})
+        assert doc["m"] >= 1
+        kinds |= {(agent["kind"], argv[3].startswith("efx")) for agent in doc["agents"]}
+    assert {kind for kind, _efx in kinds} == {"additive", "binary", "table"}
+    assert ("table", True) not in kinds
+    assert {"fixed", "variable"} == {next(iter(doc["groups"])) for doc in docs}
+    # the one allocation, every good in the one bundle, is fair
+    for argv, doc in zip(one, docs):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if "--format" not in argv:
+            assert json.loads(out)["result"]["allocation"] == [list(range(doc["m"]))]
+
+
 def test_checkout_matches_itself_on_the_exhaust_plan():
     proc = subprocess.run(
         [sys.executable, TOOL, ROOT, ROOT, "--seeds", "1", "--plans", "exhaust"],
@@ -80,6 +106,21 @@ def test_checkout_matches_itself_on_the_exhaust_plan():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1].endswith(" 0 differences")
+
+
+def test_answer_records_a_crash():
+    # an exception escaping the CLI is an answer of its own, not the end of
+    # the comparison
+    def crash(argv):
+        print("partial")
+        raise UnboundLocalError("cannot access local variable 'low'")
+
+    answer = same_output._answer(crash, ["search", "x.json"])
+    assert answer == {
+        "code": "crash: UnboundLocalError: cannot access local variable 'low'",
+        "stdout": "partial\n",
+        "stderr": "",
+    }
 
 
 def _record(code=2, elapsed=0.5, nodes=7, examined=16, table=False, stderr="", **more):

@@ -8,13 +8,16 @@ plan order, then fixed sets of seeded variable-group ``search`` questions
 (see :func:`variable_questions`), of EF2, EFX, EFX0 and EFc ``search``
 questions (see :func:`removal_questions`) and of fixed-group ``search``
 questions with tables next to additive or binary agents (see
-:func:`mixed_questions`), then ``corpus`` in json and table format and
+:func:`mixed_questions`) and of one-group ``search`` questions (see
+:func:`one_group_questions`), then ``corpus`` in json and table format and
 ``search`` on every ``corpus/*.json`` of CHANGE_DIR.
 Each checkout answers in a process of its own that imports ``groupfair``
 from that checkout's ``src``; the plans come from the ``perfbench`` next
 to this script, which is only imported. Inputs are written under one
 temporary directory, the same path for both sides.
 
+An exception that escapes the CLI is recorded as the question's exit code,
+``crash:`` with its type and message.
 Exit code, stdout and stderr are compared question by question, with every
 ``elapsed`` value masked and the ``stats`` keys named by ``--drop-stats``
 removed (in JSON and in the table format's ``stats:`` line); a key only
@@ -183,6 +186,33 @@ def mixed_questions(seed: int, workdir: str) -> list[list[str]]:
     return out
 
 
+def one_group_questions(seed: int, workdir: str) -> list[list[str]]:
+    """Seeded ``search`` questions with a single group, k = 1, on 1 to 8
+    goods, two per notion: EF, EF1, EF2, EFX, EFX0 and PROP. Agents are
+    additive and binary, and under every notion but EFX and EFX0 monotone
+    tables too; the group is fixed in half of them and variable in the
+    others, some with ``--balanced-goods`` or ``--balanced-agents``. Each
+    has exactly one allocation, every good in the one bundle, and it is
+    fair. The instances are written under ``workdir``."""
+    rng = random.Random(f"one-group-{seed}")
+    os.makedirs(workdir, exist_ok=True)
+    out = []
+    for i in range(12):
+        notion = ("ef", "ef1", "ef2", "efx", "efx0", "prop")[i % 6]
+        m = rng.randint(1, 8)
+        kinds = ["additive", "binary"] + ([] if notion.startswith("efx") else ["table"])
+        agents = [{"id": a, **_valuation(rng, m, rng.choice(kinds))} for a in range(rng.randint(1, 3))]
+        groups = {"fixed": [list(range(len(agents)))]} if i < 6 else {"variable": [len(agents)]}
+        path = os.path.join(workdir, f"one-group-{seed}-{i}.json")
+        with open(path, "w") as fh:
+            json.dump({"m": m, "agents": agents, "groups": groups}, fh)
+        flags = ["--balanced-goods"] if rng.random() < 0.3 else []
+        flags += ["--balanced-agents"] if i >= 6 and rng.random() < 0.5 else []
+        flags += ["--format", "table"] if i % 5 == 0 else []
+        out.append(["search", path, "--notion", notion, *flags])
+    return out
+
+
 def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[str], ask) -> list:
     """(id, argv) of every question, in the order they are asked."""
     from perfbench import run as bench
@@ -198,6 +228,8 @@ def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[st
         out += [(f"removal/{seed}/{i}", argv) for i, argv in enumerate(questions)]
         questions = mixed_questions(seed, os.path.join(workdir, f"mixed-{seed}"))
         out += [(f"mixed/{seed}/{i}", argv) for i, argv in enumerate(questions)]
+        questions = one_group_questions(seed, os.path.join(workdir, f"one-group-{seed}"))
+        out += [(f"one-group/{seed}/{i}", argv) for i, argv in enumerate(questions)]
     out += [("corpus/json", ["corpus"]), ("corpus/table", ["corpus", "--format", "table"])]
     out += [(f"search/{os.path.basename(path)}", ["search", path]) for path in corpus]
     return out
@@ -210,6 +242,8 @@ def _answer(main, argv: list[str]) -> dict:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:  # a crash is an answer too, unlike any exit code
+            code = f"crash: {type(exc).__name__}: {exc}"
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
