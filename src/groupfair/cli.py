@@ -30,6 +30,7 @@ from .model import (
     Allocation,
     FixedGroups,
     Instance,
+    allocation_violations,
     dumps_indented,
     instance_from_json,
     instance_to_json,
@@ -204,6 +205,8 @@ def _solve_dispatch(args, inst: Instance):
         return {"groups": "one per agent"}, alloc, None, None
     if isinstance(inst.groups, FixedGroups):
         raise ValueError(f"method {method} chooses the partition; use variable groups")
+    if not inst.n:  # the algorithms read m off the first agent
+        raise ValueError(f"method {method} needs at least one agent")
     sizes = inst.groups.sizes
     if method == "cutchoose":
         if inst.k != 2:
@@ -219,6 +222,8 @@ def _solve_dispatch(args, inst: Instance):
         part, alloc = algorithms.proportional_k_groups(inst.agents, sizes)
         # The guarantee is proportionality up to k-1 goods, not exact Prop.
         guarantee = "prop up to k-1 goods"
+        if allocation_violations(inst.m, alloc):
+            raise AssertionError(f"result failed {guarantee} re-verification")
         for a, gi in enumerate(part.assignment):
             if not meets_prop_up_to_goods(inst.agents[a], alloc.bundles[gi], inst.k):
                 raise AssertionError(f"result failed {guarantee} re-verification")

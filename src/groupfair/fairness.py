@@ -251,6 +251,9 @@ def _group_lookup(
         raise ValueError("partition covers the wrong number of agents")
     if partition.k != alloc.k:
         raise ValueError("partition and allocation disagree on the number of groups")
+    # group sizes may differ from the declared ones (balanced-agents hits)
+    if partition.k != inst.k:
+        raise ValueError(f"partition has {partition.k} groups, instance has {inst.k}")
     return partition.assignment
 
 

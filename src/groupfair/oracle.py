@@ -20,8 +20,11 @@ are generated.
 
 Agents with the same valuation and group are one checker: which agents
 share a valuation (:func:`_sameness`) is decided once per call, as ids
-that the checkers and the orbit keys below both read. An additive or
-binary checker keeps running numbers as goods are placed and taken back:
+that the checkers and the orbit keys below both read. What the notion
+means for an additive or binary checker is decided in one function,
+:func:`_checker_setup`, once per scan: its running numbers, its leaf-block
+rules and the tables they read. The walk reads them and tests no notion.
+Such a checker keeps running numbers as goods are placed and taken back:
 ``avail``, its own bundle plus every unplaced good, and for each other
 bundle its value less the checker's slack, the most the notion can ever
 remove from one bundle: 0 for EF, the sum of its c largest values for EFc,
@@ -37,7 +40,10 @@ exactly when the notion does, as it does for EF and PROP; where the slack
 is loose, the leaf-block rules below decide the leaves the bound passes.
 Table agents are not assumed monotone, so they take no part in the bound:
 they judge each leaf the rules pass by :func:`fairness.rejected_bundle`,
-the rule of re-verification.
+the rule of re-verification. Two questions are settled once per call,
+before any scan: EFX and EFX0 are refused when a table agent meets more
+than one bundle, and EFc with c > m >= 1 reads as EFm, since a bundle
+holds at most m goods.
 
 Every scan ends in leaf blocks, one decision for every agent kind (meet in
 the middle: Horowitz and Sahni, JACM 1974; Schroeppel and Shamir, SIAM J.
@@ -55,7 +61,7 @@ hold exactly the placements the additive and binary agents accept. The
 table agents judge those lowest first, so the first they all accept is the
 first hit in canonical order, and every other admissible placement counts
 as a rejected leaf; a block where one rule admits no admissible placement
-counts as a cut. The rules, each proved in :func:`_block_rules`, cover
+counts as a cut. The rules, each proved in :func:`_checker_setup`, cover
 every notion for additive and binary agents: EF, EFc for every c, EFX,
 EFX0 and PROP, for k bundles. :func:`_block_goods` picks L. With L = 0,
 for scans of at most 2**10 candidates, the block is the one leaf the node
@@ -94,7 +100,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, permutations
 from operator import or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SearchSpaceTooLargeError, UnsupportedNotionError
 from .fairness import (
@@ -268,13 +274,28 @@ def _assignments(ids: tuple[int, ...], sizes: Sequence[int], n: int) -> Iterator
         yield tuple(gof)
 
 
-def _partition_plan(inst: Instance, cons: SearchConstraints) -> tuple[int, Iterator, bool]:
-    """Number of partitions, an iterator of assignment tuples (the declared
-    one for fixed groups), and whether partitions are part of the answer."""
+class _Partitions:
+    """The assignment tuples of the partitions of n agents into groups of
+    each size vector in turn (:func:`_assignments`). Each iteration walks
+    them anew, so a plan is read twice without holding a tuple per
+    partition."""
+
+    def __init__(self, n: int, vectors: list):
+        self.n, self.vectors = n, vectors
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        ids = tuple(range(self.n))
+        return chain.from_iterable(_assignments(ids, vec, self.n) for vec in self.vectors)
+
+
+def _partition_plan(inst: Instance, cons: SearchConstraints) -> tuple[int, Iterable[tuple[int, ...]], bool]:
+    """Number of partitions, their assignment tuples (the declared one for
+    fixed groups) as an iterable that can be walked more than once, and
+    whether partitions are part of the answer."""
     if isinstance(inst.groups, FixedGroups):
         if cons.balanced_partition:
             raise ValueError("balanced_partition applies to variable groups only")
-        return 1, iter([inst.assignment]), False
+        return 1, (inst.assignment,), False
     groups: VariableGroups = inst.groups
     n = inst.n
     if cons.balanced_partition:
@@ -282,8 +303,7 @@ def _partition_plan(inst: Instance, cons: SearchConstraints) -> tuple[int, Itera
     else:
         vectors = [groups.sizes]
     total = sum(_multinomial(n, vec) for vec in vectors)
-    ids = tuple(range(n))
-    return total, chain.from_iterable(_assignments(ids, vec, n) for vec in vectors), True
+    return total, _Partitions(n, vectors), True
 
 
 def _sameness(v: Valuation) -> tuple:
@@ -299,7 +319,7 @@ def _valuation_ids(inst: Instance) -> list[int]:
     return [ids.setdefault(_sameness(v), len(ids)) for v in inst.agents]
 
 
-def _orbit_keys(k: int, ids: Sequence[int], assignments: Iterator[tuple[int, ...]]) -> list[tuple]:
+def _orbit_keys(k: int, ids: Sequence[int], assignments: Iterable[tuple[int, ...]]) -> list[tuple]:
     """The orbit key of each partition in ``assignments``, in order (see the
     module docstring): per group the set of its members' valuation ids
     (:func:`_valuation_ids`) as a mask, sorted. Group sizes take no part.
@@ -316,29 +336,21 @@ def _orbit_keys(k: int, ids: Sequence[int], assignments: Iterator[tuple[int, ...
     return out
 
 
-def _checkers(inst: Instance, gof: Sequence[int], ids: Sequence[int]) -> tuple[list[int], list[Valuation], list]:
+def _checkers(inst: Instance, gof: Sequence[int], ids: Sequence[int]) -> tuple[list[int], list[tuple], list]:
     """Agents collapsed by valuation id (:func:`_valuation_ids`) and group:
-    additive and binary ones as parallel lists of groups and valuations,
-    table ones as (valuation, group)."""
+    additive and binary ones as parallel lists of groups and per-good
+    values, table ones as (valuation, group)."""
     seen: dict[tuple[int, int], Valuation] = {}
     for v, i, own in zip(inst.agents, ids, gof):
         seen.setdefault((i, own), v)
-    owns, agents, tables = [], [], []
+    owns, worths, tables = [], [], []
     for (_id, own), v in seen.items():
         if v.kind == TABLE:
             tables.append((v, own))
         else:
             owns.append(own)
-            agents.append(v)
-    return owns, agents, tables
-
-
-def _slack(notion: Notion, values: tuple[int, ...]) -> int:
-    """The most the notion removes from any bundle of an agent with these
-    values (0 for EF and PROP)."""
-    if notion.kind in ("efx", "efx0"):
-        return max(values, default=0)
-    return sum(removable_values(notion, values))
+            worths.append(v.values)
+    return owns, worths, tables
 
 
 def _lifts(notion: Notion, values: tuple[int, ...], bundle: int) -> tuple:
@@ -529,31 +541,30 @@ class _Blocks:
             keys[diff + s] = keys.get(diff + s, 0) | mask
         return self._table(key, keys)
 
-    def rules(self, block: int, plan: list, worths: list, needs: list, loose: list, zeros: bool) -> list[tuple]:
-        """The rules of ``plan`` (:func:`_block_rules`) over goods
+    def rules(self, block: int, plan: list, worths: list, needs: list) -> list[tuple]:
+        """The rules of ``plan`` (:func:`_checker_setup`) over goods
         0..block-1, as ``(c, need, j, lifted, tests)``: ``need`` checker c's
         row of ``needs``, ``lifted`` its values when a test reads a lift
         (else None), and each test ``(vals, above, mirror, off, lift)``: its
         table, and off = T + adjust for the checker's block total T. A
         checker that values no block good is left out unless its bound is
-        loose (``loose[c]``); under EFX0 (``zeros``) the envy tables count
-        worthless goods."""
+        loose, which its tests' ``adjust``, the slack, says."""
         k = self.k
         out = []
         for c, j, tests in plan:
             values = worths[c][:block]
-            if not (loose[c] or any(values)):
+            if not (tests[0][5] or any(values)):
                 continue
             total = sum(values)
             built = []
-            for lo, hi, top, mirror, adjust, lift in tests:
+            for lo, hi, top, zeros, mirror, adjust, lift in tests:
                 if top is None:
                     coef = tuple(1 if d == lo else -1 if d == hi else 0 for d in range(k))
                     vals, above = self.linear(values, coef)
                 else:
                     vals, above = self.envy(values, lo, hi, top, zeros)
                 built.append((vals, above, mirror, total + adjust, lift))
-            lifted = worths[c] if any(test[5] for test in tests) else None
+            lifted = worths[c] if any(test[6] for test in tests) else None
             out.append((c, needs[c], j, lifted, tuple(built)))
         return out
 
@@ -594,32 +605,50 @@ class _Blocks:
         return self.tables[key]
 
 
-def _block_rules(notion: Notion, owns: list[int], worths: list[tuple[int, ...]], loose: list[int], k: int) -> list[tuple]:
-    """The rules that decide a leaf block of goods 0..L-1, for any L >= 0.
+def _checker_setup(
+    notion: Notion, owns: list[int], worths: list[tuple[int, ...]], k: int
+) -> tuple[list[list[int]], list[tuple], list[tuple]]:
+    """What ``notion`` means for the additive and binary checkers of one
+    scan of m >= 1 goods, with groups ``owns`` and values ``worths``, among
+    k bundles: ``(needs, rules, tables)``.
 
-    Per checker c and rival bundle j (its own bundle for PROP) one rule
-    ``(c, j, tests)``, two for EFX and EFX0; a rule passes a placement x
-    when one of its tests does, and a block's hits pass every rule. A test
-    ``(lo, hi, top, mirror, adjust, lift)`` reads a table over the block
-    goods' values (:meth:`_Blocks.rules`): with ``top`` None the key
-    S_lo(x) - S_hi(x) (S_lo(x) for PROP, where hi is None), otherwise the
-    envy table of :meth:`_Blocks.envy`. At a block node x passes it when
-    key(x) >= u for
+    ``needs[c]`` is checker c's row of running numbers (see the module
+    docstring). For PROP it holds ceil(total / k) at its own bundle and -1 -
+    total elsewhere, which placing goods never lifts to 0. For every other
+    notion it holds -1 at its own bundle and -s elsewhere, s being the
+    checker's slack: the most the notion removes from one bundle, 0 for EF,
+    the sum of its c largest values for EFc, its largest value for EFX and
+    EFX0. Placing goods adds bundle j's value to needs[c][j]; the checker
+    rejects a node when avail[c] < max(needs[c]). The bound decides the
+    leaves of EF, PROP and of EFc and EFX when every value is 0 or 1; the
+    checker is loose where it does not: under EFc or EFX with a value above
+    1, and under EFX0 with a positive value.
+
+    ``rules`` decide a leaf block of goods 0..L-1, for any L >= 0. Per
+    checker c and rival bundle j (its own bundle for PROP) one rule
+    ``(c, j, tests)``, two for a loose EFX or EFX0 checker; a rule passes a
+    placement x when one of its tests does, and a block's hits pass every
+    rule. A test ``(lo, hi, top, zeros, mirror, adjust, lift)`` names the
+    table it reads over the block goods' values (:meth:`_Blocks.rules`):
+    with ``top`` None the key S_lo(x) - S_hi(x) (S_lo(x) for PROP, where hi
+    is None), otherwise the envy table of :meth:`_Blocks.envy` with ``top``
+    and ``zeros``, which counts worthless goods for EFX0 only. At a block
+    node x passes it when key(x) >= u for
 
         u = needs[c][j] - avail[c] + T + adjust - lifts[lift],
 
-    ``adjust`` being ``loose[c]``, the checker's slack s where the bound
-    leaves its leaves undecided and 0 elsewhere, and ``lifts`` the tuple
-    :func:`_lifts` reads of the goods bundle j holds above the block ((0,)
-    for a rule whose tests all take lift 0), in the sorted table (vals,
-    above) as ``above[bisect_left(vals, u)]``. A mirrored test is that of
-    the checker in hi, for which the key is -key(x): it passes when key(x)
-    >= 1 - u fails. A rule accepts what its checker accepts of bundle j, and
-    only that, by these rules, where a is the checker's own bundle without
-    the block (a = avail - T), a_j = needs[c][j] + s its value of bundle j,
-    A_j the goods there, S_d(x) the value of the block goods x puts in
-    bundle d and B_j(x) those it puts in j, T their total, D(x) = S_own(x) -
-    S_j(x) and t = a_j - a = needs[c][j] - avail[c] + T + s:
+    ``adjust`` being the checker's slack s where it is loose and 0
+    elsewhere, and ``lifts`` the tuple :func:`_lifts` reads of the goods
+    bundle j holds above the block ((0,) for a rule whose tests all take
+    lift 0), in the sorted table (vals, above) as ``above[bisect_left(vals,
+    u)]``. A mirrored test is that of the checker in hi, for which the key
+    is -key(x): it passes when key(x) >= 1 - u fails. A rule accepts what
+    its checker accepts of bundle j, and only that, by these rules, where a
+    is the checker's own bundle without the block (a = avail - T), a_j =
+    needs[c][j] + s its value of bundle j, A_j the goods there, S_d(x) the
+    value of the block goods x puts in bundle d and B_j(x) those it puts in
+    j, T their total, D(x) = S_own(x) - S_j(x) and t = a_j - a =
+    needs[c][j] - avail[c] + T + s:
 
     - EF: a + S_own(x) >= a_j + S_j(x) iff D(x) >= t, and s is 0.
     - PROP: k * (a + S_own(x)) >= total iff S_own(x) >= ceil(total / k) - a,
@@ -652,33 +681,48 @@ def _block_rules(notion: Notion, owns: list[int], worths: list[tuple[int, ...]],
 
     For k >= 3 the keys run over the k**L placements the same way. The D
     table of a pair lo < hi serves the checkers of both. A checker that
-    values no block good has D(x) = 0; when its bound is exact, the bound
+    values no block good has D(x) = 0; when it is not loose, the bound
     check at the node decided it, so :meth:`_Blocks.rules` leaves it out.
-    A checker with a loose bound stays: what the notion removes from bundle
-    j still turns on the goods there. With L = 0 the block is one leaf and
-    every table holds its one placement, with key 0 (infinite for the
-    least of an empty share): the checkers with an exact bound drop out,
-    and the rules of the others decide the leaf as the notion does.
+    A loose checker stays: what the notion removes from bundle j still
+    turns on the goods there. With L = 0 the block is one leaf and every
+    table holds its one placement, with key 0 (infinite for the least of an
+    empty share): the checkers that are not loose drop out, and the rules
+    of the others decide the leaf as the notion does.
+
+    ``tables`` holds each table the tests read once, as :func:`_block_goods`
+    sizes it: ``(values, scale, top, zeros)``, scale 1 for PROP's S_own
+    table and 2 for the others, and ``top`` at least 1 for an envy table.
     """
     kind = notion.kind
-    rules = []
-    for c, (own, w, s) in enumerate(zip(owns, worths, loose)):
+    needs, rules = [], []
+    for c, (own, w) in enumerate(zip(owns, worths)):
         if kind == "prop":
-            rules.append((c, own, ((own, None, None, False, 0, 0),)))
+            total = sum(w)
+            needs.append([-(-total // k) if j == own else -1 - total for j in range(k)])
+            rules.append((c, own, ((own, None, None, False, False, 0, 0),)))
             continue
+        most = max(w)
+        s = most if kind in ("efx", "efx0") else sum(removable_values(notion, w))
+        needs.append([-1 if j == own else -s for j in range(k)])
+        loose = s if kind == "efx0" or most > 1 else 0
         for j in range(k):
             if j == own:
                 continue
-            d = min(own, j), max(own, j), None, own > j
-            if not s:
+            d = min(own, j), max(own, j), None, False, own > j
+            if not loose:
                 rules.append((c, j, ((*d, 0, 0),)))
             elif kind == "efc":
-                tops = tuple((own, j, notion.c - i, False, s, i) for i in range(notion.c))
+                tops = tuple((own, j, notion.c - i, False, False, s, i) for i in range(notion.c))
                 rules.append((c, j, (*tops, (*d, s, notion.c))))
             else:
                 rules.append((c, j, ((*d, s, 1),)))
-                rules.append((c, j, ((own, j, 0, False, s, 0),)))
-    return rules
+                rules.append((c, j, ((own, j, 0, kind == "efx0", False, s, 0),)))
+    tables = {}
+    for c, _j, tests in rules:
+        for lo, hi, top, zeros, *_test in tests:
+            scale = 1 if hi is None else 2
+            tables[worths[c], lo, hi, top] = worths[c], scale, 0 if top is None else max(top, 1), zeros
+    return needs, rules, list(tables.values())
 
 
 def _hits(
@@ -695,13 +739,12 @@ def _hits(
     Walks the allocation tree depth first (see the module docstring); the
     node, pruning and leaf counts are added to ``stats``. ``ids`` are the
     agents' valuation ids (:func:`_valuation_ids`) and ``blocks`` the
-    leaf-block tables, both shared by the partitions of one call.
+    leaf-block tables, both shared by the partitions of one call, and
+    ``notion`` is read as :func:`_plan_hits` settled it. What the notion
+    means for each checker comes from :func:`_checker_setup`.
     """
     m, k = inst.m, inst.k
-    kind = notion.kind
-    owns, agents, tables = _checkers(inst, gof, ids)
-    if tables and k > 1 and kind in ("efx", "efx0"):
-        raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
+    owns, worths, tables = _checkers(inst, gof, ids)
     if m == 0:
         leaf = (0,) * k
         if any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables):
@@ -709,24 +752,10 @@ def _hits(
         else:
             yield leaf
         return
-    if notion.c > m:  # a bundle holds at most m goods, so EFc is EFm
-        notion = up_to(m)
     # Running numbers of checker c: avail[c] is its own bundle plus every
-    # unplaced good, needs[c][j] bundle j's value less the checker's slack
-    # (-1 marks its own bundle); for prop needs[c] holds the 1/k share at
-    # its own bundle and -1 - total elsewhere, which placing goods never
-    # lifts to 0. It rejects the node when avail[c] < max(needs[c]).
-    worths = [v.values for v in agents]
-    totals = [sum(w) for w in worths]
-    slack = [_slack(notion, w) for w in worths]
-    if kind == "prop":
-        needs = [[-(-t // k) if j == own else -1 - t for j in range(k)] for own, t in zip(owns, totals)]
-    else:
-        needs = [[-1 if j == own else -s for j in range(k)] for own, s in zip(owns, slack)]
-    avail = totals[:]
-    # The bound decides the leaves of EF, PROP and binary EFc and EFX;
-    # loose[c] is checker c's slack where it does not, else 0.
-    loose = [s if kind == "efx0" or max(w) > 1 else 0 for s, w in zip(slack, worths)]
+    # unplaced good, needs[c] its row of _checker_setup.
+    needs, plan, keys = _checker_setup(notion, owns, worths, k)
+    avail = [sum(w) for w in worths]
     # Placing good g in bundle b moves only the numbers of checkers outside
     # b that value g.
     touch: list[list[list]] = [[[] for _ in range(k)] for _ in range(m)]
@@ -744,17 +773,9 @@ def _hits(
     path = [0] * m
     counts: dict = {}
     # Leaf blocks: the node that places good `block` decides goods
-    # block-1..0 in place (see _block_rules), building the tables of its
+    # block-1..0 in place (see _checker_setup), building the tables of its
     # rules on the first block it reaches; with block 0 that node is a leaf.
-    plan = _block_rules(notion, owns, worths, loose, k)
-    keys = {}  # the tables of the plan, as _block_goods sizes them
-    for c, _j, tests in plan:
-        for lo, hi, top, *_test in tests:
-            if top is None:
-                keys[worths[c], lo, hi] = worths[c], 1 if hi is None else 2, 0, False
-            else:
-                keys[worths[c], lo, hi, top] = worths[c], 2, max(top, 1), kind == "efx0"
-    block = _block_goods(m, k, list(keys.values()), blocks.scans, bool(tables))
+    block = _block_goods(m, k, keys, blocks.scans, bool(tables))
     everything = (1 << k**block) - 1
     rules = None
     nodes = pruned = cut = rejected = decided = 0
@@ -790,7 +811,7 @@ def _hits(
             else:
                 # decide the leaf block of goods g-1..0
                 if rules is None:
-                    rules = blocks.rules(g, plan, worths, needs, loose, kind == "efx0")
+                    rules = blocks.rules(g, plan, worths, needs)
                 decided += g > 0
                 # every leaf of the balanced walk is balanced
                 admissible = blocks.fits(g, sizes, q, tallest) if balanced and g else everything
@@ -881,7 +902,9 @@ def _plan_hits(
     """Satisfying ``(assignment, bundles)`` over the partitions of the plan,
     in canonical order; the assignment is None for fixed groups, a plan of
     one partition. Raises :class:`SearchSpaceTooLargeError` before scanning
-    past the guard.
+    past the guard, and after it :class:`UnsupportedNotionError` for EFX and
+    EFX0 when a table agent meets more than one bundle. EFc with c > m >= 1
+    is read as EFm for every scan.
 
     A partition whose orbit key an earlier scan refuted is not walked (see
     the module docstring). The keys are computed up front, so the leaf-block
@@ -890,8 +913,12 @@ def _plan_hits(
     num_parts, assignments, with_partition = _partition_plan(inst, cons)
     _guard(inst, num_parts)
     notion, balanced, k = cons.notion, cons.balanced_allocation, inst.k
+    if k > 1 and notion.kind in ("efx", "efx0") and any(v.kind == TABLE for v in inst.agents):
+        raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
+    if notion.c > inst.m > 0:  # a bundle holds at most m goods, so EFc is EFm
+        notion = up_to(inst.m)
     ids = _valuation_ids(inst)
-    keys = _orbit_keys(k, ids, _partition_plan(inst, cons)[1])
+    keys = _orbit_keys(k, ids, assignments)
     blocks = _Blocks(k, len(set(keys)))
     refuted: set[tuple] = set()
     for gof, key in zip(assignments, keys):

@@ -248,7 +248,11 @@ def test_jobs_must_be_positive(two_one, capsys, command, value):
 
 _ALL_TO_FIRST = Allocation((0b111, 0))
 _ALL_TO_GROUP_ONE = (AgentPartition((0, 0, 1, 1), 2), Allocation((0b11111, 0)))
-# method: the name the CLI calls, an answer that breaks the guarantee, the guarantee
+# goods 0, 2 to agents 0 and 1, goods 3, 4 to agents 2 and 3: each agent gets
+# its proportional share up to one good, but good 1 goes to nobody
+_GOOD_LEFT_OUT = (AgentPartition((0, 0, 1, 1), 2), Allocation((0b00101, 0b11000)))
+# method, or method/variant: the name the CLI calls, an answer that breaks
+# the guarantee, the guarantee
 _BROKEN = {
     "binary": ("solve_ef1_binary", _ALL_TO_FIRST, "ef1"),
     "two-one": ("algorithms.ef1_two_one", _ALL_TO_FIRST, "ef1"),
@@ -257,6 +261,7 @@ _BROKEN = {
     "cutchoose": ("algorithms.cut_and_choose_ef1", _ALL_TO_GROUP_ONE, "ef1"),
     "knife": ("algorithms.rotating_knife", _ALL_TO_GROUP_ONE, "ef1"),
     "prop": ("algorithms.proportional_k_groups", _ALL_TO_GROUP_ONE, "prop up to k-1 goods"),
+    "prop/good-left-out": ("algorithms.proportional_k_groups", _GOOD_LEFT_OUT, "prop up to k-1 goods"),
     "search": ("oracle.find_fair", Certificate(True, _ALL_TO_FIRST), "ef1"),
 }
 
@@ -266,6 +271,7 @@ def test_broken_result_is_never_printed(variable_inst, tmp_path, capsys, monkeyp
     # every allocation the CLI prints is re-verified first; one that breaks
     # the method's guarantee must raise before anything reaches stdout
     target, answer, guarantee = _BROKEN[method]
+    method = method.split("/")[0]
     pair = tmp_path / "pair.json"
     pair.write_text(
         json.dumps(
@@ -596,6 +602,7 @@ def flawed_files(tmp_path, two_one, variable_inst):
         "@novalues": '{"m": 1, "agents": [{"id": 0, "kind": "binary", "values": "1"}],'
         ' "groups": {"fixed": [[0]]}}',
         "@noagents": '{"m": 1, "agents": {}, "groups": {"fixed": []}}',
+        "@agentfree": '{"m": 3, "agents": [], "groups": {"variable": [0, 0]}}',
         "@twiceid": '{"m": 1, "agents": [{"id": 0, "kind": "binary", "values": [1]},'
         ' {"id": 0, "kind": "binary", "values": [0]}], "groups": {"fixed": [[0]]}}',
     }
@@ -662,6 +669,10 @@ _CHECK_VARIABLE = ["check", "@variable", "--allocation", "0,1,2;3,4", "--partiti
         # the vertex count is grown factor by factor and stops at the cap
         (["kneser", "--b", "400000", "--r", "200000", "--s", "1"],
          "K(400000,200000,1) has more than 10000 vertices, the cap"),
+        # the algorithms read m off the first agent: prop once printed empty
+        # bundles as solved, and cutchoose failed on its own bundles
+        (["solve", "@agentfree", "--method", "prop"], "method prop needs at least one agent"),
+        (["solve", "@agentfree", "--method", "cutchoose"], "method cutchoose needs at least one agent"),
     ],
 )
 def test_error_lines(flawed_files, capsys, argv, line):

@@ -239,6 +239,13 @@ def test_is_fair_rejects_mismatches():
         is_fair(inst, Allocation.of([[0]]), EF1)  # goods not covered
     with pytest.raises(ValueError):
         is_fair(inst, Allocation.of([[0, 1]]), EF1, AgentPartition((0,), 1))
+    # a partition into three groups of a two-group instance was judged as if
+    # the instance had three; sizes other than the declared ones still pass
+    a = Valuation.additive([1, 1])
+    two = Instance.variable(2, [a, a], [2, 0])
+    with pytest.raises(ValueError, match="^partition has 3 groups, instance has 2$"):
+        is_fair(two, Allocation((1, 2, 0)), EF1, partition=AgentPartition((0, 2), 3))
+    assert is_fair(two, Allocation((1, 2)), EF1, partition=AgentPartition((0, 1), 2)).overall
 
 
 def test_is_exact1():

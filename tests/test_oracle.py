@@ -430,9 +430,84 @@ def test_memo_matches_reference_scanner(notion, k, balanced):
 def test_table_agents_have_no_efx():
     table = Valuation.table_of(2, {0: 0, 1: 1, 2: 1, 3: 2})
     inst = Instance.fixed(2, [Valuation.additive([0, 0]), table], [[0], [1]])
-    for notion in (EFX, EFX0):
-        with pytest.raises(UnsupportedNotionError):
-            find_fair(inst, SearchConstraints(notion))
+    agents = [Valuation.additive([0, 0]), table, table]
+    empty = Valuation.table_of(0, {0: 0})
+    refused = [
+        inst,
+        Instance.variable(2, agents, [2, 1]),
+        Instance.variable(2, agents, [2, 1]),  # over balanced size vectors, below
+        Instance.fixed(0, [Valuation.additive([]), empty], [[0], [1]]),
+        Instance.variable(0, [empty, empty], [1, 1]),
+    ]
+    for i, case in enumerate(refused):
+        for notion in (EFX, EFX0):
+            with pytest.raises(UnsupportedNotionError, match="is not defined for table valuations"):
+                find_fair(case, SearchConstraints(notion, balanced_partition=i == 2))
+            with pytest.raises(UnsupportedNotionError):
+                next(enumerate_fair(case, SearchConstraints(notion, balanced_partition=i == 2)))
+    # one bundle: no other bundle to judge, so nothing is refused
+    cert = find_fair(Instance.fixed(2, [table], [[0]]), SearchConstraints(EFX))
+    assert cert.found and cert.allocation.bundles == (0b11,)
+    # past the guard the search space is refused first: 2520 partitions of
+    # 4**10 candidates each
+    count = Valuation("table", 10, table=tuple(s.bit_count() for s in range(1 << 10)))
+    with pytest.raises(SearchSpaceTooLargeError):
+        find_fair(Instance.variable(10, [count] * 8, [2, 2, 2, 2]), SearchConstraints(EFX))
+
+
+_SETUP_NOTIONS = [EF, EF1, EF2, EFX, EFX0, PROP]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("notion", _SETUP_NOTIONS, ids=[str(n) for n in _SETUP_NOTIONS])
+def test_checker_setup_per_notion(notion, k):
+    # what each notion means for one additive and one binary checker: the
+    # running numbers, which checkers the bound leaves loose, the tests of
+    # each rule and the tables sized for the block
+    for kind, w in (("additive", (3, 1, 2, 0, 1)), ("binary", (1, 0, 1, 1, 0))):
+        own, total = k - 1, sum(w)
+        needs, rules, tables = oracle._checker_setup(notion, [own], [w], k)
+        ranked = sorted(w, reverse=True)
+        if notion == PROP:
+            assert needs == [[-(-total // k) if j == own else -1 - total for j in range(k)]]
+            assert rules == [(0, own, ((own, None, None, False, False, 0, 0),))]
+            assert tables == [(w, 1, 0, False)]
+            continue
+        slack = {EF: 0, EF1: sum(ranked[:1]), EF2: sum(ranked[:2]), EFX: max(w), EFX0: max(w)}[notion]
+        assert needs == [[-1 if j == own else -slack for j in range(k)]]
+        loose = notion == EFX0 or (kind == "additive" and notion != EF)
+        assert {test[5] for _c, _j, tests in rules for test in tests} == {slack if loose else 0}
+        rivals = [j for j in range(k) if j != own]
+        d = (w, 2, 0, False)  # the table of S_own - S_j
+        if not loose:
+            assert rules == [(0, j, ((j, own, None, False, True, 0, 0),)) for j in rivals]
+            assert tables == [d] * (k - 1)
+        elif notion.kind == "efc":
+            assert [(c, j, len(tests)) for c, j, tests in rules] == [(0, j, notion.c + 1) for j in rivals]
+            tops = [(w, 2, notion.c - i, False) for i in range(notion.c)]
+            assert tables == (tops + [d]) * (k - 1)
+        else:
+            assert [(c, j, len(tests)) for c, j, tests in rules] == [(0, j, 1) for j in rivals for _ in "DE"]
+            assert tables == [d, (w, 2, 1, notion == EFX0)] * (k - 1)
+    # checkers of equal values in two groups share the table of their pair
+    w = (1, 0, 1, 1, 0)
+    assert oracle._checker_setup(EF1, [0, 1], [w, w], 2)[2] == [(w, 2, 0, False)]
+
+
+def test_plan_is_read_once(monkeypatch):
+    # one _partition_plan call per search, for fixed and variable groups
+    # alike; the orbit keys and the scans walk the same plan
+    calls = []
+    plan = oracle._partition_plan
+    monkeypatch.setattr(oracle, "_partition_plan", lambda *args: calls.append(args) or plan(*args))
+    v = Valuation.additive([2, 1, 2])  # an odd total: no EF between two of them
+    fixed = Instance.fixed(3, [v, v], [[0], [1]])
+    variable = Instance.variable(3, [v, v, v, Valuation.additive([1, 1, 1])], [2, 2])
+    for inst, partitions in ((fixed, 1), (variable, 6)):
+        calls.clear()
+        cert = find_fair(inst, SearchConstraints(EF))
+        assert not cert.found and cert.stats.partitions == partitions
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])

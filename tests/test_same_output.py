@@ -99,6 +99,34 @@ def test_one_group_questions_are_fixed_per_seed(tmp_path, capsys):
             assert json.loads(out)["result"]["allocation"] == [list(range(doc["m"]))]
 
 
+def test_edge_questions_ask_every_method(tmp_path, capsys):
+    # every solve method on an instance with no agents and on one with no
+    # goods, in the groups each method takes
+    questions = same_output.edge_questions(str(tmp_path))
+    fixed = ["binary", "two-one", "exact1", "roundrobin"]
+    choosers = ["cutchoose", "knife", "prop"]
+    shapes = [("no-agents", "fixed", fixed), ("no-agents", "variable", choosers),
+              ("no-goods", "fixed", fixed), ("no-goods", "variable", choosers)]
+    expected = [(f"{name}-{groups}.json", method) for name, groups, methods in shapes for method in methods]
+    assert [(os.path.basename(q[1]), q[3]) for q in questions] == expected
+    assert all(q[0] == "solve" and q[2] == "--method" and len(q) == 4 for q in questions)
+    docs = {os.path.basename(q[1]): json.loads(pathlib.Path(q[1]).read_text()) for q in questions}
+    assert docs["no-agents-variable.json"] == {"m": 3, "agents": [], "groups": {"variable": [0, 0]}}
+    assert docs["no-agents-fixed.json"]["groups"] == {"fixed": [[], []]}
+    pair = [{"id": a, "kind": "binary", "values": []} for a in range(2)]
+    assert docs["no-goods-fixed.json"] == {"m": 0, "agents": pair, "groups": {"fixed": [[0], [1]]}}
+    assert docs["no-goods-variable.json"]["groups"] == {"variable": [1, 1]}
+    # no agents: only the binary solver answers, vacuously; no goods: every
+    # method but two-one gives two empty bundles
+    codes = []
+    for argv in questions:
+        codes.append(main(argv))
+        out = capsys.readouterr().out
+        if codes[-1] == 0 and "no-goods" in argv[1]:
+            assert json.loads(out)["result"]["allocation"] == [[], []]
+    assert codes == [0, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0]
+
+
 def test_checkout_matches_itself_on_the_exhaust_plan():
     proc = subprocess.run(
         [sys.executable, TOOL, ROOT, ROOT, "--seeds", "1", "--plans", "exhaust"],

@@ -9,7 +9,9 @@ plan order, then fixed sets of seeded variable-group ``search`` questions
 questions (see :func:`removal_questions`) and of fixed-group ``search``
 questions with tables next to additive or binary agents (see
 :func:`mixed_questions`) and of one-group ``search`` questions (see
-:func:`one_group_questions`), then ``corpus`` in json and table format and
+:func:`one_group_questions`), then ``solve`` with every method on an
+instance with no agents and on one with no goods (see
+:func:`edge_questions`), ``corpus`` in json and table format and
 ``search`` on every ``corpus/*.json`` of CHANGE_DIR.
 Each checkout answers in a process of its own that imports ``groupfair``
 from that checkout's ``src``; the plans come from the ``perfbench`` next
@@ -213,6 +215,33 @@ def one_group_questions(seed: int, workdir: str) -> list[list[str]]:
     return out
 
 
+METHODS = ("binary", "two-one", "exact1", "roundrobin", "cutchoose", "knife", "prop")
+# the methods that choose the partition and so need variable groups
+_CHOOSERS = ("cutchoose", "knife", "prop")
+
+
+def edge_questions(workdir: str) -> list[list[str]]:
+    """``solve`` with every method on an instance with no agents (three goods,
+    two empty groups) and on one with no goods (two binary agents, one per
+    group), each with fixed groups, or variable ones for the methods that
+    choose the partition. The instances are written under ``workdir``."""
+    os.makedirs(workdir, exist_ok=True)
+    pair = [{"id": a, "kind": "binary", "values": []} for a in range(2)]
+    shapes = {
+        "no-agents": (3, [], {"fixed": [[], []]}, {"variable": [0, 0]}),
+        "no-goods": (0, pair, {"fixed": [[0], [1]]}, {"variable": [1, 1]}),
+    }
+    out = []
+    for name, (m, agents, fixed, variable) in shapes.items():
+        for groups in (fixed, variable):
+            path = os.path.join(workdir, f"{name}-{next(iter(groups))}.json")
+            with open(path, "w") as fh:
+                json.dump({"m": m, "agents": agents, "groups": groups}, fh)
+            methods = [x for x in METHODS if (x in _CHOOSERS) == ("variable" in groups)]
+            out += [["solve", path, "--method", method] for method in methods]
+    return out
+
+
 def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[str], ask) -> list:
     """(id, argv) of every question, in the order they are asked."""
     from perfbench import run as bench
@@ -230,6 +259,8 @@ def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[st
         out += [(f"mixed/{seed}/{i}", argv) for i, argv in enumerate(questions)]
         questions = one_group_questions(seed, os.path.join(workdir, f"one-group-{seed}"))
         out += [(f"one-group/{seed}/{i}", argv) for i, argv in enumerate(questions)]
+    questions = edge_questions(os.path.join(workdir, "edge"))
+    out += [(f"edge/{i}", argv) for i, argv in enumerate(questions)]
     out += [("corpus/json", ["corpus"]), ("corpus/table", ["corpus", "--format", "table"])]
     out += [(f"search/{os.path.basename(path)}", ["search", path]) for path in corpus]
     return out
