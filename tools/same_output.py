@@ -215,17 +215,13 @@ def one_group_questions(seed: int, workdir: str) -> list[list[str]]:
     return out
 
 
-METHODS = ("binary", "two-one", "exact1", "roundrobin", "cutchoose", "knife", "prop")
-# the methods that choose the partition and so need variable groups
-_CHOOSERS = ("cutchoose", "knife", "prop")
-
-
 def edge_questions(workdir: str) -> list[list[str]]:
     """``solve`` with every method on an instance with no agents (three goods,
     two empty groups) and on one with no goods (two binary agents, one per
     group), each with fixed groups, or variable ones for the methods that
     choose the partition. The instances are written under ``workdir``."""
     os.makedirs(workdir, exist_ok=True)
+    methods = {"fixed": ["binary", "two-one", "exact1", "roundrobin"], "variable": ["cutchoose", "knife", "prop"]}
     pair = [{"id": a, "kind": "binary", "values": []} for a in range(2)]
     shapes = {
         "no-agents": (3, [], {"fixed": [[], []]}, {"variable": [0, 0]}),
@@ -234,11 +230,11 @@ def edge_questions(workdir: str) -> list[list[str]]:
     out = []
     for name, (m, agents, fixed, variable) in shapes.items():
         for groups in (fixed, variable):
-            path = os.path.join(workdir, f"{name}-{next(iter(groups))}.json")
+            shape = next(iter(groups))
+            path = os.path.join(workdir, f"{name}-{shape}.json")
             with open(path, "w") as fh:
                 json.dump({"m": m, "agents": agents, "groups": groups}, fh)
-            methods = [x for x in METHODS if (x in _CHOOSERS) == ("variable" in groups)]
-            out += [["solve", path, "--method", method] for method in methods]
+            out += [["solve", path, "--method", method] for method in methods[shape]]
     return out
 
 
