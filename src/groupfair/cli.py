@@ -8,8 +8,20 @@ monotone CNF, and run ``fuzz`` suites.
 Exit codes: 0 on success or Found; 2 when a negative outcome is certified
 (exhausted search, no allocation exists, a failed check or suite); 1 on
 usage or data errors. Reports go to stdout as JSON (default) or as a plain
-table via ``--format table``. Every allocation printed here has been
-re-verified through the fairness checker in-process.
+table via ``--format table``.
+
+Before an answer is printed it is checked again, against all it claims.
+``solve`` and ``search`` check each allocation in :func:`_verify`: the
+bundles partition the goods, one per group; a ``search`` hit meets its
+notion, the declared group sizes (sizes within one with
+``--balanced-agents``) and, with ``--balanced-goods``, bundles within one;
+a ``solve`` answer meets its method's guarantee (binary, two-one and
+cutchoose EF1, cutchoose in the declared sizes; knife EF1 with balanced
+groups and bundles; roundrobin EF1 with one agent per group; exact1 EF1
+for both agents; prop the declared sizes and every share up to k-1
+goods). ``kneser`` checks that a colouring it prints is proper. A failed
+check raises ``AssertionError`` ("result failed G re-verification"):
+a fault of the program, which no exit code stands for.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from dataclasses import dataclass, field
 from . import algorithms, kneser, oracle, reduction
 from .binary_solver import solve_ef1_binary
 from .errors import FairAllocationNotFound, GroupFairError
-from .fairness import EF1, Notion, is_exact1, is_fair, meets_prop_up_to_goods, parse_notion
+from .fairness import EF1, Notion, is_balanced, is_exact1, is_fair, meets_prop_up_to_goods, parse_notion
 from .model import (
     AgentPartition,
     Allocation,
@@ -170,64 +182,72 @@ def _cmd_check(args) -> int:
     return OK if report.overall else CERTIFIED_NO
 
 
-def _reverify(
-    inst: Instance, alloc: Allocation, part: AgentPartition | None, notion: Notion
-) -> dict:
-    """Check a result on the fixed-groups instance its partition gives (the
-    instance itself when ``part`` is None); returns the fairness report."""
-    if part is not None:
-        inst = Instance.fixed(inst.m, inst.agents, part.groups_lists())
-    report = is_fair(inst, alloc, notion)
-    if not report.overall:
-        raise AssertionError(f"result failed {notion} re-verification")
-    return report.to_dict()
+def _verify(inst: Instance, alloc: Allocation, part: AgentPartition | None, claim) -> dict | None:
+    """Raise unless an answer meets its whole claim: the one check of every
+    answer ``solve`` and ``search`` print.
+
+    The bundles must partition the goods, one per group (two for exact1). An
+    ``oracle.SearchConstraints`` claim asks for its notion on ``inst`` under
+    ``part``, the declared group sizes (sizes within one under
+    ``balanced_partition``) and, under ``balanced_allocation``, bundles
+    within one; its fairness report is returned. ``"exact1"`` claims that
+    both agents find the two bundles EF1; ``"prop up to k-1 goods"`` claims
+    the declared sizes and every agent's share up to k-1 goods.
+    """
+    search = isinstance(claim, oracle.SearchConstraints)
+    ok = not allocation_violations(inst.m, alloc) and alloc.k == (2 if claim == "exact1" else inst.k)
+    if ok and part is not None:
+        balanced = search and claim.balanced_partition
+        ok = is_balanced(part) if balanced else part.sizes() == inst.groups.sizes
+    if ok and claim == "exact1":
+        ok = all(is_exact1(v, alloc.bundles) for v in inst.agents)
+    elif ok and not search:
+        owned = [alloc.bundles[g] for g in part.assignment]
+        ok = all(meets_prop_up_to_goods(v, b, inst.k) for v, b in zip(inst.agents, owned))
+    elif ok:
+        report = is_fair(inst, alloc, claim.notion, partition=part)
+        ok = report.overall and (not claim.balanced_allocation or is_balanced(alloc))
+    if not ok:
+        raise AssertionError(f"result failed {claim.notion if search else claim} re-verification")
+    return report.to_dict() if search else None
 
 
 def _solve_dispatch(args, inst: Instance):
-    """Returns (result dict, allocation | None, partition | None, notion);
-    methods that report no notion verify their own guarantee here."""
+    """Returns (result dict, allocation, partition | None, claim, instance
+    the claim is about), as :func:`_verify` takes them. The EF1 methods
+    leave the dict empty; the others name their guarantee in it."""
     method = args.method
+    ef1 = oracle.SearchConstraints(EF1)
     if method == "binary":
-        return {}, solve_ef1_binary(inst), None, EF1
+        return {}, solve_ef1_binary(inst), None, ef1, inst
     if method == "two-one":
-        return {}, algorithms.ef1_two_one(inst), None, EF1
+        return {}, algorithms.ef1_two_one(inst), None, ef1, inst
     if method == "exact1":
         if inst.n != 2:
             raise ValueError("exact1 needs exactly two agents")
         alloc = Allocation(algorithms.exact1_partition(inst.agents[0], inst.agents[1]))
-        if not all(is_exact1(v, alloc.bundles) for v in inst.agents):
-            raise AssertionError("result failed exact1 re-verification")
-        return {"exact1": True}, alloc, None, None
+        return {"exact1": True}, alloc, None, "exact1", inst
     if method == "roundrobin":
         alloc = algorithms.round_robin(inst.agents)
-        singles = AgentPartition(tuple(range(inst.n)), inst.n)
-        _reverify(inst, alloc, singles, EF1)
-        return {"groups": "one per agent"}, alloc, None, None
+        singles = Instance.fixed(inst.m, inst.agents, [[a] for a in range(inst.n)])
+        return {"groups": "one per agent"}, alloc, None, ef1, singles
     if isinstance(inst.groups, FixedGroups):
         raise ValueError(f"method {method} chooses the partition; use variable groups")
     if not inst.n:  # the algorithms read m off the first agent
         raise ValueError(f"method {method} needs at least one agent")
-    sizes = inst.groups.sizes
+    if method in ("cutchoose", "knife") and inst.k != 2:
+        raise ValueError(f"{method} needs exactly two groups")
     if method == "cutchoose":
-        if inst.k != 2:
-            raise ValueError("cutchoose needs exactly two groups")
-        part, alloc = algorithms.cut_and_choose_ef1(inst.agents, sizes[0], sizes[1])
-        return {}, alloc, part, EF1
+        part, alloc = algorithms.cut_and_choose_ef1(inst.agents, *inst.groups.sizes)
+        return {}, alloc, part, ef1, inst
     if method == "knife":
-        if inst.k != 2:
-            raise ValueError("knife needs exactly two groups")
-        part, alloc = algorithms.rotating_knife(inst.agents)
-        return {}, alloc, part, EF1
+        part, alloc = algorithms.rotating_knife(inst.agents)  # balanced groups and bundles
+        return {}, alloc, part, oracle.SearchConstraints(EF1, True, True), inst
     if method == "prop":
-        part, alloc = algorithms.proportional_k_groups(inst.agents, sizes)
+        part, alloc = algorithms.proportional_k_groups(inst.agents, inst.groups.sizes)
         # The guarantee is proportionality up to k-1 goods, not exact Prop.
         guarantee = "prop up to k-1 goods"
-        if allocation_violations(inst.m, alloc):
-            raise AssertionError(f"result failed {guarantee} re-verification")
-        for a, gi in enumerate(part.assignment):
-            if not meets_prop_up_to_goods(inst.agents[a], alloc.bundles[gi], inst.k):
-                raise AssertionError(f"result failed {guarantee} re-verification")
-        return {"guarantee": guarantee}, alloc, part, None
+        return {"guarantee": guarantee}, alloc, part, guarantee, inst
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -235,7 +255,7 @@ def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     t0 = time.perf_counter()
     try:
-        extra, alloc, part, notion = _solve_dispatch(args, inst)
+        extra, alloc, part, claim, about = _solve_dispatch(args, inst)
     except FairAllocationNotFound as exc:
         result = {"reason": str(exc)}
         if exc.certificate is not None:
@@ -244,15 +264,14 @@ def _cmd_solve(args) -> int:
         run = RunReport("solve", _digest(inst), result, None, time.perf_counter() - t0)
         _emit(run, args.format)
         return CERTIFIED_NO
+    fairness = _verify(about, alloc, part, claim)
     result = {"outcome": "solved", "method": args.method, **extra}
     result["allocation"] = [list(b) for b in alloc.goods_lists()]
     if part is not None:
         result["partition"] = [list(g) for g in part.groups_lists()]
-    fairness = None
-    if notion is not None:
-        fairness = _reverify(inst, alloc, part, notion)
-        result["notion"] = str(notion)
-    run = RunReport("solve", _digest(inst), result, fairness, time.perf_counter() - t0)
+    if not extra:  # the other methods name their guarantee there and show no report
+        result["notion"] = str(claim.notion)
+    run = RunReport("solve", _digest(inst), result, None if extra else fairness, time.perf_counter() - t0)
     _emit(run, args.format)
     return OK
 
@@ -268,9 +287,7 @@ def _cmd_search(args) -> int:
     t0 = time.perf_counter()
     cert = oracle.find_fair(inst, cons)
     elapsed = time.perf_counter() - t0
-    fairness = None
-    if cert.found:
-        fairness = _reverify(inst, cert.allocation, cert.partition, notion)
+    fairness = _verify(inst, cert.allocation, cert.partition, cons) if cert.found else None
     result = {"notion": str(notion), **cert.to_dict()}
     run = RunReport("search", _digest(inst), result, fairness, elapsed)
     _emit(run, args.format)
@@ -319,12 +336,13 @@ def _cmd_kneser(args) -> int:
             raise ValueError(f"{option} needs --tightness")
     g = kneser.build_kneser(args.b, args.r, args.s)
     result: dict = {"b": args.b, "r": args.r, "s": args.s, "vertices": g.n, "edges": g.edge_count}
-    coloring = None
     if args.chi:
         lower, upper, coloring = kneser.chromatic_number(g, mode=args.chi)
+        # with --tightness, tightness_instance checks the coloring, which is not checked twice
+        if not args.tightness and not kneser.is_proper(g, coloring):
+            raise AssertionError("result failed proper coloring re-verification")
         result["chi"] = {"lower": lower, "upper": upper}
-        if coloring is not None:
-            result["coloring"] = list(coloring.colors)
+        result["coloring"] = list(coloring.colors)
     if args.dimacs:
         text = kneser.to_dimacs(g)
         if args.dimacs == "-":
@@ -337,9 +355,14 @@ def _cmd_kneser(args) -> int:
         if args.split is None:
             raise ValueError("--tightness needs --split n1,n2")
         split = _parse_split(args.split)
-        if coloring is None:
+        if not args.chi:
             _, _, coloring = kneser.chromatic_number(g, mode="exact")
-        inst = kneser.tightness_instance(g, coloring, split)
+        try:
+            inst = kneser.tightness_instance(g, coloring, split)
+        except ValueError:  # a coloring of ours at fault is no input error
+            if not kneser.is_proper(g, coloring):
+                raise AssertionError("result failed proper coloring re-verification") from None
+            raise
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(instance_to_json(inst) + "\n")

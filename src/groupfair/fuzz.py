@@ -290,6 +290,11 @@ def _balanced_tables_suite(seed: int, runs: int) -> SuiteResult:
             result.record(f"run {i}: no balanced EF1 over {instance_to_json(inst, None)}")
         elif not is_fair(inst, cert.allocation, EF1, partition=cert.partition).overall:
             result.record(f"run {i}: oracle witness fails re-verification")
+        elif not (is_balanced(cert.partition) and is_balanced(cert.allocation)):
+            result.record(
+                f"run {i}: oracle witness is unbalanced: groups {cert.partition.sizes()},"
+                f" bundles {cert.allocation.sizes()}"
+            )
     return result
 
 

@@ -260,7 +260,7 @@ def _dsatur_exact(g: KneserGraph, clique: list[int], ub: Coloring) -> Coloring:
     return Coloring(tuple(best), best_num)
 
 
-def chromatic_number(g: KneserGraph, mode: str = "exact") -> tuple[int, int, Coloring | None]:
+def chromatic_number(g: KneserGraph, mode: str = "exact") -> tuple[int, int, Coloring]:
     """Chromatic bounds: (lower, upper, witness coloring for the upper).
 
     ``bounds`` mode returns a greedy clique lower bound and a

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from groupfair import build_kneser, chromatic_number, instance_from_json, tightness_instance
+from groupfair import build_kneser, chromatic_number, instance_from_json, kneser, tightness_instance
 from groupfair.cli import _build_parser, main
+from groupfair.kneser import Coloring
 from groupfair.model import AgentPartition, Allocation, instance_to_dict
 from groupfair.oracle import Certificate
 
@@ -251,8 +252,20 @@ _ALL_TO_GROUP_ONE = (AgentPartition((0, 0, 1, 1), 2), Allocation((0b11111, 0)))
 # goods 0, 2 to agents 0 and 1, goods 3, 4 to agents 2 and 3: each agent gets
 # its proportional share up to one good, but good 1 goes to nobody
 _GOOD_LEFT_OUT = (AgentPartition((0, 0, 1, 1), 2), Allocation((0b00101, 0b11000)))
+# EF1 on the [2, 2] instance, but in groups of three and one
+_THREE_ONE = (AgentPartition((0, 0, 0, 1), 2), Allocation((0b00011, 0b11100)))
+# EF1 in the declared groups, but with bundles of one and four goods
+_ONE_FOUR = (AgentPartition((0, 1, 0, 1), 2), Allocation((0b00001, 0b11110)))
+_OVERLAP = Allocation((0b011, 0b110))
+
+
+def _hit(answer):
+    part, alloc = answer
+    return Certificate(True, alloc, part)
+
+
 # method, or method/variant: the name the CLI calls, an answer that breaks
-# the guarantee, the guarantee
+# the guarantee, the guarantee, and the search flags the answer must meet
 _BROKEN = {
     "binary": ("solve_ef1_binary", _ALL_TO_FIRST, "ef1"),
     "two-one": ("algorithms.ef1_two_one", _ALL_TO_FIRST, "ef1"),
@@ -263,14 +276,26 @@ _BROKEN = {
     "prop": ("algorithms.proportional_k_groups", _ALL_TO_GROUP_ONE, "prop up to k-1 goods"),
     "prop/good-left-out": ("algorithms.proportional_k_groups", _GOOD_LEFT_OUT, "prop up to k-1 goods"),
     "search": ("oracle.find_fair", Certificate(True, _ALL_TO_FIRST), "ef1"),
+    # answers that pass EF1 but break the rest of what they claim
+    "knife/unbalanced-groups": ("algorithms.rotating_knife", _THREE_ONE, "ef1"),
+    "knife/unbalanced-bundles": ("algorithms.rotating_knife", _ONE_FOUR, "ef1"),
+    "cutchoose/wrong-sizes": ("algorithms.cut_and_choose_ef1", _THREE_ONE, "ef1"),
+    "prop/wrong-sizes": ("algorithms.proportional_k_groups", _THREE_ONE, "prop up to k-1 goods"),
+    "search/balanced-goods": ("oracle.find_fair", _hit(_ONE_FOUR), "ef1", "--balanced-goods"),
+    "search/balanced-agents": ("oracle.find_fair", _hit(_THREE_ONE), "ef1", "--balanced-agents"),
+    "search/declared-sizes": ("oracle.find_fair", _hit(_THREE_ONE), "ef1"),
+    # bundles that share a good once read as bad input (exit 1)
+    "exact1/overlap": ("algorithms.exact1_partition", _OVERLAP.bundles, "exact1"),
+    "two-one/overlap": ("algorithms.ef1_two_one", _OVERLAP, "ef1"),
 }
 
 
 @pytest.mark.parametrize("method", list(_BROKEN))
 def test_broken_result_is_never_printed(variable_inst, tmp_path, capsys, monkeypatch, method):
-    # every allocation the CLI prints is re-verified first; one that breaks
-    # the method's guarantee must raise before anything reaches stdout
-    target, answer, guarantee = _BROKEN[method]
+    # every allocation the CLI prints is re-verified first, against all it
+    # claims; one that breaks the method's guarantee, the declared group
+    # sizes or a balance it promises must raise before anything reaches stdout
+    target, answer, guarantee, *flags = _BROKEN[method]
     method = method.split("/")[0]
     pair = tmp_path / "pair.json"
     pair.write_text(
@@ -284,7 +309,7 @@ def test_broken_result_is_never_printed(variable_inst, tmp_path, capsys, monkeyp
     )
     monkeypatch.setattr(f"groupfair.cli.{target}", lambda *args, **kwargs: answer)
     if method == "search":
-        argv = ["search", str(pair)]
+        argv = ["search", variable_inst if answer.partition else str(pair), *flags]
     else:
         inst = variable_inst if method in ("cutchoose", "knife", "prop") else str(pair)
         argv = ["solve", inst, "--method", method]
@@ -471,6 +496,31 @@ def test_inline_instance_reports(tmp_path, capsys, fmt):
             assert json.loads(out)["result"]["instance"] == expected
         else:
             assert f"\ninstance: {expected}\n" in out
+
+
+@pytest.mark.parametrize("tightness", [[], ["--tightness", "--split", "3,3"]])
+def test_improper_coloring_is_never_printed(capsys, monkeypatch, tightness):
+    # a coloring that is not proper is a fault of ours, not of the question,
+    # with --tightness too, where tightness_instance finds it
+    improper = Coloring((0,) * 6, 1)
+    monkeypatch.setattr("groupfair.kneser.chromatic_number", lambda *args, **kwargs: (1, 1, improper))
+    with pytest.raises(AssertionError, match="^result failed proper coloring re-verification$"):
+        main(["kneser", "--b", "4", "--r", "2", "--s", "2", "--chi", "exact", *tightness])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("chi", ["exact", "bounds"])
+@pytest.mark.parametrize("tightness", [[], ["--tightness", "--split", "2,4"]])
+def test_printed_coloring_is_checked_once(capsys, monkeypatch, chi, tightness):
+    # the printed coloring is checked, and only once: with --tightness the
+    # check is tightness_instance's, and a second one would cost each
+    # tightness question a pass over the graph
+    calls = []
+    is_proper = kneser.is_proper
+    monkeypatch.setattr(kneser, "is_proper", lambda *args: calls.append(args) or is_proper(*args))
+    code, out, _ = run_cli(["kneser", "--b", "6", "--r", "3", "--s", "2", "--chi", chi, *tightness], capsys)
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["result"]["coloring"] == list(calls[0][1].colors)
 
 
 def test_kneser_guard_exits_one(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from groupfair import fuzz
 from groupfair.fuzz import (
     MAX_EXAMPLES,
     SUITES,
@@ -12,7 +13,8 @@ from groupfair.fuzz import (
     random_monotone_table,
     run_suite,
 )
-from groupfair.model import iter_bits, validate, Instance
+from groupfair.model import AgentPartition, Allocation, Instance, Valuation, iter_bits, validate
+from groupfair.oracle import Certificate
 
 
 EXPECTED_SUITES = {
@@ -92,3 +94,17 @@ def test_every_suite_smokes_clean(name):
     assert result.runs == 30
     assert result.passed, result.examples
     assert result.elapsed >= 0.0
+
+
+def test_balanced_tables_checks_balance(monkeypatch):
+    # agents who value nothing accept every allocation, so only the balance
+    # of the hit's groups or bundles can fail
+    monkeypatch.setattr(fuzz, "random_monotone_table", lambda rng, m: Valuation.zeros(m))
+    three_two, four_one = AgentPartition((0, 0, 0, 1, 1), 2), AgentPartition((0, 0, 0, 0, 1), 2)
+    two_two, three_one = Allocation((0b0011, 0b1100)), Allocation((0b0111, 0b1000))
+    for alloc, part, failures in [(two_two, three_two, 0), (two_two, four_one, 3), (three_one, three_two, 3)]:
+        monkeypatch.setattr(fuzz, "find_fair", lambda inst, cons: Certificate(True, alloc, part))
+        result = run_suite("balanced-tables", seed=1, runs=3)
+        assert result.failures == failures, (alloc, part)
+        if failures:
+            assert result.examples[0].startswith("run 0: oracle witness is unbalanced: groups ")

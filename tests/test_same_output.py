@@ -127,6 +127,62 @@ def test_edge_questions_ask_every_method(tmp_path, capsys):
     assert codes == [0, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0]
 
 
+def test_solve_questions_ask_every_method(tmp_path, capsys):
+    # every method on additive, binary and table agents: fixed groups for
+    # the methods that take them, and balanced and unbalanced declared sizes
+    # at k = 2 and 3 for the methods that choose the partition
+    one = same_output.solve_questions(1, str(tmp_path / "a"))
+    again = same_output.solve_questions(1, str(tmp_path / "b"))
+    assert [q[2:] for q in one] == [q[2:] for q in again]
+    docs = [json.loads(pathlib.Path(q[1]).read_text()) for q in one]
+    assert docs == [json.loads(pathlib.Path(q[1]).read_text()) for q in again]
+    fixed = ["binary", "two-one", "exact1", "roundrobin"]
+    choosers = ["cutchoose", "knife", "prop"]
+    kinds = [kind for kind in ("additive", "binary", "table") for _ in range(16)]
+    assert [q[3] for q in one] == (fixed + choosers * 4) * 3
+    assert [{agent["kind"] for agent in doc["agents"]} for doc in docs] == [{kind} for kind in kinds]
+    assert all(q[:3] == ["solve", q[1], "--method"] and q[4:] in ([], ["--format", "table"]) for q in one)
+    for i, (argv, doc) in enumerate(zip(one, docs)):
+        n = len(doc["agents"])
+        if argv[3] in fixed:
+            groups = doc["groups"]["fixed"]
+            assert sorted(a for g in groups for a in g) == list(range(n))
+            shape = sorted(map(len, groups))
+            expected = {"binary": len(shape) == 2, "two-one": shape == [1, 2], "exact1": shape == [1, 1],
+                        "roundrobin": 1 <= len(shape) <= 3}
+            assert expected[argv[3]]
+        else:  # k = 2 balanced, k = 2 unbalanced, k = 3 balanced, k = 3 unbalanced
+            block = (i % 16 - 4) // 3
+            sizes = doc["groups"]["variable"]
+            assert len(sizes) == 2 + block // 2 and sum(sizes) == n
+            assert (max(sizes) - min(sizes) <= 1) == (block % 2 == 0)
+    # tables are refused by every method but cutchoose and knife, additive
+    # agents by the binary solver, three groups by cutchoose and knife, each
+    # with its error line; every other question is answered, in the declared
+    # group sizes, or in balanced ones for knife
+    moved = 0
+    for argv, doc, kind in zip(one, docs, kinds):
+        method = argv[3]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if method == "binary" and kind != "binary":
+            assert (code, out, err) == (1, "", "error: the binary solver needs binary valuations\n")
+        elif kind == "table" and method not in ("cutchoose", "knife"):
+            assert (code, out) == (1, "") and err.endswith(" needs binary or additive valuations\n")
+        elif method in ("cutchoose", "knife") and len(doc["groups"]["variable"]) == 3:
+            assert (code, out, err) == (1, "", f"error: {method} needs exactly two groups\n")
+        else:
+            assert (code, err) == (0, "")
+            if method in choosers and "--format" not in argv:
+                sizes = [len(g) for g in json.loads(out)["result"]["partition"]]
+                if method != "knife":
+                    assert sizes == doc["groups"]["variable"]
+                else:
+                    assert max(sizes) - min(sizes) <= 1
+                    moved += sizes != doc["groups"]["variable"]
+    assert moved  # knife answers some unbalanced declared sizes in balanced groups
+
+
 def test_checkout_matches_itself_on_the_exhaust_plan():
     proc = subprocess.run(
         [sys.executable, TOOL, ROOT, ROOT, "--seeds", "1", "--plans", "exhaust"],

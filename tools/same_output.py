@@ -8,10 +8,11 @@ plan order, then fixed sets of seeded variable-group ``search`` questions
 (see :func:`variable_questions`), of EF2, EFX, EFX0 and EFc ``search``
 questions (see :func:`removal_questions`) and of fixed-group ``search``
 questions with tables next to additive or binary agents (see
-:func:`mixed_questions`) and of one-group ``search`` questions (see
-:func:`one_group_questions`), then ``solve`` with every method on an
-instance with no agents and on one with no goods (see
-:func:`edge_questions`), ``corpus`` in json and table format and
+:func:`mixed_questions`), of one-group ``search`` questions (see
+:func:`one_group_questions`) and of ``solve`` questions with every method
+on additive, binary and table agents (see :func:`solve_questions`), then
+``solve`` with every method on an instance with no agents and on one with
+no goods (see :func:`edge_questions`), ``corpus`` in json and table format and
 ``search`` on every ``corpus/*.json`` of CHANGE_DIR.
 Each checkout answers in a process of its own that imports ``groupfair``
 from that checkout's ``src``; the plans come from the ``perfbench`` next
@@ -238,6 +239,46 @@ def edge_questions(workdir: str) -> list[list[str]]:
     return out
 
 
+def solve_questions(seed: int, workdir: str) -> list[list[str]]:
+    """Seeded ``solve`` questions: every method on additive, binary and
+    table agents, one kind per instance (a method that refuses a kind
+    answers with its error line). binary, two-one, exact1 and roundrobin get
+    fixed groups: two of them for binary, of sizes two and one for two-one,
+    one agent each for exact1 and one to three for roundrobin. cutchoose,
+    knife and prop get variable groups with balanced and with unbalanced
+    declared sizes, at k = 2 and k = 3. The instances are written under
+    ``workdir``."""
+    rng = random.Random(f"solve-{seed}")
+    os.makedirs(workdir, exist_ok=True)
+    fixed = {  # method -> choices of fixed groups
+        "binary": [[[0, 1], [2]], [[0], [1, 2]], [[0, 1], [2, 3]], [[0, 2, 4], [1, 3]]],
+        "two-one": [[[0, 1], [2]], [[2], [0, 1]]],
+        "exact1": [[[0], [1]]],
+        "roundrobin": [[[0, 1, 2]], [[0], [1, 2]], [[0, 3], [1], [2]]],
+    }
+    declared = {  # k -> (balanced, unbalanced) choices of declared sizes
+        2: ([[2, 2], [3, 2], [2, 3]], [[3, 1], [1, 4], [4, 1]]),
+        3: ([[1, 1, 1], [2, 2, 1], [2, 1, 2]], [[3, 1, 1], [1, 1, 3], [1, 4, 2]]),
+    }
+    out = []
+    for kind in ("additive", "binary", "table"):
+        shapes = [(method, {"fixed": rng.choice(choices)}) for method, choices in fixed.items()]
+        for k in (2, 3):
+            for choices in declared[k]:
+                sizes = rng.choice(choices)
+                shapes += [(method, {"variable": sizes}) for method in ("cutchoose", "knife", "prop")]
+        for method, groups in shapes:
+            n = sum(groups["variable"]) if "variable" in groups else sum(map(len, groups["fixed"]))
+            m = rng.randint(2, 5 if kind == "table" else 8)
+            agents = [{"id": a, **_valuation(rng, m, kind)} for a in range(n)]
+            path = os.path.join(workdir, f"solve-{seed}-{len(out)}.json")
+            with open(path, "w") as fh:
+                json.dump({"m": m, "agents": agents, "groups": groups}, fh)
+            flags = ["--format", "table"] if len(out) % 5 == 0 else []
+            out.append(["solve", path, "--method", method, *flags])
+    return out
+
+
 def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[str], ask) -> list:
     """(id, argv) of every question, in the order they are asked."""
     from perfbench import run as bench
@@ -255,6 +296,8 @@ def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[st
         out += [(f"mixed/{seed}/{i}", argv) for i, argv in enumerate(questions)]
         questions = one_group_questions(seed, os.path.join(workdir, f"one-group-{seed}"))
         out += [(f"one-group/{seed}/{i}", argv) for i, argv in enumerate(questions)]
+        questions = solve_questions(seed, os.path.join(workdir, f"solve-{seed}"))
+        out += [(f"solve/{seed}/{i}", argv) for i, argv in enumerate(questions)]
     questions = edge_questions(os.path.join(workdir, "edge"))
     out += [(f"edge/{i}", argv) for i, argv in enumerate(questions)]
     out += [("corpus/json", ["corpus"]), ("corpus/table", ["corpus", "--format", "table"])]
