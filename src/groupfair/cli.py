@@ -10,18 +10,19 @@ Exit codes: 0 on success or Found; 2 when a negative outcome is certified
 usage or data errors. Reports go to stdout as JSON (default) or as a plain
 table via ``--format table``.
 
-Before an answer is printed it is checked again, against all it claims.
-``solve`` and ``search`` check each allocation in :func:`_verify`: the
-bundles partition the goods, one per group; a ``search`` hit meets its
-notion, the declared group sizes (sizes within one with
+Before an answer is printed it is checked again, against all it claims,
+by :func:`fairness.check_answer`, the package's one answer check: the
+bundles partition the goods, one per group (two for exact1); a ``search``
+hit meets its notion, the declared group sizes (sizes within one with
 ``--balanced-agents``) and, with ``--balanced-goods``, bundles within one;
-a ``solve`` answer meets its method's guarantee (binary, two-one and
+a ``solve`` answer meets its method's claim (binary, two-one and
 cutchoose EF1, cutchoose in the declared sizes; knife EF1 with balanced
-groups and bundles; roundrobin EF1 with one agent per group; exact1 EF1
-for both agents; prop the declared sizes and every share up to k-1
-goods). ``kneser`` checks that a colouring it prints is proper. A failed
-check raises ``AssertionError`` ("result failed G re-verification"):
-a fault of the program, which no exit code stands for.
+groups and bundles; roundrobin EF1 with one agent per group; exact1 two
+balanced bundles, EF1 for both agents; prop the declared sizes and every
+share up to k-1 goods). ``kneser`` checks that a colouring it prints is
+proper, and checks every ``--tightness`` input before it writes anything.
+A failed check raises ``AssertionError`` ("result failed G
+re-verification"): a fault of the program, which no exit code stands for.
 """
 
 from __future__ import annotations
@@ -36,13 +37,12 @@ from dataclasses import dataclass, field
 from . import algorithms, kneser, oracle, reduction
 from .binary_solver import solve_ef1_binary
 from .errors import FairAllocationNotFound, GroupFairError
-from .fairness import EF1, Notion, is_balanced, is_exact1, is_fair, meets_prop_up_to_goods, parse_notion
+from .fairness import EF1, Notion, SearchConstraints, check_answer, is_fair, parse_notion
 from .model import (
     AgentPartition,
     Allocation,
     FixedGroups,
     Instance,
-    allocation_violations,
     dumps_indented,
     instance_from_json,
     instance_to_json,
@@ -183,33 +183,11 @@ def _cmd_check(args) -> int:
 
 
 def _verify(inst: Instance, alloc: Allocation, part: AgentPartition | None, claim) -> dict | None:
-    """Raise unless an answer meets its whole claim: the one check of every
-    answer ``solve`` and ``search`` print.
-
-    The bundles must partition the goods, one per group (two for exact1). An
-    ``oracle.SearchConstraints`` claim asks for its notion on ``inst`` under
-    ``part``, the declared group sizes (sizes within one under
-    ``balanced_partition``) and, under ``balanced_allocation``, bundles
-    within one; its fairness report is returned. ``"exact1"`` claims that
-    both agents find the two bundles EF1; ``"prop up to k-1 goods"`` claims
-    the declared sizes and every agent's share up to k-1 goods.
-    """
-    search = isinstance(claim, oracle.SearchConstraints)
-    ok = not allocation_violations(inst.m, alloc) and alloc.k == (2 if claim == "exact1" else inst.k)
-    if ok and part is not None:
-        balanced = search and claim.balanced_partition
-        ok = is_balanced(part) if balanced else part.sizes() == inst.groups.sizes
-    if ok and claim == "exact1":
-        ok = all(is_exact1(v, alloc.bundles) for v in inst.agents)
-    elif ok and not search:
-        owned = [alloc.bundles[g] for g in part.assignment]
-        ok = all(meets_prop_up_to_goods(v, b, inst.k) for v, b in zip(inst.agents, owned))
-    elif ok:
-        report = is_fair(inst, alloc, claim.notion, partition=part)
-        ok = report.overall and (not claim.balanced_allocation or is_balanced(alloc))
-    if not ok:
-        raise AssertionError(f"result failed {claim.notion if search else claim} re-verification")
-    return report.to_dict() if search else None
+    """Raise unless an answer meets its whole claim; the notion's report, if any."""
+    failure, report = check_answer(inst, alloc, part, claim)
+    if failure:
+        raise AssertionError(f"result failed {getattr(claim, 'notion', claim)} re-verification")
+    return None if report is None else report.to_dict()
 
 
 def _solve_dispatch(args, inst: Instance):
@@ -217,7 +195,7 @@ def _solve_dispatch(args, inst: Instance):
     the claim is about), as :func:`_verify` takes them. The EF1 methods
     leave the dict empty; the others name their guarantee in it."""
     method = args.method
-    ef1 = oracle.SearchConstraints(EF1)
+    ef1 = SearchConstraints(EF1)
     if method == "binary":
         return {}, solve_ef1_binary(inst), None, ef1, inst
     if method == "two-one":
@@ -242,7 +220,7 @@ def _solve_dispatch(args, inst: Instance):
         return {}, alloc, part, ef1, inst
     if method == "knife":
         part, alloc = algorithms.rotating_knife(inst.agents)  # balanced groups and bundles
-        return {}, alloc, part, oracle.SearchConstraints(EF1, True, True), inst
+        return {}, alloc, part, SearchConstraints(EF1, True, True), inst
     if method == "prop":
         part, alloc = algorithms.proportional_k_groups(inst.agents, inst.groups.sizes)
         # The guarantee is proportionality up to k-1 goods, not exact Prop.
@@ -279,7 +257,7 @@ def _cmd_solve(args) -> int:
 def _cmd_search(args) -> int:
     inst = _load_instance(args.instance)
     notion = _parse_notion(args.notion)
-    cons = oracle.SearchConstraints(
+    cons = SearchConstraints(
         notion,
         balanced_allocation=args.balanced_goods,
         balanced_partition=args.balanced_agents,
@@ -343,15 +321,7 @@ def _cmd_kneser(args) -> int:
             raise AssertionError("result failed proper coloring re-verification")
         result["chi"] = {"lower": lower, "upper": upper}
         result["coloring"] = list(coloring.colors)
-    if args.dimacs:
-        text = kneser.to_dimacs(g)
-        if args.dimacs == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.dimacs, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            result["dimacs"] = args.dimacs
-    if args.tightness:
+    if args.tightness:  # built before any DIMACS text is written, so a bad question writes nothing
         if args.split is None:
             raise ValueError("--tightness needs --split n1,n2")
         split = _parse_split(args.split)
@@ -363,6 +333,15 @@ def _cmd_kneser(args) -> int:
             if not kneser.is_proper(g, coloring):
                 raise AssertionError("result failed proper coloring re-verification") from None
             raise
+    if args.dimacs:
+        text = kneser.to_dimacs(g)
+        if args.dimacs == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.dimacs, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            result["dimacs"] = args.dimacs
+    if args.tightness:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(instance_to_json(inst) + "\n")

@@ -1,8 +1,16 @@
 """Fairness predicates over allocations: envy relaxations, proportionality, balance.
 
 The checkers are the ground truth the rest of the package defers to: every
-algorithm output and oracle hit is re-verified here. All comparisons are on
-exact integers; proportionality avoids division by cross-multiplying.
+algorithm output and oracle hit is re-verified here, by one check of the
+answer's whole claim, :func:`check_answer`. The CLI's ``solve`` and
+``search``, the fuzz suites and the corpus runner all call it. A claim is
+either a :class:`SearchConstraints` (a search's own constraints; EF1 for
+the binary solver, two-one, roundrobin and cut-and-choose; EF1 with
+balanced groups and bundles for the rotating knife), ``"exact1"`` (two
+balanced bundles, EF1 both ways for both agents) or ``"prop up to k-1
+goods"`` (the declared group sizes and every agent's share up to k-1
+goods). All comparisons are on exact integers; proportionality avoids
+division by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -59,6 +67,22 @@ EF2 = Notion("efc", 2)
 EFX = Notion("efx")
 EFX0 = Notion("efx0")
 PROP = Notion("prop")
+
+
+@dataclass(frozen=True)
+class SearchConstraints:
+    """Side conditions of an existence question.
+
+    ``balanced_allocation`` restricts to bundle sizes pairwise within one.
+    ``balanced_partition`` (variable groups only) ranges over every group
+    size vector whose entries pairwise differ by at most one, instead of
+    the instance's declared sizes. To search one concrete partition of a
+    variable-group instance, search the fixed-group instance it gives.
+    """
+
+    notion: Notion
+    balanced_allocation: bool = False
+    balanced_partition: bool = False
 
 
 def up_to(c: int) -> Notion:
@@ -298,3 +322,45 @@ def is_balanced(x) -> bool:
     if not sizes:
         return True
     return max(sizes) - min(sizes) <= 1
+
+
+# ---------------------------------------------------------------------------
+# answers
+
+
+def check_answer(
+    inst: Instance, alloc: Allocation, part: AgentPartition | None, claim: SearchConstraints | str
+) -> tuple[str | None, FairnessReport | None]:
+    """The first part of its claim an answer breaks, or None, and the
+    notion's report when the claim is a :class:`SearchConstraints` whose
+    notion was checked: the one check of every answer the package gives.
+
+    The parts, in the order they are checked: ``goods not partitioned``
+    (the bundles must be disjoint and cover the goods), ``bundle count``
+    (one per group, two for ``"exact1"``), ``group sizes`` (the declared
+    ones, or sizes within one under ``balanced_partition``; fixed groups
+    take ``part`` None), ``balance`` (bundles within one, under
+    ``balanced_allocation`` and for ``"exact1"``), then the claim itself:
+    the notion on ``inst`` under ``part``, ``exact1`` (both agents find
+    the two bundles EF1) or ``prop up to k-1 goods`` (every agent's own
+    bundle, k being the number of groups).
+    """
+    search = isinstance(claim, SearchConstraints)
+    if allocation_violations(inst.m, alloc):
+        return "goods not partitioned", None
+    if alloc.k != (2 if claim == "exact1" else inst.k):
+        return "bundle count", None
+    balanced = search and claim.balanced_partition
+    if part is not None and not (is_balanced(part) if balanced else part.sizes() == inst.groups.sizes):
+        return "group sizes", None
+    if (claim == "exact1" or search and claim.balanced_allocation) and not is_balanced(alloc):
+        return "balance", None
+    if search:
+        report = is_fair(inst, alloc, claim.notion, partition=part)
+        return (None if report.overall else str(claim.notion)), report
+    if claim == "exact1":
+        ok = all(is_exact1(v, alloc.bundles) for v in inst.agents)
+    else:
+        owned = [alloc.bundles[g] for g in part.assignment]
+        ok = all(meets_prop_up_to_goods(v, b, inst.k) for v, b in zip(inst.agents, owned))
+    return (None if ok else claim), None

@@ -1,9 +1,9 @@
 """Seeded random instance generators and the property suites built on them.
 
 Every suite is a pure function of (seed, runs) so a failure can be replayed
-from the command line with the same numbers. Suites re-verify all solver
-output through the fairness checker and report the first few
-counterexamples verbatim.
+from the command line with the same numbers. Suites check every answer
+against its whole claim with :func:`fairness.check_answer`, the check the
+CLI prints by, and report the first few counterexamples verbatim.
 """
 
 from __future__ import annotations
@@ -20,19 +20,17 @@ from .algorithms import (
     rotating_knife,
 )
 from .binary_solver import solve_ef1_binary
-from .fairness import EF1, EF2, EFX, EFX0, is_balanced, is_exact1, is_fair, meets_prop_up_to_goods
+from .fairness import EF1, EF2, EFX, EFX0, SearchConstraints, check_answer, is_fair
 from .model import (
     TABLE,
     AgentPartition,
     Allocation,
     Instance,
     Valuation,
-    allocation_violations,
-    full_mask,
     instance_to_json,
     iter_bits,
 )
-from .oracle import SearchConstraints, find_fair
+from .oracle import find_fair
 from .reduction import (
     MonotoneClause,
     MonotoneFormula,
@@ -130,20 +128,23 @@ def _suite(name: str):
     return deco
 
 
-def _timed(fn):
-    def wrapped(seed: int, runs: int) -> SuiteResult:
-        t0 = time.perf_counter()
-        result = fn(seed, runs)
-        result.elapsed = time.perf_counter() - t0
-        return result
+def _check(
+    result: SuiteResult, i: int, inst: Instance, alloc: Allocation, part: AgentPartition | None, claim
+) -> None:
+    """Record run ``i`` as a failure unless the answer meets its whole claim."""
+    failure, _ = check_answer(inst, alloc, part, claim)
+    if failure:
+        groups = "" if part is None else f"groups of sizes {part.sizes()}, "
+        result.record(
+            f"run {i}: answer fails {failure}: {groups}bundles {alloc.goods_lists()}"
+            f" of sizes {alloc.sizes()} on {instance_to_json(inst, None)}"
+        )
 
-    wrapped.__name__ = fn.__name__
-    wrapped.__doc__ = fn.__doc__
-    return wrapped
 
+def _binary_shape_suite(n1: int, n2: int) -> None:
+    name = f"binary-{n1}-{n2}"
 
-def _binary_shape_suite(name: str, n1: int, n2: int):
-    @_timed
+    @_suite(name)
     def run(seed: int, runs: int) -> SuiteResult:
         rng = random.Random(seed)
         result = SuiteResult(name, runs)
@@ -158,25 +159,17 @@ def _binary_shape_suite(name: str, n1: int, n2: int):
             except Exception as exc:  # no exception is acceptable here
                 result.record(f"run {i}: solver raised {exc!r} on {instance_to_json(inst, None)}")
                 continue
-            if allocation_violations(m, alloc):
-                result.record(f"run {i}: bundles {alloc.bundles} do not partition {m} goods")
-            elif not is_fair(inst, alloc, EF1).overall:
-                result.record(
-                    f"run {i}: allocation {alloc.goods_lists()} is not EF1"
-                    f" on {instance_to_json(inst, None)}"
-                )
+            _check(result, i, inst, alloc, None, SearchConstraints(EF1))
         return result
 
     run.__doc__ = f"solve_ef1_binary on random ({n1},{n2}) instances, checker-verified EF1."
-    return run
 
 
-SUITES["binary-5-1"] = _binary_shape_suite("binary-5-1", 5, 1)
-SUITES["binary-3-2"] = _binary_shape_suite("binary-3-2", 3, 2)
+_binary_shape_suite(5, 1)
+_binary_shape_suite(3, 2)
 
 
 @_suite("exact1")
-@_timed
 def _exact1_suite(seed: int, runs: int) -> SuiteResult:
     """exact1_partition output is balanced and EF1 both ways for both agents."""
     rng = random.Random(seed)
@@ -184,24 +177,12 @@ def _exact1_suite(seed: int, runs: int) -> SuiteResult:
     for i in range(runs):
         m = rng.randint(0, 12)
         v1, v2 = random_additive(rng, m), random_additive(rng, m)
-        x, y = exact1_partition(v1, v2)
-        if x & y or x | y != full_mask(m):
-            result.record(f"run {i}: {x:#b},{y:#b} is not a partition of {m} goods")
-            continue
-        if abs(x.bit_count() - y.bit_count()) > 1:
-            result.record(f"run {i}: bundle sizes {x.bit_count()},{y.bit_count()} unbalanced")
-            continue
-        for who, v in (("first", v1), ("second", v2)):
-            if not is_exact1(v, (x, y)):
-                result.record(
-                    f"run {i}: not Exact1 for the {who} agent"
-                    f" values={v.values} bundles=({x:#b},{y:#b})"
-                )
+        alloc = Allocation(exact1_partition(v1, v2))
+        _check(result, i, Instance.fixed(m, [v1, v2], [[0], [1]]), alloc, None, "exact1")
     return result
 
 
 @_suite("knife")
-@_timed
 def _knife_suite(seed: int, runs: int) -> SuiteResult:
     """rotating_knife yields balanced groups, balanced bundles, and EF1."""
     rng = random.Random(seed)
@@ -215,20 +196,12 @@ def _knife_suite(seed: int, runs: int) -> SuiteResult:
         except AssertionError as exc:
             result.record(f"run {i}: internal assertion fired: {exc}")
             continue
-        inst = Instance.fixed(m, agents, part.groups_lists())
-        if not is_balanced(part):
-            result.record(f"run {i}: group sizes {part.sizes()} unbalanced")
-        elif not is_balanced(alloc):
-            result.record(f"run {i}: bundle sizes {alloc.sizes()} unbalanced")
-        elif allocation_violations(m, alloc):
-            result.record(f"run {i}: bundles {alloc.bundles} do not partition the goods")
-        elif not is_fair(inst, alloc, EF1).overall:
-            result.record(f"run {i}: not EF1 on {instance_to_json(inst, None)}")
+        inst = Instance.variable(m, agents, [n - n // 2, n // 2])  # only their balance is claimed
+        _check(result, i, inst, alloc, part, SearchConstraints(EF1, True, True))
     return result
 
 
 @_suite("cutchoose")
-@_timed
 def _cutchoose_suite(seed: int, runs: int) -> SuiteResult:
     """cut_and_choose_ef1 hits the requested group sizes and is EF1."""
     rng = random.Random(seed)
@@ -239,17 +212,11 @@ def _cutchoose_suite(seed: int, runs: int) -> SuiteResult:
         n1 = rng.randint(0, n)
         agents = [random_monotone(rng, m) for _ in range(n)]
         part, alloc = cut_and_choose_ef1(agents, n1, n - n1)
-        if part.sizes() != (n1, n - n1):
-            result.record(f"run {i}: sizes {part.sizes()} instead of ({n1},{n - n1})")
-            continue
-        inst = Instance.fixed(m, agents, part.groups_lists())
-        if not is_fair(inst, alloc, EF1).overall:
-            result.record(f"run {i}: not EF1 on {instance_to_json(inst, None)}")
+        _check(result, i, Instance.variable(m, agents, [n1, n - n1]), alloc, part, SearchConstraints(EF1))
     return result
 
 
 @_suite("prop")
-@_timed
 def _prop_suite(seed: int, runs: int) -> SuiteResult:
     """proportional_k_groups meets k*u(B) >= u(G) - (k-1)*umax exactly."""
     rng = random.Random(seed)
@@ -261,21 +228,11 @@ def _prop_suite(seed: int, runs: int) -> SuiteResult:
         sizes = _random_sizes(rng, n, k)
         agents = [random_additive(rng, m) for _ in range(n)]
         part, alloc = proportional_k_groups(agents, sizes)
-        if list(part.sizes()) != sizes:
-            result.record(f"run {i}: sizes {part.sizes()} instead of {sizes}")
-            continue
-        for a, v in enumerate(agents):
-            own = alloc.bundles[part.assignment[a]]
-            if not meets_prop_up_to_goods(v, own, k):
-                result.record(
-                    f"run {i}: agent {a} got {v.value(own)} of {v.value(full_mask(m))}"
-                    f" (values {v.values}, k {k})"
-                )
+        _check(result, i, Instance.variable(m, agents, sizes), alloc, part, "prop up to k-1 goods")
     return result
 
 
 @_suite("balanced-tables")
-@_timed
 def _balanced_tables_suite(seed: int, runs: int) -> SuiteResult:
     """Five monotone agents, four goods: a balanced partition with a
     balanced EF1 allocation always exists (found by exhaustion)."""
@@ -288,13 +245,8 @@ def _balanced_tables_suite(seed: int, runs: int) -> SuiteResult:
         cert = find_fair(inst, cons)
         if not cert.found:
             result.record(f"run {i}: no balanced EF1 over {instance_to_json(inst, None)}")
-        elif not is_fair(inst, cert.allocation, EF1, partition=cert.partition).overall:
-            result.record(f"run {i}: oracle witness fails re-verification")
-        elif not (is_balanced(cert.partition) and is_balanced(cert.allocation)):
-            result.record(
-                f"run {i}: oracle witness is unbalanced: groups {cert.partition.sizes()},"
-                f" bundles {cert.allocation.sizes()}"
-            )
+        else:
+            _check(result, i, inst, cert.allocation, cert.partition, cons)
     return result
 
 
@@ -309,7 +261,6 @@ def random_monotone_formula(rng: random.Random) -> MonotoneFormula:
 
 
 @_suite("reduction")
-@_timed
 def _reduction_suite(seed: int, runs: int) -> SuiteResult:
     """Satisfiability and EF1 existence agree on reduced instances, and the
     assignment/allocation bridges land on verified objects."""
@@ -327,9 +278,7 @@ def _reduction_suite(seed: int, runs: int) -> SuiteResult:
             )
             continue
         if sat:
-            alloc = assignment_to_allocation(f, witness)
-            if not is_fair(inst, alloc, EF1).overall:
-                result.record(f"run {i}: satisfying assignment maps to a non-EF1 allocation")
+            _check(result, i, inst, assignment_to_allocation(f, witness), None, SearchConstraints(EF1))
             back = allocation_to_assignment(f, cert.allocation)
             if not f.satisfied_by(back):
                 result.record(f"run {i}: oracle allocation maps to a falsifying assignment")
@@ -337,7 +286,6 @@ def _reduction_suite(seed: int, runs: int) -> SuiteResult:
 
 
 @_suite("hierarchy")
-@_timed
 def _hierarchy_suite(seed: int, runs: int) -> SuiteResult:
     """EFX0 => EFX => EF1 => EF2 on additive pairs; EFX <=> EF1 on binary."""
     rng = random.Random(seed)
@@ -379,4 +327,7 @@ def run_suite(name: str, seed: int, runs: int) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}") from None
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    return fn(seed, runs)
+    t0 = time.perf_counter()
+    result = fn(seed, runs)
+    result.elapsed = time.perf_counter() - t0
+    return result

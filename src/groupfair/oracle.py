@@ -109,7 +109,8 @@ from .fairness import (
     EFX,
     EFX0,
     Notion,
-    is_fair,
+    SearchConstraints,
+    check_answer,
     rejected_bundle,
     removable_values,
     up_to,
@@ -128,22 +129,6 @@ from .model import (
 
 # Upper bound on partitions x allocation counters walked in one call.
 SCAN_GUARD = 10**8
-
-
-@dataclass(frozen=True)
-class SearchConstraints:
-    """Side conditions of an existence question.
-
-    ``balanced_allocation`` restricts to bundle sizes pairwise within one.
-    ``balanced_partition`` (variable groups only) ranges over every group
-    size vector whose entries pairwise differ by at most one, instead of
-    the instance's declared sizes. To search one concrete partition of a
-    variable-group instance, search the fixed-group instance it gives.
-    """
-
-    notion: Notion
-    balanced_allocation: bool = False
-    balanced_partition: bool = False
 
 
 @dataclass
@@ -1196,12 +1181,8 @@ def run_corpus_entry(entry: CorpusEntry) -> CorpusResult:
             f"expected {'found' if entry.expect_found else 'exhausted-none'},"
             f" got {'found' if cert.found else 'exhausted-none'}"
         )
-    if cert.found:
-        report = is_fair(
-            entry.instance, cert.allocation, entry.constraints.notion, partition=cert.partition
-        )
-        if not report.overall:
-            problems.append("found allocation fails re-verification")
+    if cert.found and check_answer(entry.instance, cert.allocation, cert.partition, entry.constraints)[0]:
+        problems.append("found allocation fails re-verification")
     if entry.expected_examined is not None and cert.examined != entry.expected_examined:
         problems.append(f"examined {cert.examined}, expected {entry.expected_examined}")
     if entry.extra_check is not None:

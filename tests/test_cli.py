@@ -523,6 +523,23 @@ def test_printed_coloring_is_checked_once(capsys, monkeypatch, chi, tightness):
     assert json.loads(out)["result"]["coloring"] == list(calls[0][1].colors)
 
 
+@pytest.mark.parametrize("dimacs", ["-", "graph.dimacs"])
+@pytest.mark.parametrize(
+    "question",
+    [
+        ["--b", "5", "--r", "2", "--s", "1", "--tightness", "--split", "2,1"],
+        ["--b", "4", "--r", "2", "--s", "2", "--tightness"],
+    ],
+)
+def test_bad_tightness_question_writes_no_dimacs(tmp_path, capsys, monkeypatch, dimacs, question):
+    # the wrong graph family, or no --split: every --tightness input is
+    # checked before the DIMACS text is written, so no half answer is left
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["kneser", *question, "--dimacs", dimacs], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert not (tmp_path / "graph.dimacs").exists()
+
+
 def test_kneser_guard_exits_one(capsys):
     code, _, err = run_cli(["kneser", "--b", "30", "--r", "15", "--s", "1"], capsys)
     assert code == 1

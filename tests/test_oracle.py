@@ -984,6 +984,13 @@ def _entry(name, **changes):
 
 
 _TWO_EQUAL = Instance.fixed(4, [Valuation.additive([1, 1, 1, 1])] * 2, [[0], [1]])
+# every good to the group of five: the lone agent envies
+_ALL_TO_FIVE = Certificate(True, allocation=Allocation.of([[0, 1, 2, 3], []]))
+# EF1 without the balance requirement: bundles of three goods and one
+_FREE_HIT = find_fair(_entry("binary-balanced-5-1-free").instance, SearchConstraints(EF1))
+# EFX in groups of four agents and two
+_FOUR_TWO_HIT = find_fair(Instance.variable(3, _entry("efx-balanced-agents").instance.agents, [4, 2]),
+                          SearchConstraints(EFX))
 
 
 @pytest.mark.parametrize(
@@ -1004,11 +1011,20 @@ _TWO_EQUAL = Instance.fixed(4, [Valuation.additive([1, 1, 1, 1])] * 2, [[0], [1]
         (_entry("additive-efx-2-1", extra_check=oracle._singleton_bundle_check), False,
          "no EFX allocation exists at all"),
         (_entry("binary-balanced-5-1-free"), True, "found allocation fails re-verification"),
+        # an EF1 hit whose bundles break the balance the entry asks for
+        (_entry("binary-balanced-5-1", expect_found=True, expected_examined=None), _FREE_HIT,
+         "found allocation fails re-verification"),
+        # an EFX hit whose groups break the balance the entry asks for
+        (_entry("efx-balanced-agents", expect_found=True, expected_examined=None), _FOUR_TWO_HIT,
+         "found allocation fails re-verification"),
+        # every good in both bundles
+        (_entry("binary-balanced-5-1-free"), Certificate(True, Allocation((0b1111, 0b1111))),
+         "found allocation fails re-verification"),
     ],
 )
 def test_corpus_entry_failures(monkeypatch, entry, unfair, detail):
-    if unfair:  # every good to the group of five: the lone agent envies
-        found = Certificate(True, allocation=Allocation.of([[0, 1, 2, 3], []]))
+    if unfair:  # True, or the certificate to find
+        found = unfair if isinstance(unfair, Certificate) else _ALL_TO_FIVE
         monkeypatch.setattr(oracle, "find_fair", lambda inst, cons: found)
     result = run_corpus_entry(entry)
     assert result.passed is False

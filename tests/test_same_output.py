@@ -183,6 +183,30 @@ def test_solve_questions_ask_every_method(tmp_path, capsys):
     assert moved  # knife answers some unbalanced declared sizes in balanced groups
 
 
+def test_fuzz_questions_ask_every_suite(capsys):
+    from groupfair.fuzz import SUITES
+
+    questions = same_output.fuzz_questions(3)
+    assert questions == [["fuzz", "--suite", name, "--seed", "3", "--runs", "200"] for name in sorted(SUITES)]
+    for argv in questions:
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["suite"], doc["seed"], doc["runs"], doc["passed"]) == (argv[2], 3, 200, True)
+
+
+def test_kneser_questions_fail_on_a_tightness_input(capsys):
+    # the wrong graph family, and no --split, each after --dimacs -
+    questions = same_output.kneser_questions()
+    assert questions == [
+        ["kneser", "--b", "5", "--r", "2", "--s", "1", "--dimacs", "-", "--tightness", "--split", "2,1"],
+        ["kneser", "--b", "4", "--r", "2", "--s", "2", "--dimacs", "-", "--tightness"],
+    ]
+    for argv in questions:
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+
 def test_checkout_matches_itself_on_the_exhaust_plan():
     proc = subprocess.run(
         [sys.executable, TOOL, ROOT, ROOT, "--seeds", "1", "--plans", "exhaust"],

@@ -10,10 +10,13 @@ questions (see :func:`removal_questions`) and of fixed-group ``search``
 questions with tables next to additive or binary agents (see
 :func:`mixed_questions`), of one-group ``search`` questions (see
 :func:`one_group_questions`) and of ``solve`` questions with every method
-on additive, binary and table agents (see :func:`solve_questions`), then
-``solve`` with every method on an instance with no agents and on one with
-no goods (see :func:`edge_questions`), ``corpus`` in json and table format and
-``search`` on every ``corpus/*.json`` of CHANGE_DIR.
+on additive, binary and table agents (see :func:`solve_questions`), and ``fuzz``
+with every suite in JSON, 200 runs from the seed (see
+:func:`fuzz_questions`), then ``solve`` with every method on an instance
+with no agents and on one with no goods (see :func:`edge_questions`), two
+``kneser`` questions that fail on a ``--tightness`` input after asking for
+DIMACS text on stdout (see :func:`kneser_questions`), ``corpus`` in json
+and table format and ``search`` on every ``corpus/*.json`` of CHANGE_DIR.
 Each checkout answers in a process of its own that imports ``groupfair``
 from that checkout's ``src``; the plans come from the ``perfbench`` next
 to this script, which is only imported. Inputs are written under one
@@ -279,6 +282,22 @@ def solve_questions(seed: int, workdir: str) -> list[list[str]]:
     return out
 
 
+def fuzz_questions(seed: int) -> list[list[str]]:
+    """``fuzz`` with every suite, 200 runs from ``seed``, in JSON."""
+    suites = ["balanced-tables", "binary-3-2", "binary-5-1", "cutchoose", "exact1", "hierarchy", "knife", "prop",
+              "reduction"]
+    return [["fuzz", "--suite", suite, "--seed", str(seed), "--runs", "200"] for suite in suites]
+
+
+def kneser_questions() -> list[list[str]]:
+    """``kneser --dimacs - --tightness`` on a graph the construction does not
+    take, K(5, 2, 1), and without ``--split``: both are errors."""
+    return [
+        ["kneser", "--b", "5", "--r", "2", "--s", "1", "--dimacs", "-", "--tightness", "--split", "2,1"],
+        ["kneser", "--b", "4", "--r", "2", "--s", "2", "--dimacs", "-", "--tightness"],
+    ]
+
+
 def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[str], ask) -> list:
     """(id, argv) of every question, in the order they are asked."""
     from perfbench import run as bench
@@ -298,8 +317,10 @@ def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[st
         out += [(f"one-group/{seed}/{i}", argv) for i, argv in enumerate(questions)]
         questions = solve_questions(seed, os.path.join(workdir, f"solve-{seed}"))
         out += [(f"solve/{seed}/{i}", argv) for i, argv in enumerate(questions)]
+        out += [(f"fuzz/{seed}/{i}", argv) for i, argv in enumerate(fuzz_questions(seed))]
     questions = edge_questions(os.path.join(workdir, "edge"))
     out += [(f"edge/{i}", argv) for i, argv in enumerate(questions)]
+    out += [(f"kneser/{i}", argv) for i, argv in enumerate(kneser_questions())]
     out += [("corpus/json", ["corpus"]), ("corpus/table", ["corpus", "--format", "table"])]
     out += [(f"search/{os.path.basename(path)}", ["search", path]) for path in corpus]
     return out
