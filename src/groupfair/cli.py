@@ -17,9 +17,9 @@ hit meets its notion, the declared group sizes (sizes within one with
 ``--balanced-agents``) and, with ``--balanced-goods``, bundles within one;
 a ``solve`` answer meets its method's claim (binary, two-one and
 cutchoose EF1, cutchoose in the declared sizes; knife EF1 with balanced
-groups and bundles; roundrobin EF1 with one agent per group; exact1 two
-balanced bundles, EF1 for both agents; prop the declared sizes and every
-share up to k-1 goods). ``kneser`` checks that a colouring it prints is
+groups and bundles, on declared sizes within one; roundrobin EF1 with one
+agent per group; exact1 two balanced bundles, EF1 for both agents; prop
+the declared sizes and every share up to k-1 goods). ``kneser`` checks that a colouring it prints is
 proper, and checks every ``--tightness`` input before it writes anything.
 A failed check raises ``AssertionError`` ("result failed G
 re-verification"): a fault of the program, which no exit code stands for.
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from . import algorithms, kneser, oracle, reduction
 from .binary_solver import solve_ef1_binary
 from .errors import FairAllocationNotFound, GroupFairError
-from .fairness import EF1, Notion, SearchConstraints, check_answer, is_fair, parse_notion
+from .fairness import EF1, Notion, SearchConstraints, check_answer, is_balanced, is_fair, parse_notion
 from .model import (
     AgentPartition,
     Allocation,
@@ -219,6 +219,8 @@ def _solve_dispatch(args, inst: Instance):
         part, alloc = algorithms.cut_and_choose_ef1(inst.agents, *inst.groups.sizes)
         return {}, alloc, part, ef1, inst
     if method == "knife":
+        if not is_balanced(inst.groups.sizes):  # it splits the agents itself
+            raise ValueError(f"knife needs group sizes within one, not {inst.groups.sizes}")
         part, alloc = algorithms.rotating_knife(inst.agents)  # balanced groups and bundles
         return {}, alloc, part, SearchConstraints(EF1, True, True), inst
     if method == "prop":

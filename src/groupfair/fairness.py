@@ -338,20 +338,22 @@ def check_answer(
     The parts, in the order they are checked: ``goods not partitioned``
     (the bundles must be disjoint and cover the goods), ``bundle count``
     (one per group, two for ``"exact1"``), ``group sizes`` (the declared
-    ones, or sizes within one under ``balanced_partition``; fixed groups
-    take ``part`` None), ``balance`` (bundles within one, under
-    ``balanced_allocation`` and for ``"exact1"``), then the claim itself:
-    the notion on ``inst`` under ``part``, ``exact1`` (both agents find
-    the two bundles EF1) or ``prop up to k-1 goods`` (every agent's own
-    bundle, k being the number of groups).
+    ones, or under ``balanced_partition`` sizes within one over the
+    instance's agents and groups; fixed groups take ``part`` None),
+    ``balance`` (bundles within one, under ``balanced_allocation`` and for
+    ``"exact1"``), then the claim itself: the notion on ``inst`` under
+    ``part``, ``exact1`` (both agents find the two bundles EF1) or ``prop
+    up to k-1 goods`` (every agent's own bundle, k being the number of
+    groups).
     """
     search = isinstance(claim, SearchConstraints)
     if allocation_violations(inst.m, alloc):
         return "goods not partitioned", None
     if alloc.k != (2 if claim == "exact1" else inst.k):
         return "bundle count", None
-    balanced = search and claim.balanced_partition
-    if part is not None and not (is_balanced(part) if balanced else part.sizes() == inst.groups.sizes):
+    # sizes within one put n agents in k groups of (n + i) // k, i < k, in some order
+    balanced = search and claim.balanced_partition and [(inst.n + i) // inst.k for i in range(inst.k)]
+    if part is not None and (sorted(part.sizes()) != balanced if balanced else part.sizes() != inst.groups.sizes):
         return "group sizes", None
     if (claim == "exact1" or search and claim.balanced_allocation) and not is_balanced(alloc):
         return "balance", None

@@ -18,12 +18,17 @@ index order. In balanced mode a good only goes where every bundle can
 still end with floor(m/k) or ceil(m/k) goods, so only balanced candidates
 are generated.
 
-Agents with the same valuation and group are one checker: which agents
-share a valuation (:func:`_sameness`) is decided once per call, as ids
-that the checkers and the orbit keys below both read. What the notion
-means for an additive or binary checker is decided in one function,
-:func:`_checker_setup`, once per scan: its running numbers, its leaf-block
-rules and the tables they read. The walk reads them and tests no notion.
+What depends only on the call is decided once, before the first scan, by
+the call's plan (:class:`_Plan`): the notion as every scan reads it, which
+agents share a valuation (:func:`_sameness`), as ids that the checkers and
+the orbit keys below both read, what the notion asks of each additive or
+binary valuation (:func:`_valuation_setup`: its total, its slack and
+whether the bound is loose for it), the partitions with their orbit keys,
+and the leaf-block tables. Agents with the same valuation and group are
+one checker. What the notion means for a checker in its group is decided
+in one function, :func:`_checker_setup`, once per scan: its running
+numbers, its leaf-block rules and the tables they read. The walk reads
+them and tests no notion.
 Such a checker keeps running numbers as goods are placed and taken back:
 ``avail``, its own bundle plus every unplaced good, and for each other
 bundle its value less the checker's slack, the most the notion can ever
@@ -40,10 +45,9 @@ exactly when the notion does, as it does for EF and PROP; where the slack
 is loose, the leaf-block rules below decide the leaves the bound passes.
 Table agents are not assumed monotone, so they take no part in the bound:
 they judge each leaf the rules pass by :func:`fairness.rejected_bundle`,
-the rule of re-verification. Two questions are settled once per call,
-before any scan: EFX and EFX0 are refused when a table agent meets more
-than one bundle, and EFc with c > m >= 1 reads as EFm, since a bundle
-holds at most m goods.
+the rule of re-verification. The plan settles two more questions: EFX and
+EFX0 are refused when a table agent meets more than one bundle, and EFc
+with c > m >= 1 reads as EFm, since a bundle holds at most m goods.
 
 Every scan ends in leaf blocks, one decision for every agent kind (meet in
 the middle: Horowitz and Sahni, JACM 1974; Schroeppel and Shamir, SIAM J.
@@ -63,11 +67,12 @@ first hit in canonical order, and every other admissible placement counts
 as a rejected leaf; a block where one rule admits no admissible placement
 counts as a cut. The rules, each proved in :func:`_checker_setup`, cover
 every notion for additive and binary agents: EF, EFc for every c, EFX,
-EFX0 and PROP, for k bundles. :func:`_block_goods` picks L. With L = 0,
-for scans of at most 2**10 candidates, the block is the one leaf the node
-that places good 0 reaches, and a leaf a rule rejects counts as a rejected
-leaf, not as a cut, as on a walk to the leaves. ``SearchStats.blocks``
-counts the blocks with L >= 1.
+EFX0 and PROP, for k bundles. :func:`_block_goods` picks L, once per
+call for each set of tables the scans read. With L = 0, for scans of at
+most 2**10 candidates, the block is the one leaf the node that places good
+0 reaches, and a leaf a rule rejects counts as a rejected leaf, not as a
+cut, as on a walk to the leaves. ``SearchStats.blocks`` counts the blocks
+with L >= 1.
 
 With variable groups the search also ranges over agent partitions, and
 many of them repeat a question already answered. Lemma: the hits of a
@@ -83,12 +88,12 @@ valuations, sorted so that relabelling does not change it, decides whether
 it has a hit. Group sizes take no part in it: two partitions with equal
 keys have equal hits up to the relabelling, whatever the sizes of the
 groups that trade places. A fixed-group instance is a plan of one
-partition with one key. A partition whose key an earlier scan refuted is
-not walked: it counts as one cut of all its candidates (``pruned``,
-``candidates_pruned``), so ``examined`` stays partitions times the
-candidates of one. The first hit does not move, since every key before it
-was refuted, and ``enumerate_fair`` walks every partition whose key had a
-hit in full, so it yields the same pairs. ``SearchStats.scans`` counts the
+partition, which computes no key: there is nothing to skip. A partition
+whose key an earlier scan refuted is not walked: it counts as one cut of
+all its candidates (``pruned``, ``candidates_pruned``), so ``examined``
+stays partitions times the candidates of one. The first hit does not
+move, since every key before it was refuted, and ``enumerate_fair`` walks
+every partition whose key had a hit in full, so it yields the same pairs. ``SearchStats.scans`` counts the
 partitions walked (orbit pruning: McKay, J. Algorithms 1998).
 """
 
@@ -321,15 +326,13 @@ def _orbit_keys(k: int, ids: Sequence[int], assignments: Iterable[tuple[int, ...
     return out
 
 
-def _checkers(inst: Instance, gof: Sequence[int], ids: Sequence[int]) -> tuple[list[int], list[tuple], list]:
-    """Agents collapsed by valuation id (:func:`_valuation_ids`) and group:
-    additive and binary ones as parallel lists of groups and per-good
-    values, table ones as (valuation, group)."""
-    seen: dict[tuple[int, int], Valuation] = {}
-    for v, i, own in zip(inst.agents, ids, gof):
-        seen.setdefault((i, own), v)
+def _checkers(plan: "_Plan", gof: Sequence[int]) -> tuple[list[int], list[tuple], list]:
+    """Agents collapsed by valuation id (``plan.ids``) and group: additive
+    and binary ones as parallel lists of groups and per-good values, table
+    ones as (valuation, group)."""
     owns, worths, tables = [], [], []
-    for (_id, own), v in seen.items():
+    for i, own in dict.fromkeys(zip(plan.ids, gof)):
+        v = plan.valuations[i]
         if v.kind == TABLE:
             tables.append((v, own))
         else:
@@ -348,18 +351,6 @@ def _lifts(notion: Notion, values: tuple[int, ...], bundle: int) -> tuple:
         return 0, kept[0] if kept else math.inf
     sums = [0, *accumulate(kept)]
     return (*sums, *[sums[-1]] * (notion.c + 1 - len(sums)))
-
-
-def _leaves_in(sizes: list[int], free: int, balanced: bool, counts: dict) -> int:
-    """Admissible leaves under the node whose bundles have ``sizes`` and
-    whose goods 0..free-1 are unplaced; balanced counts are cached in
-    ``counts`` by sizes."""
-    if not balanced:
-        return len(sizes) ** free
-    key = tuple(sizes)
-    if key not in counts:
-        counts[key] = _balanced_completions(key, free)
-    return counts[key]
 
 
 # What the leaf-block tables of one call may hold, in mask bits (1 MB), and
@@ -421,25 +412,91 @@ def _block_goods(m: int, k: int, keys: list[tuple[tuple[int, ...], int, int, boo
     return goods
 
 
-class _Blocks:
-    """The leaf-block tables of one ``find_fair`` or ``enumerate_fair`` call,
-    shared by the scans of its partitions (one for fixed groups).
+def _valuation_setup(notion: Notion, values: tuple[int, ...], k: int) -> tuple[int, int, int, int]:
+    """What ``notion`` asks of an additive or binary valuation among k
+    bundles, in whatever group it sits (see :func:`_checker_setup`):
+    ``(total, mine, other, adjust)``, its total, the entries of its row of
+    running numbers at its own bundle and at every other, and its slack
+    where the bound is loose for it, else 0."""
+    total = sum(values)
+    if notion.kind == "prop":
+        return total, -(-total // k), -1 - total, 0
+    most = max(values, default=0)
+    s = most if notion.kind in ("efx", "efx0") else sum(removable_values(notion, values))
+    return total, -1, -s, s if notion.kind == "efx0" or most > 1 else 0
 
-    A table orders the k**L placements of goods 0..L-1 by a key: ``vals``
-    holds the distinct key values in ascending order and ``above[i]`` the
-    mask of the placements whose key is at least ``vals[i]`` (``above`` ends
-    with 0). Bit x stands for placement x, which puts good g in bundle
-    ``x // k**g % k``. Once the tables hold more than ``_BLOCK_BITS`` bits
-    the cache starts over; a scan keeps the tables it took. ``scans`` is
-    the number of scans that can share the tables: the distinct orbit keys
-    of the call's plan.
+
+class _Plan:
+    """What one ``find_fair`` or ``enumerate_fair`` call decides before its
+    first scan, and what its scans share: a scan (:func:`_hits`) builds only
+    what turns on its group assignment.
+
+    The question: ``m``, ``k``, ``notion`` as every scan reads it (EFc with
+    c > m >= 1 is EFm, since a bundle holds at most m goods) and
+    ``balanced``. The agents: ``ids``, their valuation ids
+    (:func:`_valuation_ids`), ``valuations``, a valuation per id, and
+    ``setup``, per additive or binary valuation (by its values) what the
+    notion asks of it, by :func:`_valuation_setup`; ``judged`` says whether
+    table agents judge placements. The partitions: how many there are
+    (``partitions``), their assignment tuples, whether they are part of the
+    answer, their orbit keys (``keys``), the scans that can run, one per
+    distinct key (``scans``), and the admissible candidates of one
+    (``per_partition``). A plan of one partition computes no orbit key:
+    there is nothing to skip.
+
+    The leaf-block tables, shared by the scans, and the memos of L
+    (:meth:`block_goods`), of the balanced leaves (:meth:`leaves`) and of
+    the masks of :meth:`fits` and :meth:`parts`. A table orders the k**L
+    placements of goods 0..L-1 by a key: ``vals`` holds the distinct key
+    values in ascending order and ``above[i]`` the mask of the placements
+    whose key is at least ``vals[i]`` (``above`` ends with 0). Bit x stands
+    for placement x, which puts good g in bundle ``x // k**g % k``. Once the
+    tables hold more than ``_BLOCK_BITS`` bits the cache starts over,
+    memos included; a scan keeps the tables it took.
     """
 
-    def __init__(self, k: int, scans: int):
-        self.k = k
-        self.scans = scans
+    def __init__(self, inst: Instance, cons: SearchConstraints):
+        self.partitions, self.assignments, self.with_partition = _partition_plan(inst, cons)
+        _guard(inst, self.partitions)
+        m, k, notion = inst.m, inst.k, cons.notion
+        if k > 1 and notion.kind in ("efx", "efx0") and any(v.kind == TABLE for v in inst.agents):
+            raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
+        if notion.c > m > 0:
+            notion = up_to(m)
+        self.m, self.k, self.notion, self.balanced = m, k, notion, cons.balanced_allocation
+        self.ids = _valuation_ids(inst)
+        self.valuations = dict(zip(self.ids, inst.agents))  # agents of one id are alike
+        vectors = {v.values for v in self.valuations.values() if v.kind != TABLE}
+        self.setup = {w: _valuation_setup(notion, w, k) for w in vectors}
+        self.judged = len(self.setup) < len(self.valuations)
+        one = self.partitions == 1  # nothing to skip, so no key to compute
+        self.keys = (None,) if one else _orbit_keys(k, self.ids, self.assignments)
+        self.scans = 1 if one else len(set(self.keys))
+        self.per_partition = balanced_allocation_count(m, k) if self.balanced else k**m
         self.tables: dict = {}
         self.bits = 0
+
+    def block_goods(self, keys: list) -> int:
+        """:func:`_block_goods` for a scan whose tables have the sizing keys
+        ``keys`` (:func:`_checker_setup`), computed once per list of keys.
+        L is a pure function of m, k, the keys, the scans and ``judged``, and
+        all of them but the keys are the call's (every partition places
+        every agent, so whether table agents judge is too): every scan with
+        these keys gets the same L, and so the same stats."""
+        key = ("goods", *keys)
+        if key not in self.tables:
+            self.tables[key] = _block_goods(self.m, self.k, keys, self.scans, self.judged)
+        return self.tables[key]
+
+    def leaves(self, sizes: list[int], free: int) -> int:
+        """Admissible leaves under the node whose bundles have ``sizes`` and
+        whose goods 0..free-1 are unplaced."""
+        if not self.balanced:
+            return self.k**free
+        key = ("leaves", *sizes)
+        if key not in self.tables:
+            self.tables[key] = _balanced_completions(sizes, free)
+        return self.tables[key]
 
     def _table(self, key: tuple, groups: dict) -> tuple[list, list[int]]:
         vals = sorted(groups)
@@ -526,8 +583,8 @@ class _Blocks:
             keys[diff + s] = keys.get(diff + s, 0) | mask
         return self._table(key, keys)
 
-    def rules(self, block: int, plan: list, worths: list, needs: list) -> list[tuple]:
-        """The rules of ``plan`` (:func:`_checker_setup`) over goods
+    def rules(self, block: int, setup: list, worths: list, needs: list) -> list[tuple]:
+        """The rules of ``setup`` (:func:`_checker_setup`) over goods
         0..block-1, as ``(c, need, j, lifted, tests)``: ``need`` checker c's
         row of ``needs``, ``lifted`` its values when a test reads a lift
         (else None), and each test ``(vals, above, mirror, off, lift)``: its
@@ -536,7 +593,7 @@ class _Blocks:
         loose, which its tests' ``adjust``, the slack, says."""
         k = self.k
         out = []
-        for c, j, tests in plan:
+        for c, j, tests in setup:
             values = worths[c][:block]
             if not (tests[0][5] or any(values)):
                 continue
@@ -590,12 +647,13 @@ class _Blocks:
         return self.tables[key]
 
 
-def _checker_setup(
-    notion: Notion, owns: list[int], worths: list[tuple[int, ...]], k: int
-) -> tuple[list[list[int]], list[tuple], list[tuple]]:
-    """What ``notion`` means for the additive and binary checkers of one
-    scan of m >= 1 goods, with groups ``owns`` and values ``worths``, among
-    k bundles: ``(needs, rules, tables)``.
+def _checker_setup(plan: _Plan, owns: list[int], worths: list[tuple]) -> tuple[list[list[int]], list, list]:
+    """What the plan's notion means for the additive and binary checkers of
+    one scan of m >= 1 goods, with groups ``owns`` and values ``worths``,
+    among k bundles: ``(needs, rules, tables)``. What depends on the
+    valuation alone, its row entries and its slack, is read from
+    ``plan.setup`` (:func:`_valuation_setup`, once per call); what is built
+    here turns on the checker's group.
 
     ``needs[c]`` is checker c's row of running numbers (see the module
     docstring). For PROP it holds ceil(total / k) at its own bundle and -1 -
@@ -614,9 +672,9 @@ def _checker_setup(
     ``(c, j, tests)``, two for a loose EFX or EFX0 checker; a rule passes a
     placement x when one of its tests does, and a block's hits pass every
     rule. A test ``(lo, hi, top, zeros, mirror, adjust, lift)`` names the
-    table it reads over the block goods' values (:meth:`_Blocks.rules`):
+    table it reads over the block goods' values (:meth:`_Plan.rules`):
     with ``top`` None the key S_lo(x) - S_hi(x) (S_lo(x) for PROP, where hi
-    is None), otherwise the envy table of :meth:`_Blocks.envy` with ``top``
+    is None), otherwise the envy table of :meth:`_Plan.envy` with ``top``
     and ``zeros``, which counts worthless goods for EFX0 only. At a block
     node x passes it when key(x) >= u for
 
@@ -667,7 +725,7 @@ def _checker_setup(
     For k >= 3 the keys run over the k**L placements the same way. The D
     table of a pair lo < hi serves the checkers of both. A checker that
     values no block good has D(x) = 0; when it is not loose, the bound
-    check at the node decided it, so :meth:`_Blocks.rules` leaves it out.
+    check at the node decided it, so :meth:`_Plan.rules` leaves it out.
     A loose checker stays: what the notion removes from bundle j still
     turns on the goods there. With L = 0 the block is one leaf and every
     table holds its one placement, with key 0 (infinite for the least of an
@@ -678,58 +736,48 @@ def _checker_setup(
     sizes it: ``(values, scale, top, zeros)``, scale 1 for PROP's S_own
     table and 2 for the others, and ``top`` at least 1 for an envy table.
     """
+    notion, k = plan.notion, plan.k
     kind = notion.kind
     needs, rules = [], []
     for c, (own, w) in enumerate(zip(owns, worths)):
+        _total, mine, other, s = plan.setup[w]
+        row = [other] * k
+        row[own] = mine
+        needs.append(row)
         if kind == "prop":
-            total = sum(w)
-            needs.append([-(-total // k) if j == own else -1 - total for j in range(k)])
             rules.append((c, own, ((own, None, None, False, False, 0, 0),)))
             continue
-        most = max(w)
-        s = most if kind in ("efx", "efx0") else sum(removable_values(notion, w))
-        needs.append([-1 if j == own else -s for j in range(k)])
-        loose = s if kind == "efx0" or most > 1 else 0
         for j in range(k):
             if j == own:
                 continue
             d = min(own, j), max(own, j), None, False, own > j
-            if not loose:
+            if not s:
                 rules.append((c, j, ((*d, 0, 0),)))
             elif kind == "efc":
-                tops = tuple((own, j, notion.c - i, False, False, s, i) for i in range(notion.c))
+                tops = [(own, j, notion.c - i, False, False, s, i) for i in range(notion.c)]
                 rules.append((c, j, (*tops, (*d, s, notion.c))))
             else:
                 rules.append((c, j, ((*d, s, 1),)))
                 rules.append((c, j, ((own, j, 0, kind == "efx0", False, s, 0),)))
     tables = {}
     for c, _j, tests in rules:
-        for lo, hi, top, zeros, *_test in tests:
-            scale = 1 if hi is None else 2
-            tables[worths[c], lo, hi, top] = worths[c], scale, 0 if top is None else max(top, 1), zeros
+        for lo, hi, top, zeros, _mirror, _adjust, _lift in tests:
+            tables[worths[c], lo, hi, top] = worths[c], 1 if hi is None else 2, 0 if top is None else max(top, 1), zeros
     return needs, rules, list(tables.values())
 
 
-def _hits(
-    inst: Instance,
-    gof: Sequence[int],
-    ids: Sequence[int],
-    notion: Notion,
-    balanced: bool,
-    stats: SearchStats,
-    blocks: _Blocks,
-) -> Iterator[tuple[int, ...]]:
+def _hits(plan: _Plan, gof: Sequence[int], stats: SearchStats) -> Iterator[tuple[int, ...]]:
     """The satisfying bundles of the partition ``gof``, in canonical order.
 
     Walks the allocation tree depth first (see the module docstring); the
-    node, pruning and leaf counts are added to ``stats``. ``ids`` are the
-    agents' valuation ids (:func:`_valuation_ids`) and ``blocks`` the
-    leaf-block tables, both shared by the partitions of one call, and
-    ``notion`` is read as :func:`_plan_hits` settled it. What the notion
-    means for each checker comes from :func:`_checker_setup`.
+    node, pruning and leaf counts are added to ``stats``. What depends only
+    on the call comes from ``plan``; per scan this builds only what turns
+    on the group assignment: the checkers (:func:`_checkers`), their rows of
+    running numbers and their rules (:func:`_checker_setup`), and which
+    checkers placing each good moves.
     """
-    m, k = inst.m, inst.k
-    owns, worths, tables = _checkers(inst, gof, ids)
+    m, k, notion, balanced = plan.m, plan.k, plan.notion, plan.balanced
+    owns, worths, tables = _checkers(plan, gof)
     if m == 0:
         leaf = (0,) * k
         if any(rejected_bundle(v, leaf, own, notion) is not None for v, own in tables):
@@ -739,28 +787,27 @@ def _hits(
         return
     # Running numbers of checker c: avail[c] is its own bundle plus every
     # unplaced good, needs[c] its row of _checker_setup.
-    needs, plan, keys = _checker_setup(notion, owns, worths, k)
-    avail = [sum(w) for w in worths]
+    needs, setup, keys = _checker_setup(plan, owns, worths)
+    avail = [plan.setup[w][0] for w in worths]
     # Placing good g in bundle b moves only the numbers of checkers outside
     # b that value g.
     touch: list[list[list]] = [[[] for _ in range(k)] for _ in range(m)]
-    for c, w in enumerate(worths):
-        for g in range(m):
-            if w[g]:
-                for j in range(k):
-                    if j != owns[c]:
-                        touch[g][j].append((c, w[g], needs[c]))
+    for c, (own, w, need) in enumerate(zip(owns, worths, needs)):
+        for g, x in enumerate(w):
+            if x:
+                for j, moved in enumerate(touch[g]):
+                    if j != own:
+                        moved.append((c, x, need))
     q, r = divmod(m, k)
     tallest = q + (r > 0)
     owed = q * k  # goods still needed to bring every bundle up to q
     bundles = [0] * k
     sizes = [0] * k
     path = [0] * m
-    counts: dict = {}
     # Leaf blocks: the node that places good `block` decides goods
     # block-1..0 in place (see _checker_setup), building the tables of its
     # rules on the first block it reaches; with block 0 that node is a leaf.
-    block = _block_goods(m, k, keys, blocks.scans, bool(tables))
+    block = plan.block_goods(keys)
     everything = (1 << k**block) - 1
     rules = None
     nodes = pruned = cut = rejected = decided = 0
@@ -785,7 +832,7 @@ def _hits(
             if not ok:
                 if g:
                     pruned += 1
-                    cut += _leaves_in(sizes, g, balanced, counts)
+                    cut += plan.leaves(sizes, g)
                 else:
                     rejected += 1
             elif g > block:
@@ -796,10 +843,10 @@ def _hits(
             else:
                 # decide the leaf block of goods g-1..0
                 if rules is None:
-                    rules = blocks.rules(g, plan, worths, needs)
+                    rules = plan.rules(g, setup, worths, needs)
                 decided += g > 0
                 # every leaf of the balanced walk is balanced
-                admissible = blocks.fits(g, sizes, q, tallest) if balanced and g else everything
+                admissible = plan.fits(g, sizes, q, tallest) if balanced and g else everything
                 mask = admissible
                 for c, need, j, lifted, tests in rules:
                     t = need[j] - avail[c]
@@ -828,7 +875,7 @@ def _hits(
                     # rejected leaf
                     rest = admissible
                     if k != 2:  # the half tables of the leaves, with the goods above the block
-                        size, low, high = blocks.parts(g)
+                        size, low, high = plan.parts(g)
                         low = [tuple(map(or_, bundles, y)) for y in low]
                     while mask:
                         x = (mask & -mask).bit_length() - 1
@@ -874,54 +921,28 @@ def _guard(inst: Instance, partitions: int) -> None:
         )
 
 
-def _per_partition(inst: Instance, cons: SearchConstraints) -> int:
-    """Admissible candidates of one partition."""
-    if cons.balanced_allocation:
-        return balanced_allocation_count(inst.m, inst.k)
-    return inst.k**inst.m
-
-
-def _plan_hits(
-    inst: Instance, cons: SearchConstraints, stats: SearchStats
-) -> Iterator[tuple[tuple[int, ...] | None, tuple[int, ...]]]:
+def _plan_hits(plan: _Plan, stats: SearchStats) -> Iterator[tuple[tuple[int, ...] | None, tuple[int, ...]]]:
     """Satisfying ``(assignment, bundles)`` over the partitions of the plan,
     in canonical order; the assignment is None for fixed groups, a plan of
-    one partition. Raises :class:`SearchSpaceTooLargeError` before scanning
-    past the guard, and after it :class:`UnsupportedNotionError` for EFX and
-    EFX0 when a table agent meets more than one bundle. EFc with c > m >= 1
-    is read as EFm for every scan.
+    one partition.
 
     A partition whose orbit key an earlier scan refuted is not walked (see
-    the module docstring). The keys are computed up front, so the leaf-block
-    tables are sized for the scans that can run, not for every partition.
+    the module docstring). The plan computes the keys up front, so the
+    leaf-block tables are sized for the scans that can run, not for every
+    partition.
     """
-    num_parts, assignments, with_partition = _partition_plan(inst, cons)
-    _guard(inst, num_parts)
-    notion, balanced, k = cons.notion, cons.balanced_allocation, inst.k
-    if k > 1 and notion.kind in ("efx", "efx0") and any(v.kind == TABLE for v in inst.agents):
-        raise UnsupportedNotionError(f"{notion} is not defined for table valuations")
-    if notion.c > inst.m > 0:  # a bundle holds at most m goods, so EFc is EFm
-        notion = up_to(inst.m)
-    ids = _valuation_ids(inst)
-    keys = _orbit_keys(k, ids, assignments)
-    blocks = _Blocks(k, len(set(keys)))
-    refuted: set[tuple] = set()
-    for gof, key in zip(assignments, keys):
+    refuted: set = set()
+    for gof, key in zip(plan.assignments, plan.keys):
         stats.partitions += 1
         if key in refuted:
             stats.pruned += 1
-            stats.candidates_pruned += per_partition
+            stats.candidates_pruned += plan.per_partition
             continue
         stats.scans += 1
-        hit = False
-        for bundles in _hits(inst, gof, ids, notion, balanced, stats, blocks):
-            hit = True
-            yield gof if with_partition else None, bundles
-        if not hit:
-            refuted.add(key)
-            # counted only once a partition can be skipped: a fixed-group
-            # search has none to skip
-            per_partition = _per_partition(inst, cons)
+        refuted.add(key)  # until a hit says otherwise
+        for bundles in _hits(plan, gof, stats):
+            refuted.discard(key)
+            yield gof if plan.with_partition else None, bundles
 
 
 def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certificate:
@@ -930,13 +951,16 @@ def find_fair(inst: Instance, cons: SearchConstraints, jobs: int = 1) -> Certifi
     Returns the first satisfying (partition, allocation) in canonical order,
     or a certified exhaustion whose ``examined`` equals the number of
     admissible candidates. Raises :class:`SearchSpaceTooLargeError` when the
-    scan would exceed the guard. ``jobs`` is accepted and ignored: every
+    scan would exceed the guard, and after it
+    :class:`UnsupportedNotionError` for EFX and EFX0 when a table agent
+    meets more than one bundle. ``jobs`` is accepted and ignored: every
     scan runs in this process.
     """
     stats = SearchStats()
-    hit = next(_plan_hits(inst, cons, stats), None)
+    plan = _Plan(inst, cons)
+    hit = next(_plan_hits(plan, stats), None)
     if hit is None:
-        return Certificate(False, examined=stats.partitions * _per_partition(inst, cons), stats=stats)
+        return Certificate(False, examined=stats.partitions * plan.per_partition, stats=stats)
     gof, bundles = hit
     part = None if gof is None else AgentPartition(gof, inst.k)
     return Certificate(True, allocation=Allocation(bundles), partition=part, stats=stats)
@@ -946,7 +970,7 @@ def enumerate_fair(
     inst: Instance, cons: SearchConstraints
 ) -> Iterator[tuple[AgentPartition | None, Allocation]]:
     """Yield every admissible satisfying (partition, allocation) in order."""
-    for gof, bundles in _plan_hits(inst, cons, SearchStats()):
+    for gof, bundles in _plan_hits(_Plan(inst, cons), SearchStats()):
         yield None if gof is None else AgentPartition(gof, inst.k), Allocation(bundles)
 
 

@@ -189,6 +189,23 @@ def test_solve_methods_on_variable_groups(variable_inst, capsys):
     assert code == 1  # binary needs fixed groups
 
 
+@pytest.mark.parametrize("sizes", [[4, 1], [1, 4], [3, 1], [2, 2]], ids=lambda s: "-".join(map(str, s)))
+def test_knife_takes_only_balanced_declared_sizes(tmp_path, capsys, sizes):
+    # knife splits the agents into groups within one of each other, so it
+    # refuses declared sizes that are not; it once answered (3, 2) for a
+    # report that read variable(4,1)
+    n = sum(sizes)
+    agents = [{"id": a, "kind": "additive", "values": [(a + g) % 3 + 1 for g in range(4)]} for a in range(n)]
+    path = tmp_path / "knife.json"
+    path.write_text(json.dumps({"m": 4, "agents": agents, "groups": {"variable": sizes}}))
+    code, out, err = run_cli(["solve", str(path), "--method", "knife"], capsys)
+    if max(sizes) - min(sizes) > 1:
+        assert (code, out, err) == (1, "", f"error: knife needs group sizes within one, not {tuple(sizes)}\n")
+    else:
+        assert code == 0 and err == ""
+        assert [len(g) for g in json.loads(out)["result"]["partition"]] == sizes
+
+
 def test_solve_two_one_and_exact1(two_one, tmp_path, capsys):
     code, out, _ = run_cli(["solve", two_one, "--method", "two-one"], capsys)
     assert code == 0

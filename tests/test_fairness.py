@@ -24,7 +24,7 @@ from groupfair import (
     parse_notion,
     up_to,
 )
-from groupfair.fairness import agent_verdict, table_accepts
+from groupfair.fairness import SearchConstraints, agent_verdict, check_answer, table_accepts
 from groupfair.model import AgentPartition, full_mask
 
 
@@ -246,6 +246,23 @@ def test_is_fair_rejects_mismatches():
     with pytest.raises(ValueError, match="^partition has 3 groups, instance has 2$"):
         is_fair(two, Allocation((1, 2, 0)), EF1, partition=AgentPartition((0, 2), 3))
     assert is_fair(two, Allocation((1, 2)), EF1, partition=AgentPartition((0, 1), 2)).overall
+
+
+@pytest.mark.parametrize(
+    "assignment, k",
+    [((0, 1, 0, 1), 2), ((0, 1, 2), 3)],
+    ids=["four-agents", "three-groups"],
+)
+def test_check_answer_names_partitions_of_another_shape(assignment, k):
+    # under balanced_partition a partition of the wrong agent count or group
+    # count breaks the group sizes; it once reached is_fair, which raised
+    v = Valuation.additive([1, 2, 3])
+    inst = Instance.variable(3, [v] * 3, [2, 1])
+    claim = SearchConstraints(EF1, balanced_partition=True)
+    alloc = Allocation.of([[0, 1], [2]])
+    assert check_answer(inst, alloc, AgentPartition(assignment, k), claim) == ("group sizes", None)
+    failure, report = check_answer(inst, alloc, AgentPartition((0, 1, 0), 2), claim)
+    assert failure is None and report.overall
 
 
 def test_is_exact1():

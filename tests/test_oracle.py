@@ -86,9 +86,9 @@ def _reference_rejects(v, bundles, own, notion):
 
 
 def _scan(inst, gof, notion, balanced, stats):
-    """The kernel's hits of one partition, as a list, on tables of its own."""
-    ids = oracle._valuation_ids(inst)
-    return list(_hits(inst, gof, ids, notion, balanced, stats, oracle._Blocks(inst.k, 1)))
+    """The kernel's hits of one partition, as a list, on a plan of its own."""
+    plan = oracle._Plan(inst, SearchConstraints(notion, balanced_allocation=balanced))
+    return list(_hits(plan, gof, stats))
 
 
 def _admissible(m, k, balanced):
@@ -458,6 +458,12 @@ def test_table_agents_have_no_efx():
 _SETUP_NOTIONS = [EF, EF1, EF2, EFX, EFX0, PROP]
 
 
+def _one_valuation_plan(v, notion, k):
+    """The plan of a search over one agent of valuation ``v`` among k
+    groups."""
+    return oracle._Plan(Instance.fixed(v.m, [v], [[0]] + [[]] * (k - 1)), SearchConstraints(notion))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("notion", _SETUP_NOTIONS, ids=[str(n) for n in _SETUP_NOTIONS])
 def test_checker_setup_per_notion(notion, k):
@@ -466,7 +472,8 @@ def test_checker_setup_per_notion(notion, k):
     # each rule and the tables sized for the block
     for kind, w in (("additive", (3, 1, 2, 0, 1)), ("binary", (1, 0, 1, 1, 0))):
         own, total = k - 1, sum(w)
-        needs, rules, tables = oracle._checker_setup(notion, [own], [w], k)
+        plan = _one_valuation_plan(Valuation(kind, len(w), values=w), notion, k)
+        needs, rules, tables = oracle._checker_setup(plan, [own], [w])
         ranked = sorted(w, reverse=True)
         if notion == PROP:
             assert needs == [[-(-total // k) if j == own else -1 - total for j in range(k)]]
@@ -491,23 +498,78 @@ def test_checker_setup_per_notion(notion, k):
             assert tables == [d, (w, 2, 1, notion == EFX0)] * (k - 1)
     # checkers of equal values in two groups share the table of their pair
     w = (1, 0, 1, 1, 0)
-    assert oracle._checker_setup(EF1, [0, 1], [w, w], 2)[2] == [(w, 2, 0, False)]
+    plan = _one_valuation_plan(Valuation.binary(w), EF1, 2)
+    assert oracle._checker_setup(plan, [0, 1], [w, w])[2] == [(w, 2, 0, False)]
 
 
 def test_plan_is_read_once(monkeypatch):
     # one _partition_plan call per search, for fixed and variable groups
-    # alike; the orbit keys and the scans walk the same plan
-    calls = []
+    # alike; the orbit keys and the scans walk the same plan. A plan of one
+    # partition has nothing to skip, so it computes no orbit key
+    calls, keyed = [], []
     plan = oracle._partition_plan
     monkeypatch.setattr(oracle, "_partition_plan", lambda *args: calls.append(args) or plan(*args))
+    orbit_keys = oracle._orbit_keys
+    monkeypatch.setattr(oracle, "_orbit_keys", lambda *args: keyed.append(args) or orbit_keys(*args))
     v = Valuation.additive([2, 1, 2])  # an odd total: no EF between two of them
     fixed = Instance.fixed(3, [v, v], [[0], [1]])
     variable = Instance.variable(3, [v, v, v, Valuation.additive([1, 1, 1])], [2, 2])
-    for inst, partitions in ((fixed, 1), (variable, 6)):
+    for inst, partitions, keys in ((fixed, 1, 0), (variable, 6, 1)):
         calls.clear()
+        keyed.clear()
         cert = find_fair(inst, SearchConstraints(EF))
         assert not cert.found and cert.stats.partitions == partitions
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(keyed) == keys
+        assert cert.stats.scans == 1  # the variable partitions share one key
+
+
+def test_valuation_setup_runs_once_per_valuation(monkeypatch):
+    # what the notion asks of a valuation is decided once per call, not once
+    # per checker and scan. Six binary pair desirers on four goods and nine
+    # all-desirers of distinct values 1..9, one of them alone: a partition
+    # whose lone agent desires all goods has no EF1 allocation (a bundle of
+    # two goods or more has a pair the other group desires, so the lone
+    # agent gets at most one good of four), and the nine such partitions
+    # come first, each with a key of its own
+    calls = []
+    setup = oracle._valuation_setup
+    monkeypatch.setattr(oracle, "_valuation_setup", lambda *args: calls.append(args[1]) or setup(*args))
+    m = 4
+    pairs = [Valuation.binary_from_desired(m, p) for p in combinations(range(m), 2)]
+    alls = [Valuation.additive([f] * m) for f in range(1, 10)]
+    inst = Instance.variable(m, pairs + alls, [14, 1])
+    cert = find_fair(inst, SearchConstraints(EF1))
+    assert cert.found and cert.partition.members(1) == (5,)
+    assert cert.stats.scans == cert.stats.partitions == 10
+    assert sorted(calls) == sorted(v.values for v in pairs + alls)
+    calls.clear()
+    assert len(list(enumerate_fair(inst, SearchConstraints(EF1)))) > 0
+    assert len(calls) == 15
+
+
+def test_leaf_goods_are_computed_once_per_key_list(monkeypatch):
+    # L is a pure function of a scan's sizing keys once the call is fixed,
+    # so the plan computes it once per list of keys, and every scan gets the
+    # L of its own keys: two agents of one valuation in one group make one
+    # checker and in two groups two, with more tables, so a smaller L
+    computed, returned = [], []
+    pick = oracle._block_goods
+    monkeypatch.setattr(oracle, "_block_goods", lambda *args: computed.append(args) or pick(*args))
+    memo = oracle._Plan.block_goods
+
+    def block_goods(plan, keys):
+        returned.append((plan, tuple(keys), memo(plan, keys)))
+        return returned[-1][2]
+
+    monkeypatch.setattr(oracle._Plan, "block_goods", block_goods)
+    v = Valuation.additive([6, 5, 3, 3, 1, 6, 9, 8, 2, 6, 9])
+    w = Valuation.additive([1, 7, 3, 8, 7, 3, 3, 4, 1, 2, 3])
+    inst = Instance.variable(11, [v, v, w], [2, 1])
+    assert len(list(enumerate_fair(inst, SearchConstraints(EF1)))) > 0
+    plan = returned[0][0]
+    direct = {keys: pick(plan.m, plan.k, keys, plan.scans, plan.judged) for _plan, keys, _goods in returned}
+    assert [goods for _plan, _keys, goods in returned] == [direct[keys] for _plan, keys, _goods in returned]
+    assert len(returned) == 3 and sorted(direct.values()) == [7, 8] and len(computed) == 2
 
 
 @pytest.mark.parametrize("balanced", [False, True], ids=["free", "balanced"])
@@ -661,7 +723,7 @@ def test_block_table_memory_stays_bounded(monkeypatch):
     # many partitions cannot pile them up
     monkeypatch.setattr(oracle, "_BLOCK_BITS", 1 << 12)
     rng = random.Random(13)
-    blocks = oracle._Blocks(2, 1)
+    blocks = oracle._Plan(Instance.fixed(6, [], [[], []]), SearchConstraints(EF))
     for g in range(8):
         blocks.linear(tuple(rng.randrange(1, 10**6) for _ in range(6)), (1, -1))
         assert blocks.bits <= 1 << 12 or len(blocks.tables) == 1
@@ -808,7 +870,8 @@ def test_equal_tables_in_a_group_are_one_checker():
         table, twin = Valuation.table_of(m, entries), Valuation.table_of(m, entries)
         agents = [table, twin, Valuation.additive([rng.randrange(0, 5) for _ in range(m)]), table]
         inst = Instance.fixed(m, agents, [[0, 1, 2], [3]])
-        owns, _agents, tables = oracle._checkers(inst, inst.assignment, oracle._valuation_ids(inst))
+        plan = oracle._Plan(inst, SearchConstraints(EF))
+        owns, _agents, tables = oracle._checkers(plan, inst.assignment)
         assert owns == [0] and tables == [(table, 0), (table, 1)]
         for notion in (EF, EF1, PROP):
             for balanced in (False, True):

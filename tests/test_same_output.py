@@ -27,6 +27,30 @@ def test_variable_questions_are_fixed_per_seed(tmp_path):
     assert any("--balanced-agents" in q for q in one) and not all("--balanced-agents" in q for q in one)
 
 
+def test_slack_questions_walk_several_scans(tmp_path, capsys):
+    # two questions per notion, on binary then additive agents, in variable
+    # groups with one lone agent; each walks three scans or more, and the
+    # counts are pinned, the exhausted ones being every partition
+    one = same_output.slack_questions(1, str(tmp_path / "a"))
+    again = same_output.slack_questions(1, str(tmp_path / "b"))
+    assert [q[2:] for q in one] == [q[2:] for q in again]
+    docs = [json.loads(pathlib.Path(q[1]).read_text()) for q in one]
+    assert docs == [json.loads(pathlib.Path(q[1]).read_text()) for q in again]
+    assert [q[3] for q in one] == ["ef1", "ef1", "ef2", "ef2", "efx", "efx", "efx0", "efx0", "prop", "prop"]
+    for i, doc in enumerate(docs):
+        assert {agent["kind"] for agent in doc["agents"]} == {("binary", "additive")[i % 2]}
+        assert 1 in doc["groups"]["variable"] and len(doc["groups"]["variable"]) == 2
+        valuations = [tuple(agent["values"]) for agent in doc["agents"]]
+        assert len(set(valuations)) == len(valuations)
+    scans = []
+    for argv in one:
+        code = main(argv)
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == (0 if result["outcome"] == "found" else 2)
+        scans.append(result["stats"]["scans"])
+    assert scans == [21, 3, 59, 5, 5, 4, 3, 6, 3, 6]
+
+
 def test_removal_questions_are_fixed_per_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.syspath_prepend(ROOT)  # the questions reuse perfbench's instances
     one = same_output.removal_questions(1, str(tmp_path / "a"))
@@ -157,20 +181,24 @@ def test_solve_questions_ask_every_method(tmp_path, capsys):
             assert len(sizes) == 2 + block // 2 and sum(sizes) == n
             assert (max(sizes) - min(sizes) <= 1) == (block % 2 == 0)
     # tables are refused by every method but cutchoose and knife, additive
-    # agents by the binary solver, three groups by cutchoose and knife, each
-    # with its error line; every other question is answered, in the declared
-    # group sizes, or in balanced ones for knife
+    # agents by the binary solver, three groups by cutchoose and knife, and
+    # declared sizes that are not within one by knife, each with its error
+    # line; every other question is answered, in the declared group sizes,
+    # or in balanced ones for knife
     moved = 0
     for argv, doc, kind in zip(one, docs, kinds):
         method = argv[3]
         code = main(argv)
         out, err = capsys.readouterr()
+        sizes = doc["groups"].get("variable", [])
         if method == "binary" and kind != "binary":
             assert (code, out, err) == (1, "", "error: the binary solver needs binary valuations\n")
         elif kind == "table" and method not in ("cutchoose", "knife"):
             assert (code, out) == (1, "") and err.endswith(" needs binary or additive valuations\n")
-        elif method in ("cutchoose", "knife") and len(doc["groups"]["variable"]) == 3:
+        elif method in ("cutchoose", "knife") and len(sizes) == 3:
             assert (code, out, err) == (1, "", f"error: {method} needs exactly two groups\n")
+        elif method == "knife" and max(sizes) - min(sizes) > 1:
+            assert (code, out, err) == (1, "", f"error: knife needs group sizes within one, not {tuple(sizes)}\n")
         else:
             assert (code, err) == (0, "")
             if method in choosers and "--format" not in argv:
@@ -180,7 +208,7 @@ def test_solve_questions_ask_every_method(tmp_path, capsys):
                 else:
                     assert max(sizes) - min(sizes) <= 1
                     moved += sizes != doc["groups"]["variable"]
-    assert moved  # knife answers some unbalanced declared sizes in balanced groups
+    assert moved  # knife answers some declared sizes within one in the other order
 
 
 def test_fuzz_questions_ask_every_suite(capsys):

@@ -5,7 +5,9 @@
 
 For each seed, every question of the chosen perfbench plans is asked, in
 plan order, then fixed sets of seeded variable-group ``search`` questions
-(see :func:`variable_questions`), of EF2, EFX, EFX0 and EFc ``search``
+(see :func:`variable_questions`), of variable-group ``search`` questions
+that walk several scans under every notion but EF (see
+:func:`slack_questions`), of EF2, EFX, EFX0 and EFc ``search``
 questions (see :func:`removal_questions`) and of fixed-group ``search``
 questions with tables next to additive or binary agents (see
 :func:`mixed_questions`), of one-group ``search`` questions (see
@@ -98,6 +100,53 @@ def variable_questions(seed: int, workdir: str) -> list[list[str]]:
         flags = ["--balanced-agents"] if i % 8 >= 4 else []
         flags += ["--balanced-goods"] if rng.random() < 0.3 else []
         flags += ["--format", "table"] if i % 5 == 0 else []
+        out.append(["search", path, "--notion", notion, *flags])
+    return out
+
+
+def slack_questions(seed: int, workdir: str) -> list[list[str]]:
+    """Seeded variable-group ``search`` questions under EF1, EF2, EFX, EFX0
+    and PROP, two per notion, one on binary and one on additive agents, of
+    distinct values, each of which walks at least three scans, so that a
+    checker's slack is read again on every scan. k = 2, one group holding a
+    single agent. With c = 2 for EF2 and 1 otherwise, two to four lone
+    agents each desire a core of 3c + 1 goods of their own, at values from
+    f to under 1.5 f (f = 1 for binary agents), and the other agents desire
+    each (c + 1)-subset of a core. A partition that leaves a lone agent
+    alone has no fair allocation: its bundle holds at most c goods of its
+    core, or the desirer of c + 1 of them finds them all in the other
+    bundle, so the lone agent holds under 3 f, and the other bundle keeps
+    3 f or more after any removal of c of its goods (PROP: the lone bundle
+    holds one core good or none, under half of the agent's total). Those
+    partitions come first, each with a key of its own. A few agents of
+    random values take no part in the argument. The instances are written
+    under ``workdir``."""
+    rng = random.Random(f"slack-{seed}")
+    os.makedirs(workdir, exist_ok=True)
+    out = []
+    for i, notion in enumerate(n for n in ("ef1", "ef2", "efx", "efx0", "prop") for _ in "ab"):
+        c = 2 if notion == "ef2" else 1
+        m = 8 if c == 2 else rng.randint(5, 6)
+        kind = ("binary", "additive")[i % 2]
+
+        def agent(values: dict) -> dict:
+            return {"kind": kind, "values": [values.get(g, 0) for g in range(m)]}
+
+        cores = rng.sample(list(itertools.combinations(range(m), 3 * c + 1)), rng.randint(2, 4))
+        fs = rng.sample(range(2, 9), len(cores)) if kind == "additive" else [1] * len(cores)
+        lone = [agent({g: rng.randint(f, f + (f - 1) // 2) for g in core}) for f, core in zip(fs, cores)]
+        subsets = sorted({s for core in cores for s in itertools.combinations(core, c + 1)})
+        top = 5 if kind == "additive" else 1
+        desirers = [agent({g: rng.randint(1, top) for g in subset}) for subset in subsets]
+        others = [agent({g: rng.randint(0, top) for g in range(m)}) for _ in range(rng.randint(0, 2))]
+        first = i % 4 < 2  # lone agents first in sizes (1, n - 1), else last in (n - 1, 1)
+        pool = lone + desirers + others if first else desirers + others + lone
+        n = len(pool)
+        path = os.path.join(workdir, f"slack-{seed}-{i}.json")
+        with open(path, "w") as fh:
+            json.dump({"m": m, "agents": [{"id": a, **v} for a, v in enumerate(pool)],
+                       "groups": {"variable": [1, n - 1] if first else [n - 1, 1]}}, fh)
+        flags = ["--balanced-goods"] if rng.random() < 0.3 else []
         out.append(["search", path, "--notion", notion, *flags])
     return out
 
@@ -309,6 +358,8 @@ def _questions(plans: list[str], seeds: list[int], workdir: str, corpus: list[st
             out += [(f"{plan_name}/{seed}/{i}", q.argv) for i, q in enumerate(plan.questions)]
         questions = variable_questions(seed, os.path.join(workdir, f"variable-{seed}"))
         out += [(f"variable/{seed}/{i}", argv) for i, argv in enumerate(questions)]
+        questions = slack_questions(seed, os.path.join(workdir, f"slack-{seed}"))
+        out += [(f"slack/{seed}/{i}", argv) for i, argv in enumerate(questions)]
         questions = removal_questions(seed, os.path.join(workdir, f"removal-{seed}"))
         out += [(f"removal/{seed}/{i}", argv) for i, argv in enumerate(questions)]
         questions = mixed_questions(seed, os.path.join(workdir, f"mixed-{seed}"))
