@@ -527,10 +527,11 @@ def test_valuation_setup_runs_once_per_valuation(monkeypatch):
     # what the notion asks of a valuation is decided once per call, not once
     # per checker and scan. Six binary pair desirers on four goods and nine
     # all-desirers of distinct values 1..9, one of them alone: a partition
-    # whose lone agent desires all goods has no EF1 allocation (a bundle of
-    # two goods or more has a pair the other group desires, so the lone
-    # agent gets at most one good of four), and the nine such partitions
-    # come first, each with a key of its own
+    # whose lone agent desires all goods has no EF1 allocation (a lone
+    # bundle of two goods or more holds a pair whose desirer, in the other
+    # group, has none of it; so the lone agent holds one good at most,
+    # against three), and the nine such partitions come first, each with a
+    # key of its own
     calls = []
     setup = oracle._valuation_setup
     monkeypatch.setattr(oracle, "_valuation_setup", lambda *args: calls.append(args[1]) or setup(*args))
