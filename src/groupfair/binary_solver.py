@@ -35,15 +35,12 @@ top after every application):
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import FairAllocationNotFound, GroupShapeError, UnsupportedValuationError
 from .fairness import EF1, is_fair
 from .model import BINARY, Allocation, FixedGroups, Instance, Valuation, iter_bits
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -338,7 +335,9 @@ def solve_ef1_binary(inst: Instance) -> Allocation:
             if not report.overall:
                 raise AssertionError("reduction produced a non-EF1 allocation")
             return alloc
-        log.warning(
+        import logging  # loaded only to report a stall
+
+        logging.getLogger(__name__).warning(
             "reduction stalled on shape (%d,%d) with %d goods left; falling back to search",
             *sizes, reduced.m,
         )

@@ -10,6 +10,16 @@ Exit codes: 0 on success or Found; 2 when a negative outcome is certified
 usage or data errors. Reports go to stdout as JSON (default) or as a plain
 table via ``--format table``.
 
+Importing this module runs only ``errors``, ``model``, ``fairness`` and
+``oracle``, what ``check`` and ``search`` use. The other modules it calls
+through (``algorithms``, ``binary_solver``, ``kneser``, ``reduction`` and
+``gallery``) are bound lazily: each is placed in ``sys.modules`` and on the
+package at once, as an import would, but its code runs on the first
+attribute read, so ``solve`` runs the one of ``binary_solver`` and
+``algorithms`` its method calls, ``kneser`` the module ``kneser``,
+``reduce`` ``reduction`` and ``corpus`` ``gallery``. ``fuzz`` imports its
+suites inside its handler.
+
 Before an answer is printed it is checked again, against all it claims,
 by :func:`fairness.check_answer`, the package's one answer check: the
 bundles partition the goods, one per group (two for exact1); a ``search``
@@ -33,9 +43,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from . import algorithms, kneser, oracle, reduction
-from .binary_solver import solve_ef1_binary
+from . import oracle
 from .errors import FairAllocationNotFound, GroupFairError
 from .fairness import EF1, Notion, SearchConstraints, check_answer, is_balanced, is_fair, parse_notion
 from .model import (
@@ -51,6 +61,27 @@ from .model import (
 )
 
 OK, CERTIFIED_NO, USAGE = 0, 2, 1
+
+
+def _lazy(name: str):
+    """The package's submodule ``name``, its code run on first use."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = find_spec(full)
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+algorithms = _lazy("algorithms")
+binary_solver = _lazy("binary_solver")
+gallery = _lazy("gallery")
+kneser = _lazy("kneser")
+reduction = _lazy("reduction")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,7 +228,7 @@ def _solve_dispatch(args, inst: Instance):
     method = args.method
     ef1 = SearchConstraints(EF1)
     if method == "binary":
-        return {}, solve_ef1_binary(inst), None, ef1, inst
+        return {}, binary_solver.solve_ef1_binary(inst), None, ef1, inst
     if method == "two-one":
         return {}, algorithms.ef1_two_one(inst), None, ef1, inst
     if method == "exact1":
@@ -275,7 +306,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    entries = oracle.corpus()
+    entries = gallery.corpus()
     by_name = {e.name: e for e in entries}
     if args.export:
         os.makedirs(args.export, exist_ok=True)
@@ -292,7 +323,7 @@ def _cmd_corpus(args) -> int:
     if args.run and args.run not in by_name:
         raise ValueError(f"unknown corpus entry {args.run!r}")
     t0 = time.perf_counter()
-    results = [oracle.run_corpus_entry(by_name[n]) for n in names]
+    results = [gallery.run_corpus_entry(by_name[n]) for n in names]
     elapsed = time.perf_counter() - t0
     if args.format == "table":
         for r in results:

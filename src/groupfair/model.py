@@ -34,10 +34,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import UnsupportedValuationError
 
@@ -243,7 +242,7 @@ class VariableGroups:
         return len(self.sizes)
 
 
-Groups = Union[FixedGroups, VariableGroups]
+Groups = FixedGroups | VariableGroups
 
 
 def _group_of_each(members: Sequence[Iterable[int]], n: int) -> tuple[int, ...]:
@@ -469,6 +468,8 @@ def allocation_violations(m: int, alloc: Allocation) -> list[str]:
 
 
 def _as_fraction(x) -> Fraction:
+    from fractions import Fraction  # only utilities other than plain ints come here
+
     if isinstance(x, bool):
         raise ValueError("boolean is not a utility value")
     if isinstance(x, int):

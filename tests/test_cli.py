@@ -281,10 +281,11 @@ def _hit(answer):
     return Certificate(True, alloc, part)
 
 
-# method, or method/variant: the name the CLI calls, an answer that breaks
-# the guarantee, the guarantee, and the search flags the answer must meet
+# method, or method/variant: the function the CLI calls, named in its
+# defining module, an answer that breaks the guarantee, the guarantee, and
+# the search flags the answer must meet
 _BROKEN = {
-    "binary": ("solve_ef1_binary", _ALL_TO_FIRST, "ef1"),
+    "binary": ("binary_solver.solve_ef1_binary", _ALL_TO_FIRST, "ef1"),
     "two-one": ("algorithms.ef1_two_one", _ALL_TO_FIRST, "ef1"),
     "exact1": ("algorithms.exact1_partition", _ALL_TO_FIRST.bundles, "exact1"),
     "roundrobin": ("algorithms.round_robin", _ALL_TO_FIRST, "ef1"),
@@ -324,7 +325,7 @@ def test_broken_result_is_never_printed(variable_inst, tmp_path, capsys, monkeyp
             }
         )
     )
-    monkeypatch.setattr(f"groupfair.cli.{target}", lambda *args, **kwargs: answer)
+    monkeypatch.setattr(f"groupfair.{target}", lambda *args, **kwargs: answer)
     if method == "search":
         argv = ["search", variable_inst if answer.partition else str(pair), *flags]
     else:

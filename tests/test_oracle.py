@@ -11,7 +11,7 @@ from itertools import combinations, product
 
 import pytest
 
-from groupfair import oracle
+from groupfair import gallery, oracle
 from groupfair import (
     EF,
     EF1,
@@ -631,7 +631,7 @@ def test_slack_bound_cuts(monkeypatch):
     # with values 3 (additive, so the slack is loose) exhaust with cuts; on
     # the binary EF1 scan of a 3-CNF with an unsatisfiable core the slack is
     # exact, so the cuts are those of the exact allowance
-    from groupfair.oracle import _no_efc_equal, _no_efx_additive_two_one
+    from groupfair.gallery import _no_efc_equal, _no_efx_additive_two_one
 
     core = _no_efc_equal(2)
     tripled = [Valuation.additive([3 * x for x in v.values]) for v in core.agents]
@@ -979,7 +979,7 @@ def test_valuation_goods_must_match_instance(m, goods):
 
 def test_notion_monotonicity_on_corpus():
     # impossibility at a weaker notion implies it at every stronger one
-    from groupfair.oracle import _no_efc_equal
+    from groupfair.gallery import _no_efc_equal
 
     inst = _no_efc_equal(1)
     assert not find_fair(inst, SearchConstraints(EF1)).found
@@ -1072,7 +1072,7 @@ _FOUR_TWO_HIT = find_fair(Instance.variable(3, _entry("efx-balanced-agents").ins
         # pairs, and an instance with no EFX allocation at all
         (_entry("efx-balanced-individual-m3", instance=_TWO_EQUAL), False,
          "EFX allocation ((2, 3), (0, 1)) has no singleton bundle"),
-        (_entry("additive-efx-2-1", extra_check=oracle._singleton_bundle_check), False,
+        (_entry("additive-efx-2-1", extra_check=gallery._singleton_bundle_check), False,
          "no EFX allocation exists at all"),
         (_entry("binary-balanced-5-1-free"), True, "found allocation fails re-verification"),
         # an EF1 hit whose bundles break the balance the entry asks for
